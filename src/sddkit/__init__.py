@@ -16,7 +16,6 @@ from .matcore import (
     SymMatrix,
     classify,
     delta,
-    det_dense,
     eigen_sym,
     inf_norm,
     inverse_dense,

@@ -2,8 +2,10 @@
 
 Construction and validation of symmetric matrices, diagonal-dominance
 diagnostics, an LU-based inversion oracle, infinity norms, a cyclic Jacobi
-eigensolver, rank-one Sherman-Morrison-Woodbury inverse updates, and the
-Loewner (positive semidefinite) partial order.
+eigensolver, rank-one Sherman-Morrison-Woodbury inverse updates, the
+Loewner (positive semidefinite) partial order, and matrix text I/O.  There
+is no determinant kernel: determinant ratios come from the elimination in
+:func:`sddkit.bounds.block_det_ratio`, which never forms det(J) itself.
 
 All operations are pure functions of their inputs.  Matrix values are
 immutable after construction and safe to share across threads.
@@ -31,7 +33,6 @@ __all__ = [
     "delta",
     "classify",
     "inverse_dense",
-    "det_dense",
     "inf_norm",
     "eigen_sym",
     "smw_update",
@@ -197,14 +198,6 @@ def inf_norm(M: SymMatrix) -> float:
     return float(np.abs(M.entries).sum(axis=1).max())
 
 
-def _lu(a: np.ndarray):
-    with warnings.catch_warnings():
-        # Exactly singular input triggers a scipy warning before our own
-        # pivot check runs; the check below raises in that case.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        return scipy.linalg.lu_factor(a, check_finite=False)
-
-
 def inverse_dense(J: SymMatrix) -> SymMatrix:
     """Invert via pivoted LU and re-symmetrize the result.
 
@@ -214,7 +207,11 @@ def inverse_dense(J: SymMatrix) -> SymMatrix:
     """
     a = J.entries
     n = J.n
-    lu, piv = _lu(a)
+    with warnings.catch_warnings():
+        # Exactly singular input triggers a scipy warning before our own
+        # pivot check runs; the check below raises in that case.
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     pivots = np.abs(lu.diagonal())
     floor = n * np.finfo(float).eps * max(inf_norm(J), np.finfo(float).tiny)
     smallest = float(pivots.min())
@@ -225,16 +222,6 @@ def inverse_dense(J: SymMatrix) -> SymMatrix:
         )
     inv = scipy.linalg.lu_solve((lu, piv), np.eye(n), check_finite=False)
     return symmetrize(inv)
-
-
-def det_dense(J: SymMatrix) -> float:
-    """Determinant from the pivoted LU factorization."""
-    lu, piv = _lu(J.entries)
-    sign = 1.0
-    for i, p in enumerate(piv):
-        if p != i:
-            sign = -sign
-    return sign * float(np.prod(lu.diagonal()))
 
 
 def _jacobi(a0: np.ndarray, max_sweeps: int):
@@ -330,7 +317,8 @@ def loewner_geq(A: SymMatrix, B: SymMatrix, tol: float = 1e-10) -> bool:
 
 
 # Matrix text format: first line "n", then n whitespace-separated rows of n
-# decimal reals.  Symmetry is validated on load with 1e-9 relative tolerance.
+# finite decimal reals.  Symmetry is validated on load with 1e-9 relative
+# tolerance.
 
 def load_matrix(path) -> SymMatrix:
     with open(path, "r", encoding="utf-8") as fh:
@@ -358,9 +346,12 @@ def load_matrix(path) -> SymMatrix:
         if len(parts) != n:
             raise MatrixFormatError(f"expected {n} entries, got {len(parts)}", line=lineno)
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError:
             raise MatrixFormatError(f"bad number in row {raw!r}", line=lineno) from None
+        if not all(math.isfinite(v) for v in row):
+            raise MatrixFormatError(f"non-finite entry in row {raw!r}", line=lineno)
+        rows.append(row)
     if len(rows) != n:
         raise MatrixFormatError(f"expected {n} rows, found {len(rows)}", line=lineno)
     a = np.array(rows, dtype=float)

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from sddkit import LoopGraph, SymMatrix
+from sddkit import (LoopGraph, SingularBlockError, SingularMatrixError,
+                    SymMatrix, inverse_dense)
 
 # Two balanced 4x4 matrices; H differs from J in the (1,2) entry (rebalanced).
 J4_BALANCED = SymMatrix(np.array([
@@ -44,6 +45,29 @@ def jt_inverse_closed(t: float) -> np.ndarray:
 def general_inverse(a: np.ndarray) -> np.ndarray:
     """Dense inverse without any symmetry assumption (test-side oracle)."""
     return np.linalg.inv(np.asarray(a, dtype=float))
+
+
+def block_det_ratio_by_inverses(J: SymMatrix) -> tuple[np.ndarray, float]:
+    """Trailing-block factors 1 - b' B^{-1} b / J_ii, one dense inverse of
+    each trailing block B (test-side oracle for ``block_det_ratio``).
+
+    Names the largest singular trailing block, the first one met from the
+    top.
+    """
+    a = J.entries
+    n = J.n
+    factors = np.empty(max(n - 1, 0))
+    for i in range(n - 1):
+        b = a[i, i + 1:]
+        try:
+            binv = inverse_dense(SymMatrix(a[i + 1:, i + 1:]))
+        except SingularMatrixError as exc:
+            raise SingularBlockError(
+                f"trailing block starting at row {i + 2} is singular",
+                block_index=i + 2,
+            ) from exc
+        factors[i] = 1.0 - float(b @ (binv.entries @ b)) / a[i, i]
+    return factors, float(np.prod(factors))
 
 
 def chain_cycle(n: int) -> LoopGraph:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import J4_BALANCED
+from helpers import J4_BALANCED, block_det_ratio_by_inverses
 from sddkit import (
     LoopGraph,
     SForm,
@@ -208,6 +208,50 @@ class TestBlockDetRatio:
             block_det_ratio(SymMatrix(a))
         assert err.value.block_index == 2
 
+    def test_nested_singular_blocks_name_the_smallest(self):
+        # The blocks from rows 2 and 3 are both singular; elimination runs
+        # from the bottom, so it stops at the smaller one, row 3, while the
+        # per-block inverse route meets the larger one, row 2, first.
+        a = np.ones((4, 4))
+        a[0, 0] = 5.0
+        J = SymMatrix(a)
+        with pytest.raises(SingularBlockError) as err:
+            block_det_ratio(J)
+        assert err.value.block_index == 3
+        with pytest.raises(SingularBlockError) as err:
+            block_det_ratio_by_inverses(J)
+        assert err.value.block_index == 2
+
+    def test_singular_matrix_with_regular_blocks_gives_zero(self):
+        # Signless Laplacian of the path 2-1-3: bipartite, hence singular,
+        # while its trailing blocks are identities.
+        J = SymMatrix(np.array([[2.0, 1, 1], [1, 1, 0], [1, 0, 1]]))
+        factors, ratio = block_det_ratio(J)
+        np.testing.assert_array_equal(factors, [0.0, 1.0])
+        assert ratio == 0.0
+
+    @pytest.mark.parametrize("n", [*range(3, 13), 60, 150])
+    @pytest.mark.parametrize("make", [random_dominant, random_balanced])
+    def test_factors_match_inverse_oracle(self, make, n):
+        J = make(trial_rng(151, n), n)
+        factors, ratio = block_det_ratio(J)
+        ref_factors, ref_ratio = block_det_ratio_by_inverses(J)
+        np.testing.assert_allclose(factors, ref_factors, rtol=1e-12, atol=0)
+        assert ratio == pytest.approx(ref_ratio, rel=1e-12)
+
+    def test_indefinite_factors_match_inverse_oracle(self):
+        # Trailing blocks have determinants -3, -7, 34.
+        J = SymMatrix(np.array([
+            [1.0, 2, 0, 1],
+            [2, -1, 3, 0],
+            [0, 3, 2, 1],
+            [1, 0, 1, -3],
+        ]))
+        factors, ratio = block_det_ratio(J)
+        ref_factors, ref_ratio = block_det_ratio_by_inverses(J)
+        np.testing.assert_allclose(factors, ref_factors, rtol=1e-12, atol=0)
+        assert ratio == pytest.approx(ref_ratio, rel=1e-12)
+
 
 def block_pair_example(k, ell, m):
     """Balanced 2k x 2k block matrix with closed-form determinant."""
@@ -298,6 +342,13 @@ class TestAdjugateBound:
         for _ in range(20):
             r = adjugate_bound(random_balanced(rng, 6, lo=1.0, hi=3.0))
             assert r.holds
+
+    def test_finite_where_determinant_overflows(self):
+        # det(J) is about 1e800 here, beyond float range; the ratio is not.
+        J = random_balanced(trial_rng(157), 300)
+        r = adjugate_bound(J)
+        assert math.isfinite(r.lhs) and r.lhs > 0
+        assert r.holds and r.applicable
 
 
 class TestXiFunctional:

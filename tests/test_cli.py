@@ -138,6 +138,13 @@ class TestFailureCorpus:
         assert main(["inspect", "--matrix", str(path)]) == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["inspect", "detbounds"])
+    def test_non_finite_matrix_rejected(self, tmp_path, capsys, subcommand):
+        path = tmp_path / "inf.txt"
+        path.write_text("2\n1 inf\ninf 1\n")
+        assert main([subcommand, "--matrix", str(path)]) == 2
+        assert "line 2: non-finite" in capsys.readouterr().err
+
     def test_asymmetric_matrix_rejected(self, tmp_path, capsys):
         path = tmp_path / "jt.txt"
         rows = "\n".join(" ".join(format(v, ".17g") for v in row) for row in jt_matrix(1.0))

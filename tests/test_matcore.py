@@ -261,6 +261,18 @@ class TestMatrixIO:
             load_matrix(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("text, line", [
+        ("2\n1 inf\ninf 1\n", 2),
+        ("2\n1 0\n0 nan\n", 3),
+    ], ids=["inf", "nan"])
+    def test_rejects_non_finite_entry(self, tmp_path, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(MatrixFormatError) as err:
+            load_matrix(path)
+        assert err.value.line == line
+        assert "non-finite" in str(err.value)
+
     def test_missing_rows(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3\n1 0 0\n")
