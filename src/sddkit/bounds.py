@@ -239,15 +239,9 @@ def eig_interval_check(J: SymMatrix, ell: float | None = None,
         return _inapplicable("eig", f"block index {i} outside 1..{n - 1}", n=n, i=i)
     if n < 3:
         return _inapplicable("eig", "needs n >= 3", n=n, i=i)
-    if rep.min_offdiag is None:
-        return _inapplicable("eig", "no off-diagonal entries", n=n, i=i)
-    if ell is None:
-        ell = rep.min_offdiag
-    if m is None:
-        m = rep.max_offdiag
-    if not (0 < ell <= rep.min_offdiag + 1e-12 and rep.max_offdiag <= m + 1e-12):
-        return _inapplicable("eig", "[ell, m] does not bracket the off-diagonals",
-                             n=n, i=i, ell=float(ell), m=float(m))
+    ell, m, bad = _bracket(rep, ell, m, "eig", n, i=i)
+    if bad is not None:
+        return bad
     if not rep.is_dominant:
         return _inapplicable("eig", "J not diagonally dominant", n=n, i=i)
     balanced = rep.is_balanced
@@ -261,7 +255,7 @@ def eig_interval_check(J: SymMatrix, ell: float | None = None,
         high = np.full(size, (n - 2) * m)
         high[-1] = (2 * n - i - 1) * m
         worst = max(worst, float((lams - high).max()))
-    return _report("eig", worst, 0.0, n=n, i=i, ell=float(ell), m=float(m),
+    return _report("eig", worst, 0.0, n=n, i=i, ell=ell, m=m,
                    balanced=balanced, lambda_min=float(lams[0]),
                    lambda_max=float(lams[-1]))
 
@@ -326,10 +320,13 @@ def det_ratio_lu(J: SymMatrix) -> float:
     return float(sign * np.exp(logabs - np.log(diag).sum()))
 
 
-def _bracket(rep: DominanceReport, ell, m, name, n):
-    """Resolve caller-supplied [ell, m] against observed off-diagonals."""
+def _bracket(rep: DominanceReport, ell, m, name, n, **context):
+    """Resolve caller-supplied [ell, m] against observed off-diagonals.
+
+    ``context`` goes into an inapplicable report after ``n``.
+    """
     if rep.min_offdiag is None:
-        return None, None, _inapplicable(name, "no off-diagonal entries", n=n)
+        return None, None, _inapplicable(name, "no off-diagonal entries", n=n, **context)
     if ell is None:
         ell = rep.min_offdiag
     if m is None:
@@ -337,7 +334,7 @@ def _bracket(rep: DominanceReport, ell, m, name, n):
     if not (0 < ell <= rep.min_offdiag + 1e-12 and rep.max_offdiag <= m + 1e-12):
         return None, None, _inapplicable(
             name, "[ell, m] does not bracket the off-diagonals",
-            n=n, ell=float(ell), m=float(m))
+            n=n, **context, ell=float(ell), m=float(m))
     return float(ell), float(m), None
 
 

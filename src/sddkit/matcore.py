@@ -1,9 +1,10 @@
 """Dense symmetric-matrix kernels.
 
 Construction and validation of symmetric matrices, diagonal-dominance
-diagnostics, an LU-based inversion oracle, infinity norms, a cyclic Jacobi
-eigensolver, rank-one Sherman-Morrison-Woodbury inverse updates, the
-Loewner (positive semidefinite) partial order, and matrix text I/O.  There
+diagnostics, an LU-based inversion oracle, infinity norms, the LAPACK
+symmetric eigensolver with a per-pair residual certificate, rank-one
+Sherman-Morrison-Woodbury inverse updates, the Loewner (positive
+semidefinite) partial order, and matrix text I/O.  There
 is no determinant kernel: determinant ratios come from the elimination in
 :func:`sddkit.bounds.block_det_ratio`, which never forms det(J) itself.
 
@@ -66,7 +67,8 @@ class SingularUpdateError(MatrixError):
 
 
 class EigenConvergenceError(RuntimeError):
-    """Jacobi iteration did not reach the residual target.
+    """The LAPACK symmetric eigensolver returned a pair that misses the
+    per-pair residual certificate, or failed to converge (residual inf).
 
     Carries the attained worst per-pair residual in ``residual``.
     """
@@ -88,8 +90,8 @@ class MatrixFormatError(MatrixError):
 class SymMatrix:
     """Dense symmetric real matrix, the universal numeric carrier.
 
-    The entry array is validated (square, n >= 1, exactly symmetric) and
-    frozen read-only at construction.  Asymmetric input is rejected; use
+    The entry array is validated (square, n >= 1, finite, exactly symmetric)
+    and frozen read-only at construction.  Asymmetric input is rejected; use
     :func:`symmetrize` for results of floating-point arithmetic that are
     symmetric only up to roundoff.
     """
@@ -102,6 +104,9 @@ class SymMatrix:
             raise MatrixError(f"expected a square 2-d array, got shape {a.shape}")
         if a.shape[0] < 1:
             raise MatrixError("matrix dimension must be >= 1")
+        if not np.isfinite(a).all():
+            i, j = np.argwhere(~np.isfinite(a))[0]
+            raise MatrixError(f"non-finite entry {a[i, j]} at ({i}, {j})")
         if not np.array_equal(a, a.T):
             raise AsymmetricMatrixError("matrix entries are not symmetric")
         a.setflags(write=False)
@@ -224,69 +229,28 @@ def inverse_dense(J: SymMatrix) -> SymMatrix:
     return symmetrize(inv)
 
 
-def _jacobi(a0: np.ndarray, max_sweeps: int):
-    """Cyclic Jacobi rotations; returns (eigenvalues asc, eigenvectors)."""
-    n = a0.shape[0]
-    a = a0.copy()
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    scale = float(np.abs(a0).sum(axis=1).max())
-    stop = 1e-12 * scale
-    skip = stop / (10.0 * n)
-    iu = np.triu_indices(n, 1)
-    for _ in range(max_sweeps):
-        if float(np.abs(a[iu]).max()) <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    lams = a.diagonal().copy()
-    order = np.argsort(lams, kind="stable")
-    return lams[order], v[:, order]
-
-
-def eigen_sym(M: SymMatrix, max_sweeps: int = 100) -> np.ndarray:
-    """All eigenvalues, ascending, by cyclic Jacobi rotations.
+def eigen_sym(M: SymMatrix) -> np.ndarray:
+    """All eigenvalues, ascending, by the LAPACK symmetric eigensolver
+    (``numpy.linalg.eigh``) with a per-pair residual certificate.
 
     Each computed pair satisfies |M v - lam v|_2 <= 1e-10 * inf_norm(M);
     otherwise :class:`EigenConvergenceError` reports the attained residual.
     """
-    lams, vecs, residual = _eigen_sym_full(M, max_sweeps)
-    return lams
-
-
-def _eigen_sym_full(M: SymMatrix, max_sweeps: int = 100):
-    lams, vecs = _jacobi(M.entries, max_sweeps)
-    resid_cols = M.entries @ vecs - vecs * lams
+    a = M.entries
+    try:
+        lams, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"LAPACK eigensolver failed: {exc}",
+                                    residual=math.inf) from exc
+    resid_cols = a @ vecs - vecs * lams
     residual = float(np.sqrt((resid_cols * resid_cols).sum(axis=0)).max())
     bound = 1e-10 * inf_norm(M)
     if residual > bound:
         raise EigenConvergenceError(
-            f"Jacobi iteration stalled: residual {residual:.3e} > {bound:.3e} "
-            f"after {max_sweeps} sweeps",
+            f"eigenpair residual {residual:.3e} exceeds {bound:.3e}",
             residual=residual,
         )
-    return lams, vecs, residual
+    return lams
 
 
 def smw_update(K: SymMatrix, u: np.ndarray, t: float, tol: float = 1e-12) -> SymMatrix:

@@ -113,7 +113,7 @@ def residual(theta: np.ndarray, d: np.ndarray,
 
 @dataclass(frozen=True)
 class RetinaProblem:
-    """A degree-sequence instance: targets d > 0 and the domain floor
+    """A degree-sequence instance: finite targets d > 0 and the domain floor
     enforced on every pairwise sum theta_i + theta_j during solving."""
 
     d: np.ndarray
@@ -123,6 +123,9 @@ class RetinaProblem:
         d = np.array(self.d, dtype=float)
         if d.ndim != 1 or len(d) < 3:
             raise ValueError(f"need a degree vector of length >= 3, got shape {d.shape}")
+        if not np.isfinite(d).all():
+            i = int(np.flatnonzero(~np.isfinite(d))[0])
+            raise ValueError(f"target degree d[{i}] = {d[i]} is not finite")
         if not (d > 0).all():
             raise ValueError("all target degrees must be positive")
         if not self.domain_floor > 0:

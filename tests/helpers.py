@@ -1,5 +1,7 @@
 """Shared fixtures: reference matrices, small graphs, and test-side oracles."""
 
+import math
+
 import numpy as np
 
 from sddkit import (LoopGraph, SingularBlockError, SingularMatrixError,
@@ -68,6 +70,52 @@ def block_det_ratio_by_inverses(J: SymMatrix) -> tuple[np.ndarray, float]:
             ) from exc
         factors[i] = 1.0 - float(b @ (binv.entries @ b)) / a[i, i]
     return factors, float(np.prod(factors))
+
+
+def eigen_sym_by_jacobi(M: SymMatrix, max_sweeps: int = 100):
+    """Cyclic Jacobi rotations; returns (eigenvalues asc, eigenvectors).
+
+    Test-side oracle for ``eigen_sym``: plain Python rotations that share no
+    code with LAPACK.
+    """
+    a0 = M.entries
+    n = a0.shape[0]
+    a = a0.copy()
+    v = np.eye(n)
+    if n == 1:
+        return a.diagonal().copy(), v
+    scale = float(np.abs(a0).sum(axis=1).max())
+    stop = 1e-12 * scale
+    skip = stop / (10.0 * n)
+    iu = np.triu_indices(n, 1)
+    for _ in range(max_sweeps):
+        if float(np.abs(a[iu]).max()) <= stop:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= skip:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                cp = a[:, p].copy()
+                cq = a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                rp = a[p, :].copy()
+                rq = a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                a[p, q] = a[q, p] = 0.0
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    lams = a.diagonal().copy()
+    order = np.argsort(lams, kind="stable")
+    return lams[order], v[:, order]
 
 
 def chain_cycle(n: int) -> LoopGraph:

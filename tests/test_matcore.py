@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import H4_BALANCED, J3, H3, J4_BALANCED, jt_matrix
+from helpers import H4_BALANCED, J3, H3, J4_BALANCED, eigen_sym_by_jacobi, jt_matrix
 from sddkit import (
     AsymmetricMatrixError,
     EigenConvergenceError,
@@ -23,7 +25,7 @@ from sddkit import (
     smw_update,
     symmetrize,
 )
-from sddkit.randmat import random_dominant, trial_rng
+from sddkit.randmat import random_balanced, random_dominant, trial_rng
 
 
 def ones_plus(alpha, n):
@@ -38,6 +40,12 @@ class TestSymMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(MatrixError):
             SymMatrix(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(MatrixError, match="non-finite entry") as err:
+            SymMatrix(np.array([[1.0, bad], [bad, 1.0]]))
+        assert not isinstance(err.value, AsymmetricMatrixError)
 
     def test_entries_are_read_only(self):
         M = SymMatrix(np.eye(2))
@@ -168,11 +176,43 @@ class TestEigenSym:
         J = random_dominant(trial_rng(seed), n)
         assert abs(eigen_sym(J).sum() - np.trace(J.entries)) <= 1e-8 * n * inf_norm(J)
 
-    def test_nonconvergence_reports_residual(self):
+    @pytest.mark.parametrize("n", range(2, 16))
+    def test_matches_jacobi_oracle(self, n):
+        def check(M):
+            tol = 1e-10 * inf_norm(M)
+            want, vecs = eigen_sym_by_jacobi(M)
+            assert np.linalg.norm(M.entries @ vecs - vecs * want, axis=0).max() <= tol
+            np.testing.assert_allclose(eigen_sym(M), want, rtol=0, atol=tol)
+
+        rng = trial_rng(n)
+        for J in (random_dominant(rng, n), random_balanced(rng, n)):
+            for k in range(n - 1):  # J itself, then its trailing blocks
+                check(SymMatrix(J.entries[k:, k:]))
+        # S-forms alpha*I + ell*ones: alpha is an (n-1)-fold eigenvalue
+        for alpha, ell in (((n - 2) * 1.0, 1.0), ((n - 2) * 0.37 + 1.5, 0.37)):
+            check(SymMatrix(alpha * np.eye(n) + ell * np.ones((n, n))))
+
+    def test_nonconvergence_reports_residual(self, monkeypatch):
         M = ones_plus(2, 4)
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            lams, vecs = eigh(a)
+            return lams + 1e-6, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(EigenConvergenceError) as err:
-            eigen_sym(M, max_sweeps=0)
+            eigen_sym(M)
         assert err.value.residual > 0
+
+    def test_lapack_failure_reports_infinite_residual(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigenConvergenceError) as err:
+            eigen_sym(ones_plus(2, 4))
+        assert err.value.residual == math.inf
 
 
 class TestSmwUpdate:

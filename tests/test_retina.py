@@ -115,6 +115,11 @@ class TestSolve:
         sol = solve_retina(RetinaProblem(np.array([1000.0, 1e-3, 1e-3])), max_iter=30)
         assert not sol.converged
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_degree(self, bad):
+        with pytest.raises(ValueError, match=r"d\[2\] = .* is not finite"):
+            RetinaProblem(np.array([1.0, 2.0, bad]))
+
     def test_problem_validation(self):
         with pytest.raises(ValueError):
             RetinaProblem(np.array([1.0, -1.0, 1.0]))
