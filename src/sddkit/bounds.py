@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import (
-    DominanceReport,
     MatrixError,
     SymMatrix,
     classify,
@@ -114,6 +113,33 @@ def _inapplicable(name: str, reason: str, **context) -> BoundReport:
     )
 
 
+def _gate(name: str, J: SymMatrix, ell, m, need: str = "dominant", **context):
+    """Check the hypotheses the interval-type bounds share.
+
+    In order: n >= 3, [ell, m] brackets the off-diagonal entries (a missing
+    end defaults to the observed extreme), and J is diagonally ``need``
+    ("dominant" or "balanced").  Returns (rep, ell, m, bad) where ``bad`` is
+    the inapplicable report for the first failed hypothesis, else None;
+    ``context`` goes into that report after ``n``.
+    """
+    rep = classify(J)
+    n = J.n
+    if n < 3:
+        return rep, ell, m, _inapplicable(name, "needs n >= 3", n=n, **context)
+    if ell is None:
+        ell = rep.min_offdiag
+    if m is None:
+        m = rep.max_offdiag
+    if not (0 < ell <= rep.min_offdiag + 1e-12 and rep.max_offdiag <= m + 1e-12):
+        return rep, ell, m, _inapplicable(
+            name, "[ell, m] does not bracket the off-diagonals",
+            n=n, **context, ell=float(ell), m=float(m))
+    if not (rep.is_balanced if need == "balanced" else rep.is_dominant):
+        return rep, ell, m, _inapplicable(name, f"J not diagonally {need}",
+                                          n=n, **context)
+    return rep, float(ell), float(m), None
+
+
 def varah_bound(J: SymMatrix) -> BoundReport:
     """inf_norm(J^{-1}) <= max_i 1/margin_i for strictly dominant J.
 
@@ -177,23 +203,16 @@ def spectral_route_bound(J: SymMatrix, ell: float | None = None) -> BoundReport:
     comparison, the sharper O(1/n) bound (3n-4)/(2 ell (n-2)(n-1)); the gap
     between the two is why the spectral route is too weak for large n.
     """
-    rep = classify(J)
-    if ell is None:
-        ell = rep.min_offdiag if rep.min_offdiag is not None else 0.0
+    _, ell, _, bad = _gate("spectral", J, ell, None)
+    if bad is not None:
+        return bad
     n = J.n
-    if n < 3:
-        return _inapplicable("spectral", "needs n >= 3", n=n)
-    if not ell > 0 or rep.min_offdiag is None or rep.min_offdiag < ell - 1e-12:
-        return _inapplicable("spectral", "off-diagonal entries not >= ell > 0",
-                             n=n, ell=float(ell))
-    if not rep.is_dominant:
-        return _inapplicable("spectral", "J not diagonally dominant", n=n)
     lams = eigen_sym(J)
     lhs = inf_norm(inverse_dense(J))
     rhs = math.sqrt(n) / ((n - 2) * ell)
     intermediate = math.sqrt(n) / lams[0]
     sharp = (3 * n - 4) / (2.0 * ell * (n - 2) * (n - 1))
-    return _report("spectral", lhs, rhs, n=n, ell=float(ell),
+    return _report("spectral", lhs, rhs, n=n, ell=ell,
                    intermediate=float(intermediate), sharp_rhs=float(sharp))
 
 
@@ -202,22 +221,15 @@ def condition_bound(J: SymMatrix, ell: float | None = None) -> BoundReport:
 
     For large n the right side approaches 3 m / ell.
     """
-    rep = classify(J)
-    if ell is None:
-        ell = rep.min_offdiag if rep.min_offdiag is not None else 0.0
+    rep, ell, _, bad = _gate("cond", J, ell, None)
+    if bad is not None:
+        return bad
     n = J.n
-    if n < 3:
-        return _inapplicable("cond", "needs n >= 3", n=n)
-    if not ell > 0 or rep.min_offdiag is None or rep.min_offdiag < ell - 1e-12:
-        return _inapplicable("cond", "off-diagonal entries not >= ell > 0",
-                             n=n, ell=float(ell))
-    if not rep.is_dominant:
-        return _inapplicable("cond", "J not diagonally dominant", n=n)
     m_hat = rep.max_offdiag
     d_hat = max(rep.max_delta, 0.0)
     lhs = inf_norm(J) * inf_norm(inverse_dense(J))
     rhs = (2.0 * m_hat * (n - 1) + d_hat) * (3 * n - 4) / (2.0 * ell * (n - 2) * (n - 1))
-    return _report("cond", lhs, rhs, n=n, ell=float(ell), m=m_hat, delta=d_hat)
+    return _report("cond", lhs, rhs, n=n, ell=ell, m=m_hat, delta=d_hat)
 
 
 def eig_interval_check(J: SymMatrix, ell: float | None = None,
@@ -233,17 +245,12 @@ def eig_interval_check(J: SymMatrix, ell: float | None = None,
     lhs is the largest violation across constraints and rhs is 0, so
     slack is the worst margin by which the eigenvalues clear the intervals.
     """
-    rep = classify(J)
     n = J.n
     if not 1 <= i <= n - 1:
         return _inapplicable("eig", f"block index {i} outside 1..{n - 1}", n=n, i=i)
-    if n < 3:
-        return _inapplicable("eig", "needs n >= 3", n=n, i=i)
-    ell, m, bad = _bracket(rep, ell, m, "eig", n, i=i)
+    rep, ell, m, bad = _gate("eig", J, ell, m, i=i)
     if bad is not None:
         return bad
-    if not rep.is_dominant:
-        return _inapplicable("eig", "J not diagonally dominant", n=n, i=i)
     balanced = rep.is_balanced
     block = SymMatrix(J.entries[i - 1:, i - 1:])
     lams = eigen_sym(block)
@@ -320,24 +327,6 @@ def det_ratio_lu(J: SymMatrix) -> float:
     return float(sign * np.exp(logabs - np.log(diag).sum()))
 
 
-def _bracket(rep: DominanceReport, ell, m, name, n, **context):
-    """Resolve caller-supplied [ell, m] against observed off-diagonals.
-
-    ``context`` goes into an inapplicable report after ``n``.
-    """
-    if rep.min_offdiag is None:
-        return None, None, _inapplicable(name, "no off-diagonal entries", n=n, **context)
-    if ell is None:
-        ell = rep.min_offdiag
-    if m is None:
-        m = rep.max_offdiag
-    if not (0 < ell <= rep.min_offdiag + 1e-12 and rep.max_offdiag <= m + 1e-12):
-        return None, None, _inapplicable(
-            name, "[ell, m] does not bracket the off-diagonals",
-            n=n, **context, ell=float(ell), m=float(m))
-    return float(ell), float(m), None
-
-
 def det_lower_bound(J: SymMatrix, ell: float | None = None,
                     m: float | None = None) -> BoundReport:
     """det ratio >= (1 - sqrt(m/ell)(1 + m/ell)/(2(n-2)))^{n-1} for SDD J.
@@ -346,15 +335,10 @@ def det_lower_bound(J: SymMatrix, ell: float | None = None,
     flagged vacuous and the left side degrades to -inf rather than an
     oscillating power of a negative number.
     """
-    rep = classify(J)
-    n = J.n
-    if n < 3:
-        return _inapplicable("det_lower", "needs n >= 3", n=n)
-    ell, m, bad = _bracket(rep, ell, m, "det_lower", n)
+    _, ell, m, bad = _gate("det_lower", J, ell, m)
     if bad is not None:
         return bad
-    if not rep.is_dominant:
-        return _inapplicable("det_lower", "J not diagonally dominant", n=n)
+    n = J.n
     base = 1.0 - math.sqrt(m / ell) * (1.0 + m / ell) / (2.0 * (n - 2))
     _, ratio = block_det_ratio(J)
     if base <= 0:
@@ -367,15 +351,10 @@ def det_lower_bound(J: SymMatrix, ell: float | None = None,
 def det_upper_bound_balanced(J: SymMatrix, ell: float | None = None,
                              m: float | None = None) -> BoundReport:
     """det ratio <= exp(-ell^2 / (4 m^2)) for balanced J."""
-    rep = classify(J)
-    n = J.n
-    if n < 3:
-        return _inapplicable("det_upper", "needs n >= 3", n=n)
-    ell, m, bad = _bracket(rep, ell, m, "det_upper", n)
+    _, ell, m, bad = _gate("det_upper", J, ell, m, need="balanced")
     if bad is not None:
         return bad
-    if not rep.is_balanced:
-        return _inapplicable("det_upper", "J not diagonally balanced", n=n)
+    n = J.n
     _, ratio = block_det_ratio(J)
     rhs = math.exp(-ell * ell / (4.0 * m * m))
     return _report("det_upper", ratio, rhs, n=n, ell=ell, m=m)
@@ -388,15 +367,10 @@ def adjugate_bound(J: SymMatrix, ell: float | None = None,
     Computed as |det ratio| * inf_norm(J^{-1}), since adj(J) = det(J) J^{-1};
     the ratio stays finite where det(J) itself overflows.  Balanced J only.
     """
-    rep = classify(J)
-    n = J.n
-    if n < 3:
-        return _inapplicable("adjugate", "needs n >= 3", n=n)
-    ell, m, bad = _bracket(rep, ell, m, "adjugate", n)
+    _, ell, m, bad = _gate("adjugate", J, ell, m, need="balanced")
     if bad is not None:
         return bad
-    if not rep.is_balanced:
-        return _inapplicable("adjugate", "J not diagonally balanced", n=n)
+    n = J.n
     _, ratio = block_det_ratio(J)
     lhs = abs(ratio) * inf_norm(inverse_dense(J))
     rhs = ((3 * n - 4) / (2.0 * ell * (n - 2) * (n - 1))) * math.exp(
@@ -563,12 +537,8 @@ def conjecture_search(mode: str, trials: int, seed: int) -> ConjectureLedger:
             if t == 0:
                 J = sform_dense(SForm(n, alpha, m))
             else:
-                off = rng.uniform(0.05 * m, m, size=(n, n))
-                off = np.triu(off, 1)
-                off = off + off.T
-                a = off.copy()
-                np.fill_diagonal(a, off.sum(axis=1) + rng.uniform(0.0, margin_cap, size=n))
-                J = SymMatrix(a)
+                J = randmat.random_dominant(rng, n, lo=0.05 * m, hi=m,
+                                            margin_hi=margin_cap)
             records.append(_lower_norm_record(t, J, alpha, m))
         else:
             J = randmat.random_balanced(rng, n, lo=0.2, hi=3.0)
@@ -597,64 +567,56 @@ class SuiteRecord:
     report: BoundReport
 
 
-def _suite_records(suite: str, trial: int, rng, n: int) -> list[SuiteRecord]:
+def _suite_records(suite: str, trial: int, rng, n: int) -> list[tuple[dict, BoundReport]]:
+    """One trial's (params, report) pairs, drawing the instance from ``rng``."""
     if suite == "varah":
         J = randmat.random_strictly_dominant(rng, n)
-        return [SuiteRecord(suite, trial, n, {}, varah_bound(J))]
+        return [({}, varah_bound(J))]
     if suite == "main":
         ell = float(rng.uniform(0.5, 2.0))
         alpha = (n - 2) * ell + float(rng.uniform(0.0, 2.0 * ell))
         S = SForm(n, alpha, ell)
         J = randmat.random_geq_sform(rng, S, bump_hi=2.0 * ell)
-        return [SuiteRecord(suite, trial, n, {"alpha": alpha, "ell": ell},
-                            main_bound(J, S))]
+        return [({"alpha": alpha, "ell": ell}, main_bound(J, S))]
     if suite == "lower":
         J = randmat.random_dominant(rng, n)
-        return [SuiteRecord(suite, trial, n, {}, lower_bound_trivial(J))]
+        return [({}, lower_bound_trivial(J))]
     if suite == "spectral":
         ell = float(rng.uniform(0.3, 1.5))
         J = randmat.random_dominant(rng, n, lo=ell, hi=3.0 * ell)
-        return [SuiteRecord(suite, trial, n, {"ell": ell},
-                            spectral_route_bound(J, ell))]
+        return [({"ell": ell}, spectral_route_bound(J, ell))]
     if suite == "cond":
         J = randmat.random_dominant(rng, n)
-        return [SuiteRecord(suite, trial, n, {}, condition_bound(J))]
+        return [({}, condition_bound(J))]
     if suite == "eig":
         balanced = trial % 2 == 0
         J = (randmat.random_balanced(rng, n) if balanced
              else randmat.random_dominant(rng, n))
-        return [SuiteRecord(suite, trial, n, {"i": i, "balanced": balanced},
-                            eig_interval_check(J, i=i))
+        return [({"i": i, "balanced": balanced}, eig_interval_check(J, i=i))
                 for i in range(1, n)]
     if suite == "det":
         if trial % 2 == 0:
             J = randmat.random_balanced(rng, n)
-            return [
-                SuiteRecord(suite, trial, n, {"balanced": True}, det_lower_bound(J)),
-                SuiteRecord(suite, trial, n, {"balanced": True},
-                            det_upper_bound_balanced(J)),
-            ]
+            return [({"balanced": True}, det_lower_bound(J)),
+                    ({"balanced": True}, det_upper_bound_balanced(J))]
         J = randmat.random_dominant(rng, n)
-        return [SuiteRecord(suite, trial, n, {"balanced": False}, det_lower_bound(J))]
+        return [({"balanced": False}, det_lower_bound(J))]
     if suite == "adjugate":
         J = randmat.random_balanced(rng, n)
-        return [SuiteRecord(suite, trial, n, {}, adjugate_bound(J))]
-    if suite == "xi":
-        ell = float(rng.uniform(0.5, 2.0))
-        alpha = (n - 2) * ell * (1.0 + float(rng.uniform(0.0, 1.0)))
-        S = SForm(n, alpha, ell)
-        G = randmat.random_loop_graph(rng, n, p_edge=0.4, p_loop=0.15)
-        if G.num_edges == 0:
-            G = type(G)(n, [(1, 2)])
-        P = signless_laplacian(G)
-        res = xi_functional(S, P)
-        agreement = float(np.abs(res.per_row - res.per_row_closed).max())
-        report = _report("xi", -res.xi, 0.0, n=n, alpha=alpha, ell=ell,
-                         edges=G.num_edges, route_gap=agreement)
-        return [SuiteRecord(suite, trial, n,
-                            {"alpha": alpha, "ell": ell, "edges": G.num_edges},
-                            report)]
-    raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+        return [({}, adjugate_bound(J))]
+    # suite == "xi"; verify_suite rejects unknown suites before any draw
+    ell = float(rng.uniform(0.5, 2.0))
+    alpha = (n - 2) * ell * (1.0 + float(rng.uniform(0.0, 1.0)))
+    S = SForm(n, alpha, ell)
+    G = randmat.random_loop_graph(rng, n, p_edge=0.4, p_loop=0.15)
+    if G.num_edges == 0:
+        G = type(G)(n, [(1, 2)])
+    P = signless_laplacian(G)
+    res = xi_functional(S, P)
+    agreement = float(np.abs(res.per_row - res.per_row_closed).max())
+    report = _report("xi", -res.xi, 0.0, n=n, alpha=alpha, ell=ell,
+                     edges=G.num_edges, route_gap=agreement)
+    return [({"alpha": alpha, "ell": ell, "edges": G.num_edges}, report)]
 
 
 def verify_suite(suite: str, n_range: tuple[int, int], trials: int,
@@ -676,5 +638,6 @@ def verify_suite(suite: str, n_range: tuple[int, int], trials: int,
     for t in range(trials):
         rng = randmat.trial_rng(seed, _SUITE_TAG[suite], t)
         n = int(rng.integers(lo, hi + 1))
-        out.extend(_suite_records(suite, t, rng, n))
+        out.extend(SuiteRecord(suite, t, n, params, report)
+                   for params, report in _suite_records(suite, t, rng, n))
     return out

@@ -409,15 +409,10 @@ def incidence_rank(G: LoopGraph) -> int:
     Uses singular values with cutoff 1e-8 times the largest one.  Equals
     n minus the number of bipartite components.
     """
-    adj, loops = _neighbors(G)
     summary = analyze_bipartition(G)
     total = 0
     for comp in summary.components:
-        verts = (
-            comp.vertices
-            if isinstance(comp, NonBipartiteComponent)
-            else comp.vertices
-        )
+        verts = comp.vertices
         vset = set(verts)
         local = {v: i + 1 for i, v in enumerate(sorted(verts))}
         sub_edges = [

@@ -28,6 +28,12 @@ def trial_rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(list(key))
 
 
+def _symmetric_off(rng, n: int, lo: float, hi: float) -> np.ndarray:
+    """Symmetric array with zero diagonal and off-diagonals uniform in [lo, hi]."""
+    off = np.triu(rng.uniform(lo, hi, size=(n, n)), 1)
+    return off + off.T
+
+
 def _with_diagonal(off: np.ndarray, margins: np.ndarray) -> SymMatrix:
     a = off.copy()
     np.fill_diagonal(a, 0.0)
@@ -37,18 +43,14 @@ def _with_diagonal(off: np.ndarray, margins: np.ndarray) -> SymMatrix:
 
 def random_balanced(rng, n: int, lo: float = 1.0, hi: float = 3.0) -> SymMatrix:
     """Positive symmetric matrix with every dominance margin exactly zero."""
-    off = rng.uniform(lo, hi, size=(n, n))
-    off = np.triu(off, 1)
-    off = off + off.T
+    off = _symmetric_off(rng, n, lo, hi)
     return _with_diagonal(off, np.zeros(n))
 
 
 def random_dominant(rng, n: int, lo: float = 1.0, hi: float = 3.0,
                     margin_hi: float = 2.0) -> SymMatrix:
     """Positive SDD matrix with margins uniform in [0, margin_hi]."""
-    off = rng.uniform(lo, hi, size=(n, n))
-    off = np.triu(off, 1)
-    off = off + off.T
+    off = _symmetric_off(rng, n, lo, hi)
     return _with_diagonal(off, rng.uniform(0.0, margin_hi, size=n))
 
 
@@ -56,9 +58,7 @@ def random_strictly_dominant(rng, n: int, lo: float = 1.0, hi: float = 3.0,
                              margin_lo: float = 0.05,
                              margin_hi: float = 2.0) -> SymMatrix:
     """Positive SDD matrix with margins bounded away from zero."""
-    off = rng.uniform(lo, hi, size=(n, n))
-    off = np.triu(off, 1)
-    off = off + off.T
+    off = _symmetric_off(rng, n, lo, hi)
     return _with_diagonal(off, rng.uniform(margin_lo, margin_hi, size=n))
 
 
@@ -72,9 +72,7 @@ def random_geq_sform(rng, S: SForm, bump_hi: float = 2.0,
     """
     n = S.n
     while True:
-        bump = rng.uniform(0.0, bump_hi, size=(n, n))
-        bump = np.triu(bump, 1)
-        bump = bump + bump.T
+        bump = _symmetric_off(rng, n, 0.0, bump_hi)
         margins = rng.uniform(0.0, margin_hi, size=n)
         inc = _with_diagonal(bump, margins).entries
         if not nonzero or inc.max() > 0:

@@ -57,15 +57,15 @@ class DomainError(ValueError):
         self.pair = pair
 
 
-def _pair_sums(x: np.ndarray) -> np.ndarray:
-    return x[:, None] + x[None, :]
+def _pair_sums(x: np.ndarray, floor: float) -> np.ndarray:
+    """x_i + x_j with inf on the diagonal, so 1/z is 0 there.
 
-
-def _check_domain(x: np.ndarray, floor: float) -> np.ndarray:
-    z = _pair_sums(x)
-    mask = ~np.eye(len(x), dtype=bool)
+    Raises :class:`DomainError` naming the first pair whose sum is within
+    ``floor`` of zero; floor 0 checks nothing.
+    """
+    z = x[:, None] + x[None, :]
+    np.fill_diagonal(z, np.inf)
     small = np.abs(z) < floor
-    small &= mask
     if small.any():
         i, j = np.argwhere(small)[0]
         raise DomainError(
@@ -82,12 +82,8 @@ def f_map(x: np.ndarray, domain_floor: float = DEFAULT_DOMAIN_FLOOR) -> np.ndarr
     With x = -theta and all theta_i + theta_j > 0 this returns the expected
     degree sequence: d = F(-theta) means d_i = sum_{j != i} 1/(theta_i + theta_j).
     """
-    x = np.asarray(x, dtype=float)
-    z = _check_domain(x, domain_floor)
-    r = np.zeros_like(z)
-    mask = ~np.eye(len(x), dtype=bool)
-    r[mask] = 1.0 / z[mask]
-    return -r.sum(axis=1)
+    z = _pair_sums(np.asarray(x, dtype=float), domain_floor)
+    return -(1.0 / z).sum(axis=1)
 
 
 def jacobian(x: np.ndarray, domain_floor: float = DEFAULT_DOMAIN_FLOOR) -> SymMatrix:
@@ -96,11 +92,8 @@ def jacobian(x: np.ndarray, domain_floor: float = DEFAULT_DOMAIN_FLOOR) -> SymMa
     Diagonally balanced by construction, and positive definite whenever all
     pairwise sums are nonzero and n >= 3.
     """
-    x = np.asarray(x, dtype=float)
-    z = _check_domain(x, domain_floor)
-    w = np.zeros_like(z)
-    mask = ~np.eye(len(x), dtype=bool)
-    w[mask] = 1.0 / z[mask] ** 2
+    z = _pair_sums(np.asarray(x, dtype=float), domain_floor)
+    w = 1.0 / (z * z)
     np.fill_diagonal(w, w.sum(axis=1))
     return SymMatrix(w)
 
@@ -160,9 +153,12 @@ class RetinaSolution:
 
 
 def _local_ell(theta: np.ndarray) -> float:
-    z = _pair_sums(theta)
-    mask = ~np.eye(len(theta), dtype=bool)
-    return float((1.0 / z[mask] ** 2).min())
+    # Every pair sum is positive on the solver's domain, so the smallest
+    # 1/(theta_i + theta_j)^2 belongs to the two largest entries; rounding is
+    # monotone, so this equals the minimum over all pairs exactly.
+    top = np.partition(theta, -2)[-2:]
+    z = top[0] + top[1]
+    return float(1.0 / (z * z))
 
 
 def _finish(theta, r_inf, iters, converged, n) -> RetinaSolution:
@@ -212,9 +208,8 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10,
         step_inf = float(np.abs(step).max())
         while True:
             cand = theta + lam * step
-            z = _pair_sums(cand)
-            off_min = float(z[~np.eye(n, dtype=bool)].min()) if n > 1 else floor
-            if off_min >= floor:
+            low = np.partition(cand, 1)[:2]  # smallest pair sum: two smallest entries
+            if low[0] + low[1] >= floor:
                 r_new = residual(cand, d, floor)
                 r_new_inf = float(np.abs(r_new).max())
                 if r_new_inf < r_inf:
@@ -240,10 +235,9 @@ def sample_degrees(theta: np.ndarray, seed: int) -> np.ndarray:
     n = len(theta)
     if int(seed) != seed or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    z = _pair_sums(theta)
-    mask = ~np.eye(n, dtype=bool)
-    if n > 1 and float(z[mask].min()) <= 0:
-        i, j = np.argwhere((z <= 0) & mask)[0]
+    z = _pair_sums(theta, 0.0)
+    if (z <= 0).any():
+        i, j = np.argwhere(z <= 0)[0]
         raise DomainError(
             f"theta[{i}] + theta[{j}] = {z[i, j]:.3e} must be positive",
             pair=(int(i), int(j)),

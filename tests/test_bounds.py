@@ -180,6 +180,42 @@ class TestEigIntervals:
         assert not r.applicable
 
 
+# The six interval-type certificates share one precondition gate: n >= 3,
+# [ell, m] brackets the off-diagonals, J dominant (or balanced).
+GATED = [
+    ("spectral", spectral_route_bound, "dominant"),
+    ("cond", condition_bound, "dominant"),
+    ("eig", lambda J, ell=None: eig_interval_check(J, ell, i=1), "dominant"),
+    ("det_lower", det_lower_bound, "dominant"),
+    ("det_upper", det_upper_bound_balanced, "balanced"),
+    ("adjugate", adjugate_bound, "balanced"),
+]
+
+
+@pytest.mark.parametrize("name, bound, need", GATED, ids=[g[0] for g in GATED])
+@pytest.mark.parametrize("case", ["n2", "ell_above_min", "hypothesis"])
+def test_gate_reports_first_failed_precondition(name, bound, need, case):
+    if case == "n2":
+        r = bound(SymMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
+        reason, context = "needs n >= 3", {"n": 2}
+    elif case == "ell_above_min":
+        # J4_BALANCED has off-diagonals 1..7, so ell = 2 leaves the 1s outside
+        r = bound(J4_BALANCED, ell=2.0)
+        reason = "[ell, m] does not bracket the off-diagonals"
+        context = {"n": 4, "ell": 2.0, "m": 7.0}
+    elif need == "dominant":
+        r = bound(SymMatrix(np.array([[1.0, 1, 1], [1, 3, 1], [1, 1, 3]])))
+        reason, context = "J not diagonally dominant", {"n": 3}
+    else:
+        r = bound(ones_plus(3, 3))
+        reason, context = "J not diagonally balanced", {"n": 3}
+    if name == "eig":
+        context["i"] = 1
+    assert r.applicable is False
+    assert r.name == name
+    assert r.context == dict(context, reason=reason)
+
+
 class TestBlockDetRatio:
     def test_diagonal(self):
         factors, ratio = block_det_ratio(SymMatrix(np.diag([2.0, 3.0, 4.0])))

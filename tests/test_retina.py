@@ -36,6 +36,12 @@ class TestFMap:
 
 
 class TestJacobian:
+    def test_domain_error_names_pair(self):
+        x = np.array([1.0, -1.0 + 1e-12, 5.0])
+        with pytest.raises(DomainError) as err:
+            jacobian(x)
+        assert err.value.pair == (0, 1)
+
     def test_uniform_values(self):
         J = jacobian(-np.ones(4)).entries
         assert J[0, 1] == pytest.approx(0.25, abs=1e-15)
@@ -110,6 +116,19 @@ class TestSolve:
             sol.lipschitz_const * sol.residual_inf)
         assert sol.ell_used > 0
 
+    @pytest.mark.parametrize("d", [
+        f_map(-trial_rng(239).uniform(0.5, 2.0, size=9)),
+        f_map(-np.array([0.7, 1.9, 1.3, 1.9, 0.8])),
+        np.full(5, 2.0),
+    ], ids=["random", "repeated_max", "uniform"])
+    def test_ell_used_is_min_over_pairs(self, d):
+        sol = solve_retina(RetinaProblem(d))
+        th = sol.theta
+        n = len(th)
+        brute = min(1.0 / ((th[i] + th[j]) * (th[i] + th[j]))
+                    for i in range(n) for j in range(n) if i != j)
+        assert sol.ell_used == brute
+
     def test_infeasible_targets_fail_gracefully(self):
         # row 1 wants tiny pair sums, rows 2-3 want huge ones: no solution
         sol = solve_retina(RetinaProblem(np.array([1000.0, 1e-3, 1e-3])), max_iter=30)
@@ -163,8 +182,9 @@ class TestSampleDegrees:
         np.testing.assert_allclose(acc / reps, f_map(-theta), rtol=0.05)
 
     def test_rejects_bad_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as err:
             sample_degrees(np.array([1.0, -1.0, 1.0]), 0)
+        assert err.value.pair == (0, 1)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
