@@ -49,9 +49,26 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+# Rows per formatting block: the scratch space is O(_PRINT_ROWS * n).
+# Blocks of 16 to 64 rows print an 800 x 800 limit equally fast; smaller
+# blocks leave less freed memory behind in a long-running process.
+_PRINT_ROWS = 32
+
+
 def _print_matrix(entries: np.ndarray) -> None:
-    for row in entries:
-        print(" ".join(_fmt(v) for v in row))
+    """One line per row of ``_fmt`` tokens, formatting each distinct value
+    of a block of rows once.
+
+    Values are keyed on their bit pattern, not compared as floats, so -0.0
+    keeps its ``-0`` token.
+    """
+    a = np.ascontiguousarray(entries, dtype=np.float64)
+    for start in range(0, a.shape[0], _PRINT_ROWS):
+        block = a[start:start + _PRINT_ROWS]
+        keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        tokens = np.array([_fmt(v) for v in keys.view(np.float64).tolist()], dtype=object)
+        for row in tokens[inverse.reshape(block.shape)]:
+            sys.stdout.write(" ".join(row) + "\n")
 
 
 def _parse_sform(text: str) -> SForm:

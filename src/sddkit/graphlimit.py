@@ -329,27 +329,24 @@ def _basis_matrix(B: BipartitionSummary) -> np.ndarray:
     """Column basis U: per bipartite component, columns e_anchor + sigma_v e_v
     over the non-anchor vertices (sigma = -1 on the anchor's side, +1 on the
     other); identity columns for non-bipartite components."""
-    n = B.n
-    cols = []
+    U = np.zeros((B.n, B.n - B.r))
+    col = 0
     for comp in B.components:
         if isinstance(comp, BipartiteComponent):
             verts = comp.vertices
             anchor = verts[0]
-            anchor_side_p = anchor in comp.vertices_p
+            side_p = set(comp.vertices_p)
+            anchor_side_p = anchor in side_p
             for v in verts[1:]:
-                same_side = (v in comp.vertices_p) == anchor_side_p
-                col = np.zeros(n)
-                col[anchor - 1] = 1.0
-                col[v - 1] = -1.0 if same_side else 1.0
-                cols.append(col)
+                same_side = (v in side_p) == anchor_side_p
+                U[anchor - 1, col] = 1.0
+                U[v - 1, col] = -1.0 if same_side else 1.0
+                col += 1
         else:
             for v in comp.vertices:
-                col = np.zeros(n)
-                col[v - 1] = 1.0
-                cols.append(col)
-    if not cols:
-        return np.zeros((n, 0))
-    return np.column_stack(cols)
+                U[v - 1, col] = 1.0
+                col += 1
+    return U
 
 
 def limit_u_route(S: SForm, B: BipartitionSummary) -> SymMatrix:
@@ -360,16 +357,20 @@ def limit_u_route(S: SForm, B: BipartitionSummary) -> SymMatrix:
     if U.shape[1] == 0:
         return SymMatrix(Sinv)
     SiU = Sinv @ U
-    core = U.T @ SiU
     try:
-        cho = scipy.linalg.cho_factor(core, check_finite=False)
+        cho = scipy.linalg.cho_factor(U.T @ SiU, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         # U' S^{-1} U is positive definite whenever U has full column rank,
         # which the construction guarantees; failure means a bug here.
         raise AssertionError(
             "U' S^-1 U not positive definite: basis construction is broken"
         ) from exc
-    N = Sinv - SiU @ scipy.linalg.cho_solve(cho, SiU.T, check_finite=False)
+    # Release each n x n intermediate once it is spent; holding all of them
+    # made this route the memory peak of a large `limit` run.
+    del U
+    N = SiU @ scipy.linalg.cho_solve(cho, SiU.T, check_finite=False)
+    del SiU, cho
+    np.subtract(Sinv, N, out=N)
     return symmetrize(N)
 
 
@@ -383,8 +384,9 @@ def limit_numeric(S: SForm, G: LoopGraph, t: float) -> SymMatrix:
         raise ValueError(f"t must be > 0, got {t}")
     if S.n != G.n:
         raise ValueError(f"dimension mismatch: sform n={S.n}, graph n={G.n}")
-    A = sform_dense(S).entries + t * signless_laplacian(G).entries
-    return inverse_dense(SymMatrix(A))
+    # No name holds the sum, so it is freed before the inversion starts.
+    return inverse_dense(
+        SymMatrix(sform_dense(S).entries + t * signless_laplacian(G).entries))
 
 
 def limit_inf_norm(S: SForm, B: BipartitionSummary) -> float:

@@ -59,14 +59,18 @@ class SForm:
 
 def sform_dense(S: SForm) -> SymMatrix:
     """Dense realization: diagonal alpha + ell, off-diagonal ell."""
-    return SymMatrix(S.alpha * np.eye(S.n) + S.ell * np.ones((S.n, S.n)))
+    a = np.full((S.n, S.n), S.ell)
+    np.fill_diagonal(a, S.alpha + S.ell)
+    return SymMatrix(a)
 
 
 def sform_inverse(S: SForm) -> SymMatrix:
     """Closed-form inverse (1/alpha) I - ell/(alpha(alpha + ell n)) ones."""
     a = 1.0 / S.alpha
     b = S.ell / (S.alpha * (S.alpha + S.ell * S.n))
-    return SymMatrix(a * np.eye(S.n) - b * np.ones((S.n, S.n)))
+    inv = np.full((S.n, S.n), -b)
+    np.fill_diagonal(inv, a - b)
+    return SymMatrix(inv)
 
 
 def sform_inf_norm_inverse(S: SForm) -> float:

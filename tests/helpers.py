@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from sddkit import (LoopGraph, SingularBlockError, SingularMatrixError,
-                    SymMatrix, inverse_dense)
+from sddkit import (BipartiteComponent, LoopGraph, SingularBlockError,
+                    SingularMatrixError, SymMatrix, inverse_dense)
 
 # Two balanced 4x4 matrices; H differs from J in the (1,2) entry (rebalanced).
 J4_BALANCED = SymMatrix(np.array([
@@ -127,3 +127,67 @@ def chain_cycle(n: int) -> LoopGraph:
 def star(n: int) -> LoopGraph:
     """Edges {1, i} for i = 2..n."""
     return LoopGraph(n, [(1, i) for i in range(2, n + 1)])
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The entries' IEEE bit patterns, for bitwise comparison (-0.0 != 0.0)."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def format_matrix_by_entries(entries: np.ndarray) -> str:
+    """One line per row of ``format(v, ".12g")`` tokens, one call per entry
+    (test-side oracle for ``cli._print_matrix``)."""
+    return "".join(" ".join(format(v, ".12g") for v in row) + "\n" for row in entries)
+
+
+def basis_matrix_by_columns(B) -> np.ndarray:
+    """The U basis of ``graphlimit._basis_matrix`` stacked from one n-vector
+    per column (test-side oracle)."""
+    n = B.n
+    cols = []
+    for comp in B.components:
+        if isinstance(comp, BipartiteComponent):
+            verts = comp.vertices
+            anchor = verts[0]
+            anchor_side_p = anchor in comp.vertices_p
+            for v in verts[1:]:
+                same_side = (v in comp.vertices_p) == anchor_side_p
+                col = np.zeros(n)
+                col[anchor - 1] = 1.0
+                col[v - 1] = -1.0 if same_side else 1.0
+                cols.append(col)
+        else:
+            for v in comp.vertices:
+                col = np.zeros(n)
+                col[v - 1] = 1.0
+                cols.append(col)
+    if not cols:
+        return np.zeros((n, 0))
+    return np.column_stack(cols)
+
+
+def limit_test_graph(n: int, seed: int) -> LoopGraph:
+    """A path of odd length, a star, an odd cycle and a path carrying a
+    self-loop, on a seeded permutation of the vertex labels (n >= 16).
+
+    The path and the star are unbalanced bipartite components, so the limit
+    matrix is dense on 3n/4 of the vertices."""
+    rng = np.random.default_rng(seed)
+    sizes = {"path": 2 * (n // 8) + 1, "star": 3 * n // 4 - 2 * (n // 8) - 1,
+             "odd_cycle": 2 * (n // 16) + 1}
+    sizes["loop_path"] = n - sum(sizes.values())
+    label = [int(v) + 1 for v in rng.permutation(n)]
+    edges = []
+    start = 0
+    for kind, k in sizes.items():
+        v = label[start:start + k]
+        start += k
+        if kind == "star":
+            edges += [(v[0], w) for w in v[1:]]
+        else:
+            edges += list(zip(v, v[1:]))
+        if kind == "odd_cycle":
+            edges.append((v[-1], v[0]))
+        if kind == "loop_path":
+            edges.append((v[0], v[0]))
+    return LoopGraph(n, edges)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import J4_BALANCED, jt_matrix
-from sddkit import save_matrix, SymMatrix
-from sddkit.cli import main
+from helpers import (J4_BALANCED, format_matrix_by_entries, jt_matrix,
+                     limit_test_graph)
+from sddkit import (SForm, analyze_bipartition, limit_closed_form,
+                    limit_numeric, limit_u_route, save_graph, save_matrix,
+                    SymMatrix)
+from sddkit.cli import _print_matrix, main
 
 
 @pytest.fixture
@@ -57,6 +60,64 @@ class TestLimit:
                      "--t", "1"]) == 0
         out = capsys.readouterr().out
         assert "0.275" in out and "-0.1" in out and "0.025" in out
+
+
+def _print_cases():
+    rng = np.random.default_rng(17)
+    x = 1.0 / 3.0
+    signed_zeros = rng.choice([0.0, -0.0, 1.5, -1.5], size=(70, 70))
+    signed_zeros[0, :2] = [0.0, -0.0]
+    return {
+        "1x1": np.array([[0.1]]),
+        "n64": rng.standard_normal((64, 64)),
+        "n65": rng.standard_normal((65, 65)),
+        "n130": rng.integers(-4, 5, size=(130, 130)) / 7.0,
+        "signed_zeros": signed_zeros,
+        "repeated": rng.choice([x, -2.0 / 7.0, 0.1, 1e-5], size=(100, 100)),
+        "past_12_digits": np.array([[x, np.nextafter(x, 1.0), x * (1 + 1e-13)],
+                                    [0.1234567890123, 0.1234567890124, -x],
+                                    [1e15 + 1, 1e15 + 2, 1e15 + 3]]),
+        "extreme_magnitudes": np.array([[1e-300, 1e300], [-1e300, -1e-300]]),
+        "dense_200": rng.uniform(-1.0, 1.0, size=(200, 200)),
+    }
+
+
+class TestPrintMatrix:
+    @pytest.mark.parametrize("name", list(_print_cases()))
+    def test_matches_per_entry_formatting(self, name, capsys):
+        entries = _print_cases()[name]
+        _print_matrix(entries)
+        assert capsys.readouterr().out == format_matrix_by_entries(entries)
+
+
+class TestLimitMatrixBytes:
+    N = 150
+
+    @pytest.fixture(scope="class")
+    def graph_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("limit") / "g150.edges"
+        save_graph(limit_test_graph(self.N, seed=3), path)
+        return str(path)
+
+    @pytest.mark.parametrize("flags,route", [
+        (["--closed-form"], lambda S, G, B: limit_closed_form(S, B)),
+        (["--u-route"], lambda S, G, B: limit_u_route(S, B)),
+        (["--t", "1e8"], lambda S, G, B: limit_numeric(S, G, 1e8)),
+    ], ids=["closed-form", "u-route", "t=1e8"])
+    def test_matrix_lines_match_oracle_and_repeat(self, graph_file, flags, route, capsys):
+        S = SForm(self.N, self.N - 2.0, 1.0)
+        G = limit_test_graph(self.N, seed=3)
+        B = analyze_bipartition(G)
+        assert B.r == 2 and B.s > 0
+        N = route(S, G, B)
+        argv = ["limit", "--sform", f"{self.N},{self.N - 2},1", "--graph", graph_file] + flags
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        lines = first.splitlines(keepends=True)
+        assert "".join(lines[4:4 + self.N]) == format_matrix_by_entries(N.entries)
+        assert lines[4 + self.N].startswith("inf_norm=")
 
 
 class TestDetbounds:

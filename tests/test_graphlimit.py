@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from helpers import chain_cycle, star
+from helpers import (basis_matrix_by_columns, bits, chain_cycle, limit_test_graph,
+                     star)
 from sddkit import (
     BipartiteComponent,
     GraphFormatError,
@@ -20,9 +22,14 @@ from sddkit import (
     load_graph,
     save_graph,
     sform_inf_norm_inverse,
+    SymMatrix,
+    inverse_dense,
+    sform_dense,
     sform_inverse,
     signless_laplacian,
+    symmetrize,
 )
+from sddkit.graphlimit import _basis_matrix
 from sddkit.randmat import random_loop_graph, trial_rng
 
 S4 = SForm(4, 2.0, 1.0)
@@ -222,6 +229,47 @@ class TestURoute:
         S6 = SForm(6, 4.0, 1.0)
         N = limit_u_route(S6, analyze_bipartition(g))
         np.testing.assert_allclose(N.entries, np.zeros((6, 6)), atol=1e-10)
+
+
+def u_route_by_formula(S: SForm, B) -> np.ndarray:
+    """The u-route as one expression over stacked basis columns."""
+    Sinv = sform_inverse(S).entries
+    U = basis_matrix_by_columns(B)
+    if U.shape[1] == 0:
+        return Sinv
+    SiU = Sinv @ U
+    cho = scipy.linalg.cho_factor(U.T @ SiU, check_finite=False)
+    N = Sinv - SiU @ scipy.linalg.cho_solve(cho, SiU.T, check_finite=False)
+    return symmetrize(N).entries
+
+
+def _bitwise_cases():
+    cases = list(random_cases(40, seed=808))
+    cases += [(S4, chain_cycle(4)), (SForm(6, 4.0, 1.0), star(6)),
+              (SForm(5, 3.0, 1.0), LoopGraph(5)),
+              (SForm(6, 4.0, 1.0), LoopGraph(6, [(1, 2), (2, 3), (1, 3), (4, 4)]))]
+    cases.append((SForm(800, 798.0, 1.0), limit_test_graph(800, seed=5)))
+    return cases
+
+
+class TestRoutesBitwise:
+    """The memory-lean basis, u-route and finite-t inverse give the bits of
+    the plain expressions."""
+
+    def test_basis_and_u_route(self):
+        for S, G in _bitwise_cases():
+            B = analyze_bipartition(G)
+            U = _basis_matrix(B)
+            assert U.shape == (G.n, G.n - B.r)
+            assert np.array_equal(bits(U), bits(basis_matrix_by_columns(B)))
+            assert np.array_equal(bits(limit_u_route(S, B).entries),
+                                  bits(u_route_by_formula(S, B)))
+
+    def test_numeric(self):
+        for S, G in _bitwise_cases():
+            A = sform_dense(S).entries + 1e8 * signless_laplacian(G).entries
+            assert np.array_equal(bits(limit_numeric(S, G, 1e8).entries),
+                                  bits(inverse_dense(SymMatrix(A)).entries))
 
 
 class TestNumericLimit:

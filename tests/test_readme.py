@@ -1,0 +1,11 @@
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})

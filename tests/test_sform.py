@@ -11,6 +11,7 @@ from sddkit import (
     sform_inf_norm_inverse,
     sform_inverse,
 )
+from helpers import bits
 from sddkit.randmat import random_geq_sform, trial_rng
 
 
@@ -75,6 +76,32 @@ class TestInverse:
         np.testing.assert_allclose(sform_inverse(S).entries,
                                    inverse_dense(sform_dense(S)).entries,
                                    atol=1e-12)
+
+
+def _sforms(n: int):
+    rng = trial_rng(n)
+    return [SForm.balanced(n, float(rng.uniform(0.1, 3.0))),
+            SForm(n, float(rng.uniform(0.1, 50.0)), float(rng.uniform(0.1, 3.0))),
+            SForm(n, 798.0, 1.0)]
+
+
+class TestFilledConstruction:
+    """Both closed forms fill one n x n array; every entry must carry the
+    bits of the alpha*eye + ell*ones expressions they replace."""
+
+    @pytest.mark.parametrize("n", list(range(3, 13)) + [800])
+    def test_dense_bitwise(self, n):
+        for S in _sforms(n):
+            expect = S.alpha * np.eye(n) + S.ell * np.ones((n, n))
+            assert np.array_equal(bits(sform_dense(S).entries), bits(expect))
+
+    @pytest.mark.parametrize("n", list(range(3, 13)) + [800])
+    def test_inverse_bitwise(self, n):
+        for S in _sforms(n):
+            a = 1.0 / S.alpha
+            b = S.ell / (S.alpha * (S.alpha + S.ell * S.n))
+            expect = a * np.eye(n) - b * np.ones((n, n))
+            assert np.array_equal(bits(sform_inverse(S).entries), bits(expect))
 
 
 class TestInfNormInverse:
