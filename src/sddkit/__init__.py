@@ -82,7 +82,6 @@ from .retina import (
     RetinaProblem,
     RetinaSolution,
     consistency_experiment,
-    consistency_sweep,
     f_map,
     jacobian,
     residual,

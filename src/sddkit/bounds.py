@@ -12,7 +12,9 @@ Comparisons use tol = 1e-9 * max(1, |rhs|), recorded in the report context.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -122,7 +124,7 @@ def _gate(name: str, J: SymMatrix, ell, m, need: str = "dominant", **context):
     the inapplicable report for the first failed hypothesis, else None;
     ``context`` goes into that report after ``n``.
     """
-    rep = classify(J)
+    rep = _record(J).rep
     n = J.n
     if n < 3:
         return rep, ell, m, _inapplicable(name, "needs n >= 3", n=n, **context)
@@ -166,7 +168,7 @@ def main_bound(J: SymMatrix, S: SForm) -> BoundReport:
     if not S.is_dominant:
         return _inapplicable("main", "reference family not diagonally dominant",
                              n=S.n, alpha=S.alpha, ell=S.ell)
-    rep = classify(J)
+    rep = _record(J).rep
     if not rep.is_dominant:
         return _inapplicable("main", "J not diagonally dominant", n=J.n)
     gap = float((J.entries - sform_dense(S).entries).min())
@@ -184,7 +186,7 @@ def lower_bound_trivial(J: SymMatrix) -> BoundReport:
     m is the largest off-diagonal entry and delta_max the largest dominance
     margin; follows from submultiplicativity of the infinity norm.
     """
-    rep = classify(J)
+    rep = _record(J).rep
     if J.n < 2 or rep.min_offdiag is None or rep.min_offdiag <= 0:
         return _inapplicable("lower", "needs positive off-diagonal entries", n=J.n)
     if not rep.is_dominant:
@@ -273,6 +275,70 @@ def _trailing_block_norms(a: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(suffix[::-1], axis=0)[::-1].diagonal()
 
 
+# Rows per elimination panel: the pivots of a panel update only its own
+# columns one by one, and the block to its left once, by one matrix product.
+_PANEL = 32
+
+
+def _eliminate(J: SymMatrix) -> tuple[np.ndarray, float]:
+    """The bottom-up elimination of :func:`block_det_ratio`, in panels."""
+    a = J.entries
+    n = J.n
+    floors = (n - np.arange(n)) * np.finfo(float).eps * np.maximum(
+        _trailing_block_norms(a), np.finfo(float).tiny)
+    w = a.copy()
+    for e in range(n, 0, -_PANEL):
+        s = max(e - _PANEL, 0)
+        for k in range(e - 1, max(s, 1) - 1, -1):
+            pivot = w[k, k]
+            if abs(pivot) <= floors[k]:
+                raise SingularBlockError(
+                    f"trailing block starting at row {k + 1} is singular "
+                    f"(pivot {abs(pivot):.3e})",
+                    block_index=k + 1,
+                )
+            col = w[:k, k]
+            w[:k, s:k] -= np.outer(col / pivot, col[s:k])
+        if s:
+            C = w[:s, s:e]
+            w[:s, :s] -= (C / w.diagonal()[s:e]) @ C.T
+    factors = w.diagonal()[:-1] / a.diagonal()[:-1]
+    factors.setflags(write=False)
+    return factors, float(np.prod(factors))
+
+
+class _Record:
+    """What the bounds derive from one matrix, each part computed at most
+    once: the default-tolerance :func:`classify` report and the elimination.
+
+    Holds the matrix only weakly, so the record dies with it.  A part whose
+    computation raises is not stored, and raises again on the next read.
+    """
+
+    def __init__(self, J: SymMatrix):
+        self._matrix = weakref.ref(J)
+
+    @cached_property
+    def rep(self):
+        return classify(self._matrix())
+
+    @cached_property
+    def elimination(self) -> tuple[np.ndarray, float]:
+        return _eliminate(self._matrix())
+
+
+# SymMatrix entries are read-only, so a record stays valid for the matrix's
+# lifetime; matrices hash by identity.
+_RECORDS = weakref.WeakKeyDictionary()
+
+
+def _record(J: SymMatrix) -> _Record:
+    rec = _RECORDS.get(J)
+    if rec is None:
+        rec = _RECORDS[J] = _Record(J)
+    return rec
+
+
 def block_det_ratio(J: SymMatrix) -> tuple[np.ndarray, float]:
     """det(J) / prod(J_ii) by the trailing-block factorization.
 
@@ -289,6 +355,12 @@ def block_det_ratio(J: SymMatrix) -> tuple[np.ndarray, float]:
     matrix is again diagonally dominant, which bounds the growth of the
     entries by a factor of 2 (Wilkinson; Varah 1975).
 
+    The elimination runs in panels of ``_PANEL`` rows from the bottom.
+    Within a panel each pivot updates only the panel's columns; the block
+    to the panel's left then takes the panel's whole Schur update, C D^{-1}
+    C', as one matrix product.  For n <= ``_PANEL`` there is one panel and
+    the steps are the plain rank-one updates.
+
     The pivot of the block starting at row k (1-based) is singular when
     |d| <= size * eps * inf_norm(block), the floor :func:`inverse_dense`
     uses.  Elimination stops at the first such pivot, so
@@ -296,24 +368,12 @@ def block_det_ratio(J: SymMatrix) -> tuple[np.ndarray, float]:
     that is the largest starting row when blocks are nested.  The pivot of
     row 1 is only a factor: a singular J whose trailing blocks are
     nonsingular gives ratio 0.
+
+    Each matrix is eliminated once: the pair (with ``factors`` read-only)
+    is kept in a per-matrix record that every determinant bound reads and
+    that dies with J.
     """
-    a = J.entries
-    n = J.n
-    floors = (n - np.arange(n)) * np.finfo(float).eps * np.maximum(
-        _trailing_block_norms(a), np.finfo(float).tiny)
-    w = a.copy()
-    for k in range(n - 1, 0, -1):
-        pivot = w[k, k]
-        if abs(pivot) <= floors[k]:
-            raise SingularBlockError(
-                f"trailing block starting at row {k + 1} is singular "
-                f"(pivot {abs(pivot):.3e})",
-                block_index=k + 1,
-            )
-        col = w[:k, k]
-        w[:k, :k] -= np.outer(col / pivot, col)
-    factors = w.diagonal()[:-1] / a.diagonal()[:-1]
-    return factors, float(np.prod(factors))
+    return _record(J).elimination
 
 
 def det_ratio_lu(J: SymMatrix) -> float:
@@ -340,7 +400,7 @@ def det_lower_bound(J: SymMatrix, ell: float | None = None,
         return bad
     n = J.n
     base = 1.0 - math.sqrt(m / ell) * (1.0 + m / ell) / (2.0 * (n - 2))
-    _, ratio = block_det_ratio(J)
+    _, ratio = _record(J).elimination
     if base <= 0:
         return _report("det_lower", float("-inf"), ratio, vacuous=True,
                        n=n, ell=ell, m=m, base=base)
@@ -355,7 +415,7 @@ def det_upper_bound_balanced(J: SymMatrix, ell: float | None = None,
     if bad is not None:
         return bad
     n = J.n
-    _, ratio = block_det_ratio(J)
+    _, ratio = _record(J).elimination
     rhs = math.exp(-ell * ell / (4.0 * m * m))
     return _report("det_upper", ratio, rhs, n=n, ell=ell, m=m)
 
@@ -371,7 +431,7 @@ def adjugate_bound(J: SymMatrix, ell: float | None = None,
     if bad is not None:
         return bad
     n = J.n
-    _, ratio = block_det_ratio(J)
+    _, ratio = _record(J).elimination
     lhs = abs(ratio) * inf_norm(inverse_dense(J))
     rhs = ((3 * n - 4) / (2.0 * ell * (n - 2) * (n - 1))) * math.exp(
         -ell * ell / (4.0 * m * m))
@@ -380,7 +440,7 @@ def adjugate_bound(J: SymMatrix, ell: float | None = None,
 
 def hadamard_sanity(J: SymMatrix) -> BoundReport:
     """det ratio <= 1 for any positive semidefinite J (classical)."""
-    _, ratio = block_det_ratio(J)
+    _, ratio = _record(J).elimination
     return _report("hadamard", ratio, 1.0, n=J.n)
 
 
@@ -501,7 +561,7 @@ def _det_upper_record(trial: int, J: SymMatrix) -> ConjectureRecord:
     # Conjectured: det ratio of a positive balanced J is at most
     # 2 (1 - 1/(n-1))^{n-1}, the ratio of the balanced reference matrix.
     n = J.n
-    _, ratio = block_det_ratio(J)
+    _, ratio = _record(J).elimination
     bound = 2.0 * (1.0 - 1.0 / (n - 1)) ** (n - 1)
     slack = bound - ratio
     tol = _tol(bound)

@@ -172,8 +172,8 @@ def cmd_limit(args) -> int:
 
 def cmd_detbounds(args) -> int:
     J = load_matrix(args.matrix)
-    rep = classify(J)
     factors, ratio = bnd.block_det_ratio(J)
+    rep = classify(J)
     print(f"matrix: {args.matrix} (n={J.n})")
     print("factors: " + " ".join(_fmt(f) for f in factors))
     print(f"det_ratio={_fmt(ratio)}")

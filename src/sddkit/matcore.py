@@ -5,11 +5,15 @@ diagnostics, an LU-based inversion oracle, infinity norms, the LAPACK
 symmetric eigensolver with a per-pair residual certificate, rank-one
 Sherman-Morrison-Woodbury inverse updates, the Loewner (positive
 semidefinite) partial order, and matrix text I/O.  There
-is no determinant kernel: determinant ratios come from the elimination in
-:func:`sddkit.bounds.block_det_ratio`, which never forms det(J) itself.
+is no determinant kernel: determinant ratios come from the panel-blocked
+elimination in :func:`sddkit.bounds.block_det_ratio`, which never forms
+det(J) itself and runs once per matrix.
 
 All operations are pure functions of their inputs.  Matrix values are
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads; because a
+:class:`SymMatrix` never changes, :mod:`sddkit.bounds` keeps what it derives
+from one (its :func:`classify` report and its elimination) for as long as
+the matrix lives.
 """
 
 from __future__ import annotations
@@ -147,13 +151,18 @@ def symmetrize(entries: np.ndarray, max_skew: float = 1e-8) -> SymMatrix:
     genuinely asymmetric input, not roundoff.
     """
     a = np.asarray(entries, dtype=float)
-    skew = float(np.abs(a - a.T).max()) if a.size else 0.0
-    scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
+    if not a.size:
+        return SymMatrix(a)
+    # One scratch array holds the skew, then |a|, then the halved sum.
+    work = np.subtract(a, a.T)
+    skew = float(np.abs(work, out=work).max())
+    scale = max(1.0, float(np.abs(a, out=work).max()))
     if skew > max_skew * scale:
         raise AsymmetricMatrixError(
             f"asymmetry {skew:.3e} exceeds guard {max_skew:.1e} * {scale:.3e}"
         )
-    return SymMatrix((a + a.T) / 2.0)
+    np.add(a, a.T, out=work)
+    return SymMatrix(np.divide(work, 2.0, out=work))
 
 
 def delta(J: SymMatrix) -> np.ndarray:
@@ -225,7 +234,11 @@ def inverse_dense(J: SymMatrix) -> SymMatrix:
             f"matrix singular to working precision (pivot {smallest:.3e})",
             pivot=smallest,
         )
-    inv = scipy.linalg.lu_solve((lu, piv), np.eye(n), check_finite=False)
+    # Solve into a Fortran-ordered identity in place, so LAPACK needs no
+    # copy of it, and free the factor before symmetrize takes its scratch.
+    inv = scipy.linalg.lu_solve((lu, piv), np.eye(n, order="F"),
+                                overwrite_b=True, check_finite=False)
+    del lu
     return symmetrize(inv)
 
 
@@ -310,10 +323,12 @@ def load_matrix(path) -> SymMatrix:
         if len(parts) != n:
             raise MatrixFormatError(f"expected {n} entries, got {len(parts)}", line=lineno)
         try:
-            row = [float(p) for p in parts]
+            row = list(map(float, parts))
         except ValueError:
             raise MatrixFormatError(f"bad number in row {raw!r}", line=lineno) from None
-        if not all(math.isfinite(v) for v in row):
+        # A finite sum rules out inf and nan; finite entries can still sum
+        # past the largest float, so an infinite sum is checked entry-wise.
+        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
             raise MatrixFormatError(f"non-finite entry in row {raw!r}", line=lineno)
         rows.append(row)
     if len(rows) != n:

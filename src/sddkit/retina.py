@@ -40,7 +40,6 @@ __all__ = [
     "solve_retina",
     "sample_degrees",
     "consistency_experiment",
-    "consistency_sweep",
 ]
 
 DEFAULT_DOMAIN_FLOOR = 1e-10
@@ -350,9 +349,3 @@ def consistency_experiment(n: int, k: float, trials: int,
     )
     return results, summary
 
-
-def consistency_sweep(ns, k: float, trials: int,
-                      theta_range: tuple[float, float],
-                      seed: int) -> list[ConsistencySummary]:
-    """Run the experiment across sizes; medians should decay as n grows."""
-    return [consistency_experiment(n, k, trials, theta_range, seed)[1] for n in ns]

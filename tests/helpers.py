@@ -72,6 +72,32 @@ def block_det_ratio_by_inverses(J: SymMatrix) -> tuple[np.ndarray, float]:
     return factors, float(np.prod(factors))
 
 
+def block_det_ratio_unblocked(J: SymMatrix) -> tuple[np.ndarray, float]:
+    """The bottom-up elimination of ``block_det_ratio`` as one rank-one
+    update of the whole leading block per pivot (test-side oracle for the
+    panel-blocked kernel).
+
+    Block norms are summed per block rather than from row-suffix sums.
+    """
+    a = J.entries
+    n = J.n
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    w = a.copy()
+    for k in range(n - 1, 0, -1):
+        pivot = w[k, k]
+        block_norm = float(np.abs(a[k:, k:]).sum(axis=1).max())
+        if abs(pivot) <= (n - k) * eps * max(block_norm, tiny):
+            raise SingularBlockError(
+                f"trailing block starting at row {k + 1} is singular "
+                f"(pivot {abs(pivot):.3e})",
+                block_index=k + 1,
+            )
+        col = w[:k, k]
+        w[:k, :k] -= np.outer(col / pivot, col)
+    factors = w.diagonal()[:-1] / a.diagonal()[:-1]
+    return factors, float(np.prod(factors))
+
+
 def eigen_sym_by_jacobi(M: SymMatrix, max_sweeps: int = 100):
     """Cyclic Jacobi rotations; returns (eigenvalues asc, eigenvectors).
 

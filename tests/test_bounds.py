@@ -1,9 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from helpers import J4_BALANCED, block_det_ratio_by_inverses
+from helpers import (J4_BALANCED, bits, block_det_ratio_by_inverses,
+                     block_det_ratio_unblocked)
 from sddkit import (
     LoopGraph,
     SForm,
@@ -28,12 +31,22 @@ from sddkit import (
     verify_suite,
     xi_functional,
 )
+from sddkit import bounds
 from sddkit.bounds import SUITES
 from sddkit.randmat import random_balanced, random_dominant, trial_rng
 
 
 def ones_plus(alpha, n):
     return SymMatrix(alpha * np.eye(n) + np.ones((n, n)))
+
+
+# Trailing blocks have determinants -3, -7, 34.
+INDEFINITE4 = SymMatrix(np.array([
+    [1.0, 2, 0, 1],
+    [2, -1, 3, 0],
+    [0, 3, 2, 1],
+    [1, 0, 1, -3],
+]))
 
 
 S42 = SForm(4, 2.0, 1.0)
@@ -276,17 +289,117 @@ class TestBlockDetRatio:
         assert ratio == pytest.approx(ref_ratio, rel=1e-12)
 
     def test_indefinite_factors_match_inverse_oracle(self):
-        # Trailing blocks have determinants -3, -7, 34.
-        J = SymMatrix(np.array([
-            [1.0, 2, 0, 1],
-            [2, -1, 3, 0],
-            [0, 3, 2, 1],
-            [1, 0, 1, -3],
-        ]))
-        factors, ratio = block_det_ratio(J)
-        ref_factors, ref_ratio = block_det_ratio_by_inverses(J)
+        factors, ratio = block_det_ratio(INDEFINITE4)
+        ref_factors, ref_ratio = block_det_ratio_by_inverses(INDEFINITE4)
         np.testing.assert_allclose(factors, ref_factors, rtol=1e-12, atol=0)
         assert ratio == pytest.approx(ref_ratio, rel=1e-12)
+
+
+def singular_trailing_block(n, start, seed):
+    """Symmetric n x n matrix whose trailing block from 0-based row ``start``
+    is singular (its first two rows are equal) while every smaller trailing
+    block is a nonsingular, strictly dominant integer matrix."""
+    rng = np.random.default_rng(seed)
+    m = n - start
+    c = np.triu(rng.integers(1, 4, size=(m - 1, m - 1)).astype(float), 1)
+    c = c + c.T
+    np.fill_diagonal(c, c.sum(axis=1) + 1.0)
+    dup = np.vstack([np.eye(m - 1)[:1], np.eye(m - 1)])
+    a = np.triu(rng.uniform(1.0, 3.0, size=(n, n)), 1)
+    a = a + a.T
+    a[start:, start:] = dup @ c @ dup.T
+    head = np.arange(start)
+    a[head, head] = 0.0
+    a[head, head] = a[:start].sum(axis=1) + 1.0
+    return SymMatrix(a)
+
+
+class TestPanelElimination:
+    @pytest.mark.parametrize("n", [3, 4, 12, 31, 32])
+    @pytest.mark.parametrize("make", [random_dominant, random_balanced])
+    def test_single_panel_is_bitwise_the_unblocked_loop(self, make, n):
+        J = make(trial_rng(161, n), n)
+        factors, ratio = block_det_ratio(J)
+        ref_factors, ref_ratio = block_det_ratio_unblocked(J)
+        np.testing.assert_array_equal(bits(factors), bits(ref_factors))
+        assert bits(np.array(ratio)) == bits(np.array(ref_ratio))
+
+    def test_indefinite_is_bitwise_the_unblocked_loop(self):
+        factors, ratio = block_det_ratio(INDEFINITE4)
+        ref_factors, ref_ratio = block_det_ratio_unblocked(INDEFINITE4)
+        np.testing.assert_array_equal(bits(factors), bits(ref_factors))
+        assert ratio == ref_ratio
+
+    @pytest.mark.parametrize("n", [33, 64, 65, 97, 150, 300])
+    @pytest.mark.parametrize("make", [random_dominant, random_balanced])
+    def test_panels_match_the_unblocked_loop(self, make, n):
+        J = make(trial_rng(163, n), n)
+        factors, ratio = block_det_ratio(J)
+        ref_factors, ref_ratio = block_det_ratio_unblocked(J)
+        np.testing.assert_allclose(factors, ref_factors, rtol=1e-13, atol=0)
+        assert ratio == pytest.approx(ref_ratio, rel=1e-13)
+
+    @pytest.mark.parametrize("n, start", [(50, 9), (80, 3), (70, 37)])
+    def test_singular_block_inside_a_later_panel(self, n, start):
+        # Panels run [n-32, n), then the 32 rows above, and so on; each
+        # start lies below the first panel.
+        J = singular_trailing_block(n, start, seed=n)
+        with pytest.raises(SingularBlockError) as err:
+            block_det_ratio(J)
+        assert err.value.block_index == start + 1
+        with pytest.raises(SingularBlockError) as ref:
+            block_det_ratio_unblocked(J)
+        assert ref.value.block_index == start + 1
+
+    def test_singular_block_raises_on_every_call(self):
+        J = singular_trailing_block(40, 5, seed=3)
+        for _ in range(2):
+            with pytest.raises(SingularBlockError) as err:
+                block_det_ratio(J)
+            assert err.value.block_index == 6
+        with pytest.raises(SingularBlockError):
+            hadamard_sanity(J)
+
+    def test_factors_are_read_only(self):
+        factors, _ = block_det_ratio(random_balanced(trial_rng(167), 40))
+        assert not factors.flags.writeable
+        with pytest.raises(ValueError):
+            factors[0] = 1.0
+
+    def test_one_elimination_per_matrix(self, monkeypatch):
+        calls = []
+        kernel = bounds._eliminate
+        monkeypatch.setattr(bounds, "_eliminate",
+                            lambda J: calls.append(J.n) or kernel(J))
+        J = random_balanced(trial_rng(173), 7)
+        first = block_det_ratio(J)
+        for bound in (det_lower_bound, det_upper_bound_balanced,
+                      adjugate_bound, hadamard_sanity):
+            assert bound(J).applicable
+        assert block_det_ratio(J) is first
+        assert calls == [7]
+
+    def test_record_dies_with_the_matrix(self):
+        gc.collect()
+        before = len(bounds._RECORDS)
+        J = random_dominant(trial_rng(179), 6)
+        block_det_ratio(J)
+        det_lower_bound(J)
+        assert len(bounds._RECORDS) == before + 1
+        alive = weakref.ref(J)
+        del J
+        gc.collect()
+        assert alive() is None
+        assert len(bounds._RECORDS) == before
+
+    def test_eig_suite_classifies_each_matrix_once(self, monkeypatch):
+        calls = []
+        classify = bounds.classify
+        monkeypatch.setattr(bounds, "classify",
+                            lambda J, tol=None: calls.append(J.n) or classify(J, tol))
+        records = verify_suite("eig", (6, 6), trials=4, seed=11)
+        assert len(records) == 4 * 5
+        assert calls == [6] * 4
 
 
 def block_pair_example(k, ell, m):

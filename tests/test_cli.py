@@ -6,6 +6,7 @@ from helpers import (J4_BALANCED, format_matrix_by_entries, jt_matrix,
 from sddkit import (SForm, analyze_bipartition, limit_closed_form,
                     limit_numeric, limit_u_route, save_graph, save_matrix,
                     SymMatrix)
+from sddkit import bounds
 from sddkit.cli import _print_matrix, main
 
 
@@ -130,6 +131,15 @@ class TestDetbounds:
         assert "adjugate:" in out
         assert "hadamard:" in out
         assert "VIOLATED" not in out
+
+    def test_one_elimination_per_file(self, j4_file, capsys, monkeypatch):
+        calls = []
+        kernel = bounds._eliminate
+        monkeypatch.setattr(bounds, "_eliminate",
+                            lambda J: calls.append(J.n) or kernel(J))
+        assert main(["detbounds", "--matrix", j4_file]) == 0
+        assert "adjugate:" in capsys.readouterr().out
+        assert calls == [4]
 
 
 class TestVerify:

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import H4_BALANCED, J3, H3, J4_BALANCED, eigen_sym_by_jacobi, jt_matrix
+from helpers import (H4_BALANCED, J3, H3, J4_BALANCED, bits, eigen_sym_by_jacobi,
+                     jt_matrix)
 from sddkit import (
     AsymmetricMatrixError,
     EigenConvergenceError,
@@ -135,6 +137,30 @@ class TestInverseDense:
         J = random_dominant(trial_rng(seed), n)
         prod = inverse_dense(J).entries @ J.entries
         np.testing.assert_allclose(prod, np.eye(n), atol=1e-9)
+
+
+def _inverse_with_fresh_arrays(a):
+    # lu_solve on a C-ordered identity, then (inv + inv') / 2, each step
+    # into a new array.
+    lu_piv = scipy.linalg.lu_factor(a, check_finite=False)
+    inv = scipy.linalg.lu_solve(lu_piv, np.eye(a.shape[0]), check_finite=False)
+    return (inv + inv.T) / 2.0
+
+
+class TestInverseDenseBits:
+    @pytest.mark.parametrize("n", [*range(3, 13), 800])
+    def test_in_place_solve_is_bitwise_equal_to_fresh_arrays(self, n):
+        J = random_dominant(trial_rng(181, n), n)
+        np.testing.assert_array_equal(bits(inverse_dense(J).entries),
+                                      bits(_inverse_with_fresh_arrays(J.entries)))
+
+    @pytest.mark.parametrize("n", [3, 12, 100])
+    def test_symmetrize_bitwise_equal_to_halved_sum(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        a = a + a.T + 1e-12 * rng.standard_normal((n, n))
+        np.testing.assert_array_equal(bits(symmetrize(a).entries),
+                                      bits((a + a.T) / 2.0))
 
 
 class TestInfNorm:
@@ -312,6 +338,23 @@ class TestMatrixIO:
             load_matrix(path)
         assert err.value.line == line
         assert "non-finite" in str(err.value)
+
+    def test_non_finite_row_reported_before_a_later_malformed_row(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3\n1 inf 0\n1 x 0\n0 0 1\n")
+        with pytest.raises(MatrixFormatError) as err:
+            load_matrix(path)
+        assert err.value.line == 2
+        assert "non-finite" in str(err.value)
+
+    def test_row_whose_sum_overflows_loads(self, tmp_path):
+        # Each row sums past the largest float; every entry is finite, and
+        # so is the average of the matrix with its transpose.
+        a = np.full((4, 4), 6e307)
+        path = tmp_path / "big.txt"
+        path.write_text("4\n" + "\n".join(" ".join(["6e307"] * 4) for _ in range(4)) + "\n")
+        assert not math.isfinite(sum(a[0].tolist()))
+        np.testing.assert_array_equal(load_matrix(path).entries, a)
 
     def test_missing_rows(self, tmp_path):
         path = tmp_path / "bad.txt"
