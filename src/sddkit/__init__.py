@@ -12,7 +12,6 @@ from .matcore import (
     MatrixError,
     MatrixFormatError,
     SingularMatrixError,
-    SingularUpdateError,
     SymMatrix,
     classify,
     delta,
@@ -20,9 +19,7 @@ from .matcore import (
     inf_norm,
     inverse_dense,
     load_matrix,
-    loewner_geq,
     save_matrix,
-    smw_update,
     symmetrize,
 )
 from .sform import (

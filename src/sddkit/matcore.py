@@ -2,12 +2,10 @@
 
 Construction and validation of symmetric matrices, diagonal-dominance
 diagnostics, an LU-based inversion oracle, infinity norms, the LAPACK
-symmetric eigensolver with a per-pair residual certificate, rank-one
-Sherman-Morrison-Woodbury inverse updates, the Loewner (positive
-semidefinite) partial order, and matrix text I/O.  There
-is no determinant kernel: determinant ratios come from the panel-blocked
-elimination in :func:`sddkit.bounds.block_det_ratio`, which never forms
-det(J) itself and runs once per matrix.
+symmetric eigensolver with a per-pair residual certificate, and matrix
+text I/O.  There is no determinant kernel: determinant ratios come from the
+panel-blocked elimination in :func:`sddkit.bounds.block_det_ratio`, which
+never forms det(J) itself and runs once per matrix.
 
 All operations are pure functions of their inputs.  Matrix values are
 immutable after construction and safe to share across threads; because a
@@ -31,7 +29,6 @@ __all__ = [
     "MatrixError",
     "AsymmetricMatrixError",
     "SingularMatrixError",
-    "SingularUpdateError",
     "EigenConvergenceError",
     "MatrixFormatError",
     "symmetrize",
@@ -40,8 +37,6 @@ __all__ = [
     "inverse_dense",
     "inf_norm",
     "eigen_sym",
-    "smw_update",
-    "loewner_geq",
     "load_matrix",
     "save_matrix",
 ]
@@ -64,10 +59,6 @@ class SingularMatrixError(MatrixError):
     def __init__(self, message: str, pivot: float):
         super().__init__(message)
         self.pivot = pivot
-
-
-class SingularUpdateError(MatrixError):
-    """Rank-one update denominator 1 + t*u'Ku is (numerically) zero."""
 
 
 class EigenConvergenceError(RuntimeError):
@@ -266,33 +257,6 @@ def eigen_sym(M: SymMatrix) -> np.ndarray:
     return lams
 
 
-def smw_update(K: SymMatrix, u: np.ndarray, t: float, tol: float = 1e-12) -> SymMatrix:
-    """Inverse of J + t*uu' given K = J^{-1}.
-
-    Returns K - (t / (1 + t*u'Ku)) (Ku)(Ku)'.  Raises
-    :class:`SingularUpdateError` when the denominator is below tolerance.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (K.n,):
-        raise MatrixError(f"update vector has shape {u.shape}, expected ({K.n},)")
-    Ku = K.entries @ u
-    uKu = float(u @ Ku)
-    denom = 1.0 + t * uKu
-    if abs(denom) <= tol * max(1.0, abs(t * uKu)):
-        raise SingularUpdateError(
-            f"update denominator 1 + t*u'Ku = {denom:.3e} is numerically zero"
-        )
-    return SymMatrix(K.entries - (t / denom) * np.outer(Ku, Ku))
-
-
-def loewner_geq(A: SymMatrix, B: SymMatrix, tol: float = 1e-10) -> bool:
-    """True iff A - B is positive semidefinite up to -tol on its spectrum."""
-    if A.n != B.n:
-        raise MatrixError(f"dimension mismatch: {A.n} vs {B.n}")
-    lams = eigen_sym(SymMatrix(A.entries - B.entries))
-    return bool(lams[0] >= -tol)
-
-
 # Matrix text format: first line "n", then n whitespace-separated rows of n
 # finite decimal reals.  Symmetry is validated on load with 1e-9 relative
 # tolerance.
@@ -340,7 +304,10 @@ def load_matrix(path) -> SymMatrix:
         raise AsymmetricMatrixError(
             f"matrix file is not symmetric: relative skew {skew / scale:.3e} > 1e-9"
         )
-    return SymMatrix((a + a.T) / 2.0)
+    if skew == 0.0:
+        return SymMatrix(a)
+    # Halve before adding, so entries near the largest float cannot overflow.
+    return SymMatrix(a / 2.0 + a.T / 2.0)
 
 
 def save_matrix(M: SymMatrix, path) -> None:

@@ -56,14 +56,33 @@ class DomainError(ValueError):
         self.pair = pair
 
 
-def _pair_sums(x: np.ndarray, floor: float) -> np.ndarray:
-    """x_i + x_j with inf on the diagonal, so 1/z is 0 there.
+def _low_pair_sum(x: np.ndarray) -> float:
+    """fl(a + b) for the two smallest entries a, b of x (len(x) >= 2).
+
+    Rounding is monotone, so this is a lower bound on every computed pair
+    sum x_i + x_j with i != j, attained by that pair.
+    """
+    low = np.partition(x, 1)[:2]
+    return low[0] + low[1]
+
+
+def _pair_sums(x: np.ndarray, floor: float, out: np.ndarray | None = None) -> np.ndarray:
+    """x_i + x_j with inf on the diagonal, so 1/z is 0 there; written into
+    ``out`` when given.
 
     Raises :class:`DomainError` naming the first pair whose sum is within
-    ``floor`` of zero; floor 0 checks nothing.
+    ``floor`` of zero; floor 0 checks nothing.  The n^2 scan for that pair
+    runs only when an O(n) test fails: rounding is monotone, so every
+    computed pair sum lies between fl(two smallest entries) and fl(two
+    largest entries), and no pair is within ``floor`` of zero when the two
+    smallest sum to at least ``floor`` or the two largest to at most
+    ``-floor``.  The test passes only when the scan would find nothing, so
+    the error, its pair and its message are those of the scan alone.
     """
-    z = x[:, None] + x[None, :]
+    z = np.add(x[:, None], x[None, :], out=out)
     np.fill_diagonal(z, np.inf)
+    if len(x) >= 2 and (_low_pair_sum(x) >= floor or _low_pair_sum(-x) >= floor):
+        return z
     small = np.abs(z) < floor
     if small.any():
         i, j = np.argwhere(small)[0]
@@ -82,7 +101,18 @@ def f_map(x: np.ndarray, domain_floor: float = DEFAULT_DOMAIN_FLOOR) -> np.ndarr
     degree sequence: d = F(-theta) means d_i = sum_{j != i} 1/(theta_i + theta_j).
     """
     z = _pair_sums(np.asarray(x, dtype=float), domain_floor)
-    return -(1.0 / z).sum(axis=1)
+    return -np.divide(1.0, z, out=z).sum(axis=1)
+
+
+def _jacobian_entries(x: np.ndarray, floor: float,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Entries of the Jacobian of f_map at x, written into ``out`` when given:
+    pair sums, squared, reciprocal, then the row sums on the diagonal."""
+    w = _pair_sums(x, floor, out)
+    np.multiply(w, w, out=w)
+    np.divide(1.0, w, out=w)
+    np.fill_diagonal(w, w.sum(axis=1))
+    return w
 
 
 def jacobian(x: np.ndarray, domain_floor: float = DEFAULT_DOMAIN_FLOOR) -> SymMatrix:
@@ -91,10 +121,7 @@ def jacobian(x: np.ndarray, domain_floor: float = DEFAULT_DOMAIN_FLOOR) -> SymMa
     Diagonally balanced by construction, and positive definite whenever all
     pairwise sums are nonzero and n >= 3.
     """
-    z = _pair_sums(np.asarray(x, dtype=float), domain_floor)
-    w = 1.0 / (z * z)
-    np.fill_diagonal(w, w.sum(axis=1))
-    return SymMatrix(w)
+    return SymMatrix(_jacobian_entries(np.asarray(x, dtype=float), domain_floor))
 
 
 def residual(theta: np.ndarray, d: np.ndarray,
@@ -153,10 +180,10 @@ class RetinaSolution:
 
 def _local_ell(theta: np.ndarray) -> float:
     # Every pair sum is positive on the solver's domain, so the smallest
-    # 1/(theta_i + theta_j)^2 belongs to the two largest entries; rounding is
-    # monotone, so this equals the minimum over all pairs exactly.
-    top = np.partition(theta, -2)[-2:]
-    z = top[0] + top[1]
+    # 1/(theta_i + theta_j)^2 belongs to the largest pair sum, which is minus
+    # the smallest pair sum of -theta (negation commutes with rounding); so
+    # this equals the minimum over all pairs exactly.
+    z = _low_pair_sum(-theta)
     return float(1.0 / (z * z))
 
 
@@ -186,6 +213,12 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10,
     A stalled line search or the iteration cap returns converged=False
     rather than raising: a solution is only guaranteed to exist almost
     surely.
+
+    One n x n buffer serves every step: the step's Jacobian is built into
+    it (pair sums, squared, reciprocal, row sums on the diagonal) and
+    Cholesky factors it in place.  The Jacobian is exactly symmetric, so
+    LAPACK reads the buffer's transpose, which is Fortran-ordered and needs
+    no copy.  Each candidate is evaluated through :func:`residual`.
     """
     d = prob.d
     n = prob.n
@@ -194,12 +227,13 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10,
     theta = np.full(n, max((n - 1) / (2.0 * float(d.mean())), floor))
     r = residual(theta, d, floor)
     r_inf = float(np.abs(r).max())
+    w = np.empty((n, n))
     for it in range(1, max_iter + 1):
         if r_inf <= tol:
             return _finish(theta, r_inf, it - 1, True, n)
-        w = jacobian(-theta, floor)
+        _jacobian_entries(-theta, floor, out=w)
         try:
-            cho = scipy.linalg.cho_factor(w.entries, check_finite=False)
+            cho = scipy.linalg.cho_factor(w.T, overwrite_a=True, check_finite=False)
         except scipy.linalg.LinAlgError:
             return _finish(theta, r_inf, it - 1, False, n)
         step = scipy.linalg.cho_solve(cho, r, check_finite=False)
@@ -207,8 +241,7 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10,
         step_inf = float(np.abs(step).max())
         while True:
             cand = theta + lam * step
-            low = np.partition(cand, 1)[:2]  # smallest pair sum: two smallest entries
-            if low[0] + low[1] >= floor:
+            if _low_pair_sum(cand) >= floor:  # the smallest pair sum
                 r_new = residual(cand, d, floor)
                 r_new_inf = float(np.abs(r_new).max())
                 if r_new_inf < r_inf:
@@ -234,17 +267,19 @@ def sample_degrees(theta: np.ndarray, seed: int) -> np.ndarray:
     n = len(theta)
     if int(seed) != seed or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    z = _pair_sums(theta, 0.0)
-    if (z <= 0).any():
-        i, j = np.argwhere(z <= 0)[0]
-        raise DomainError(
-            f"theta[{i}] + theta[{j}] = {z[i, j]:.3e} must be positive",
-            pair=(int(i), int(j)),
-        )
+    # every pair sum is positive if the smallest one is
+    if n >= 2 and not _low_pair_sum(theta) > 0:
+        z = _pair_sums(theta, 0.0)
+        if (z <= 0).any():
+            i, j = np.argwhere(z <= 0)[0]
+            raise DomainError(
+                f"theta[{i}] + theta[{j}] = {z[i, j]:.3e} must be positive",
+                pair=(int(i), int(j)),
+            )
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     iu = np.triu_indices(n, 1)
     draws = gen.standard_exponential(len(iu[0]))
-    weights = draws / z[iu]
+    weights = draws / (theta[iu[0]] + theta[iu[1]])
     d = np.zeros(n)
     np.add.at(d, iu[0], weights)
     np.add.at(d, iu[1], weights)

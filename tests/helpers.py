@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 
-from sddkit import (BipartiteComponent, LoopGraph, SingularBlockError,
-                    SingularMatrixError, SymMatrix, inverse_dense)
+import scipy.linalg
+
+from sddkit import (BipartiteComponent, DomainError, LoopGraph, MatrixError,
+                    RetinaProblem, RetinaSolution, SingularBlockError,
+                    SingularMatrixError, SymMatrix, eigen_sym, inverse_dense)
+from sddkit.retina import DEFAULT_DOMAIN_FLOOR, _finish
 
 # Two balanced 4x4 matrices; H differs from J in the (1,2) entry (rebalanced).
 J4_BALANCED = SymMatrix(np.array([
@@ -217,3 +221,134 @@ def limit_test_graph(n: int, seed: int) -> LoopGraph:
         if kind == "loop_path":
             edges.append((v[0], v[0]))
     return LoopGraph(n, edges)
+
+
+class SingularUpdateError(MatrixError):
+    """Rank-one update denominator 1 + t*u'Ku is (numerically) zero."""
+
+
+def smw_update(K: SymMatrix, u: np.ndarray, t: float, tol: float = 1e-12) -> SymMatrix:
+    """Inverse of J + t*uu' given K = J^{-1} (test-side oracle).
+
+    Returns K - (t / (1 + t*u'Ku)) (Ku)(Ku)'.  Raises
+    :class:`SingularUpdateError` when the denominator is below tolerance.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape != (K.n,):
+        raise MatrixError(f"update vector has shape {u.shape}, expected ({K.n},)")
+    Ku = K.entries @ u
+    uKu = float(u @ Ku)
+    denom = 1.0 + t * uKu
+    if abs(denom) <= tol * max(1.0, abs(t * uKu)):
+        raise SingularUpdateError(
+            f"update denominator 1 + t*u'Ku = {denom:.3e} is numerically zero"
+        )
+    return SymMatrix(K.entries - (t / denom) * np.outer(Ku, Ku))
+
+
+def loewner_geq(A: SymMatrix, B: SymMatrix, tol: float = 1e-10) -> bool:
+    """True iff A - B is positive semidefinite up to -tol on its spectrum
+    (test-side oracle)."""
+    if A.n != B.n:
+        raise MatrixError(f"dimension mismatch: {A.n} vs {B.n}")
+    lams = eigen_sym(SymMatrix(A.entries - B.entries))
+    return bool(lams[0] >= -tol)
+
+
+# Test-side oracles for the retina solver: every pair sum built and scanned
+# for the domain floor on each call, a fresh Jacobian wrapped in SymMatrix
+# per Newton step, and sample_degrees reading its rates from the full
+# pair-sum matrix.
+
+def pair_sums_by_scan(x: np.ndarray, floor: float) -> np.ndarray:
+    """x_i + x_j with inf on the diagonal; the first pair within ``floor``
+    of zero, in row-major order, raises :class:`DomainError`."""
+    z = x[:, None] + x[None, :]
+    np.fill_diagonal(z, np.inf)
+    small = np.abs(z) < floor
+    if small.any():
+        i, j = np.argwhere(small)[0]
+        raise DomainError(
+            f"pairwise sum x[{i}] + x[{j}] = {z[i, j]:.3e} is within "
+            f"{floor:.1e} of zero (indices are 0-based)",
+            pair=(int(i), int(j)),
+        )
+    return z
+
+
+def f_map_by_scan(x: np.ndarray, domain_floor: float = DEFAULT_DOMAIN_FLOOR) -> np.ndarray:
+    z = pair_sums_by_scan(np.asarray(x, dtype=float), domain_floor)
+    return -(1.0 / z).sum(axis=1)
+
+
+def jacobian_by_scan(x: np.ndarray, domain_floor: float = DEFAULT_DOMAIN_FLOOR) -> SymMatrix:
+    z = pair_sums_by_scan(np.asarray(x, dtype=float), domain_floor)
+    w = 1.0 / (z * z)
+    np.fill_diagonal(w, w.sum(axis=1))
+    return SymMatrix(w)
+
+
+def residual_by_scan(theta: np.ndarray, d: np.ndarray,
+                     domain_floor: float = DEFAULT_DOMAIN_FLOOR) -> np.ndarray:
+    return f_map_by_scan(-np.asarray(theta, dtype=float), domain_floor) - np.asarray(d, dtype=float)
+
+
+def solve_retina_by_scan(prob: RetinaProblem, tol: float = 1e-10,
+                         max_iter: int = 80) -> RetinaSolution:
+    """Damped Newton iteration of ``solve_retina`` with a fresh SymMatrix
+    Jacobian per step, factored from a copy."""
+    d = prob.d
+    n = prob.n
+    floor = prob.domain_floor
+    theta = np.full(n, max((n - 1) / (2.0 * float(d.mean())), floor))
+    r = residual_by_scan(theta, d, floor)
+    r_inf = float(np.abs(r).max())
+    for it in range(1, max_iter + 1):
+        if r_inf <= tol:
+            return _finish(theta, r_inf, it - 1, True, n)
+        w = jacobian_by_scan(-theta, floor)
+        try:
+            cho = scipy.linalg.cho_factor(w.entries, check_finite=False)
+        except scipy.linalg.LinAlgError:
+            return _finish(theta, r_inf, it - 1, False, n)
+        step = scipy.linalg.cho_solve(cho, r, check_finite=False)
+        lam = 1.0
+        step_inf = float(np.abs(step).max())
+        while True:
+            cand = theta + lam * step
+            low = np.partition(cand, 1)[:2]
+            if low[0] + low[1] >= floor:
+                r_new = residual_by_scan(cand, d, floor)
+                r_new_inf = float(np.abs(r_new).max())
+                if r_new_inf < r_inf:
+                    theta, r, r_inf = cand, r_new, r_new_inf
+                    break
+            lam *= 0.5
+            if lam * step_inf < 1e-14:
+                return _finish(theta, r_inf, it, False, n)
+    converged = r_inf <= tol
+    return _finish(theta, r_inf, max_iter, converged, n)
+
+
+def sample_degrees_by_scan(theta: np.ndarray, seed: int) -> np.ndarray:
+    """``sample_degrees`` with its rates, and its positivity scan, on the
+    full pair-sum matrix."""
+    theta = np.asarray(theta, dtype=float)
+    n = len(theta)
+    if int(seed) != seed or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    z = pair_sums_by_scan(theta, 0.0)
+    if (z <= 0).any():
+        i, j = np.argwhere(z <= 0)[0]
+        raise DomainError(
+            f"theta[{i}] + theta[{j}] = {z[i, j]:.3e} must be positive",
+            pair=(int(i), int(j)),
+        )
+    gen = np.random.Generator(np.random.Philox(key=int(seed)))
+    iu = np.triu_indices(n, 1)
+    draws = gen.standard_exponential(len(iu[0]))
+    weights = draws / z[iu]
+    d = np.zeros(n)
+    np.add.at(d, iu[0], weights)
+    np.add.at(d, iu[1], weights)
+    return d

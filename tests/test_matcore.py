@@ -6,15 +6,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (H4_BALANCED, J3, H3, J4_BALANCED, bits, eigen_sym_by_jacobi,
-                     jt_matrix)
+from helpers import (H4_BALANCED, J3, H3, J4_BALANCED, SingularUpdateError, bits,
+                     eigen_sym_by_jacobi, jt_matrix, loewner_geq, smw_update)
 from sddkit import (
     AsymmetricMatrixError,
     EigenConvergenceError,
     MatrixError,
     MatrixFormatError,
     SingularMatrixError,
-    SingularUpdateError,
     SymMatrix,
     classify,
     delta,
@@ -22,9 +21,7 @@ from sddkit import (
     inf_norm,
     inverse_dense,
     load_matrix,
-    loewner_geq,
     save_matrix,
-    smw_update,
     symmetrize,
 )
 from sddkit.randmat import random_balanced, random_dominant, trial_rng
@@ -355,6 +352,18 @@ class TestMatrixIO:
         path.write_text("4\n" + "\n".join(" ".join(["6e307"] * 4) for _ in range(4)) + "\n")
         assert not math.isfinite(sum(a[0].tolist()))
         np.testing.assert_array_equal(load_matrix(path).entries, a)
+
+    def test_symmetric_file_near_the_largest_float_loads(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("2\n1e308 1e308\n1e308 1e308\n")
+        np.testing.assert_array_equal(load_matrix(path).entries, np.full((2, 2), 1e308))
+
+    def test_nearly_symmetric_file_near_the_largest_float_is_averaged(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("2\n1e308 1.0000000001e308\n1e308 1e308\n")
+        got = load_matrix(path).entries
+        mean = 1e308 / 2 + 1.0000000001e308 / 2
+        np.testing.assert_array_equal(got, [[1e308, mean], [mean, 1e308]])
 
     def test_missing_rows(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import (bits, f_map_by_scan, jacobian_by_scan, loewner_geq, residual_by_scan,
+                     sample_degrees_by_scan, solve_retina_by_scan)
 from sddkit import (
     DomainError,
     RetinaProblem,
@@ -9,13 +11,13 @@ from sddkit import (
     consistency_experiment,
     f_map,
     jacobian,
-    loewner_geq,
     residual,
     sample_degrees,
     sform_dense,
     solve_retina,
 )
-from sddkit.retina import consistency_bound
+from sddkit import retina
+from sddkit.retina import DEFAULT_DOMAIN_FLOOR, consistency_bound
 from sddkit.randmat import trial_rng
 
 
@@ -226,3 +228,136 @@ class TestResidualFunction:
         theta = np.array([1.0, 1.2, 0.8, 1.5])
         r = residual(theta, f_map(-theta))
         np.testing.assert_allclose(r, 0.0, atol=1e-15)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type, message and pair of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "pair", None)
+
+
+def _assert_same_outcome(new, old):
+    if isinstance(old, tuple):
+        assert new == old
+    else:
+        assert not isinstance(new, tuple), new
+        np.testing.assert_array_equal(bits(new), bits(old))
+
+
+FLOOR = DEFAULT_DOMAIN_FLOOR
+INSIDE = np.nextafter(FLOOR, 0.0) / 2  # two of these sum to just under the floor
+NAN = np.nan
+
+# x for f_map and jacobian (and -x for residual): whether the domain check
+# raises, then the entries.
+DOMAIN_CASES = {
+    "mixed_sign_error": (True, [1.0, -1.0 + 1e-12, 5.0]),
+    "mixed_sign_clear": (False, [1.0, -3.0, 5.0, -0.5]),
+    "at_floor": (False, [FLOOR / 2, FLOOR / 2, 1.0]),
+    "at_minus_floor": (False, [-1.0, -FLOOR / 2, -FLOOR / 2]),
+    "inside_floor": (True, [1.0, INSIDE, 2.0, INSIDE]),
+    "all_negative_clear": (False, list(-trial_rng(241).uniform(0.5, 2.0, size=7))),
+    "all_negative_error": (True, [-3.0, -1e-11, -2.0, -4e-11]),
+    "n2_error": (True, [1.0, -1.0]),
+    "n2_clear": (False, [1.0, 2.0]),
+    "n1": (False, [0.0]),
+    "nan_clear": (False, [NAN, 1.0, 2.0]),
+    "nan_only": (False, [NAN, NAN, NAN]),
+    "nan_mixed_clear": (False, [NAN, 1.0, -3.0]),
+    "nan_error": (True, [NAN, 1.0, -1.0]),
+}
+
+# theta for sample_degrees: whether a pair sum is <= 0, then the entries.
+SAMPLE_DOMAIN_CASES = {
+    "mixed_sign": (True, [2.0, -1.0, -3.0, 4.0]),
+    "zero_sum": (True, [1.0, -1.0, 1.0]),
+    "zero_pair": (True, [1.0, 0.0, 0.0]),
+    "all_negative": (True, [-1.0, -2.0, -3.0]),
+    "n2_error": (True, [1.0, -1.0]),
+    "n2_clear": (False, [1.0, 2.0]),
+    "tiny_positive_pair": (False, [1e-300, 0.0, 2.0]),
+    "nan_clear": (False, [NAN, 1.0, 2.0]),
+    "nan_scan_clear": (False, [NAN, NAN, 1.0]),
+    "nan_error": (True, [NAN, -1.0, -2.0]),
+}
+
+
+class TestDomainCheckMatchesScan:
+    """The O(n) domain test decides exactly what the n^2 scan decides: the
+    same DomainError message and pair, or the same result bits."""
+
+    @pytest.mark.parametrize("raises, x", DOMAIN_CASES.values(), ids=DOMAIN_CASES.keys())
+    def test_f_map_jacobian_residual(self, raises, x):
+        x = np.array(x)
+        d = np.ones(len(x))
+        old = _outcome(f_map_by_scan, x)
+        assert (isinstance(old, tuple) and old[0] is DomainError) == raises
+        _assert_same_outcome(_outcome(f_map, x), old)
+        # NaN entries pass the domain check and then fail SymMatrix's
+        _assert_same_outcome(_outcome(lambda y: jacobian(y).entries, x),
+                             _outcome(lambda y: jacobian_by_scan(y).entries, x))
+        _assert_same_outcome(_outcome(residual, -x, d), _outcome(residual_by_scan, -x, d))
+
+    @pytest.mark.parametrize("raises, theta", SAMPLE_DOMAIN_CASES.values(),
+                             ids=SAMPLE_DOMAIN_CASES.keys())
+    def test_sample_degrees(self, raises, theta):
+        theta = np.array(theta)
+        old = _outcome(sample_degrees_by_scan, theta, 3)
+        assert (isinstance(old, tuple) and old[0] is DomainError) == raises
+        _assert_same_outcome(_outcome(sample_degrees, theta, 3), old)
+
+
+def _true_theta(n, seed, lo=0.5, hi=2.0):
+    return np.random.default_rng([seed, n]).uniform(lo, hi, size=n)
+
+
+class TestBitwiseOracles:
+    """solve_retina and sample_degrees equal, bit for bit, the oracles that
+    scan every pair sum, wrap each step's Jacobian in a SymMatrix and read
+    the sampling rates from the full pair-sum matrix."""
+
+    @staticmethod
+    def assert_same_solution(prob, **kw):
+        new = solve_retina(prob, **kw)
+        old = solve_retina_by_scan(prob, **kw)
+        np.testing.assert_array_equal(bits(new.theta), bits(old.theta))
+        np.testing.assert_array_equal(bits([new.residual_inf, new.ell_used]),
+                                      bits([old.residual_inf, old.ell_used]))
+        assert (new.iterations, new.converged) == (old.iterations, old.converged)
+        return new
+
+    @pytest.mark.parametrize("n, seed", [(n, s) for n in range(3, 13) for s in range(3)]
+                             + [(50, 0), (50, 1), (50, 2), (400, 0), (400, 1), (1000, 0)])
+    def test_sample_then_solve(self, n, seed):
+        theta = _true_theta(n, seed)
+        d = sample_degrees(theta, 100 + seed)
+        np.testing.assert_array_equal(bits(d), bits(sample_degrees_by_scan(theta, 100 + seed)))
+        self.assert_same_solution(RetinaProblem(d), tol=1e-9)
+
+    def test_run_with_line_search_halvings(self, monkeypatch):
+        calls = []
+
+        def counting_residual(*args):
+            calls.append(1)
+            return residual(*args)
+
+        monkeypatch.setattr(retina, "residual", counting_residual)
+        d = f_map(-_true_theta(50, 0, 0.05, 10.0))
+        sol = self.assert_same_solution(RetinaProblem(d))
+        assert sol.converged
+        # one residual at the start and one per accepted step; more means
+        # the line search halved at least once
+        assert len(calls) > sol.iterations + 1
+
+    def test_run_capped_by_max_iter(self):
+        d = sample_degrees(_true_theta(50, 0), 7)
+        sol = self.assert_same_solution(RetinaProblem(d), max_iter=2)
+        assert not sol.converged and sol.iterations == 2
+
+    @pytest.mark.parametrize("max_iter", [30, 80])
+    def test_infeasible_targets(self, max_iter):
+        sol = self.assert_same_solution(RetinaProblem(np.array([1000.0, 1e-3, 1e-3])),
+                                        max_iter=max_iter)
+        assert not sol.converged
