@@ -11,6 +11,7 @@ from .matcore import (
     EigenConvergenceError,
     MatrixError,
     MatrixFormatError,
+    SingularBlockError,
     SingularMatrixError,
     SymMatrix,
     classify,
@@ -32,14 +33,11 @@ from .sform import (
 from .graphlimit import (
     BipartiteComponent,
     BipartitionSummary,
-    BlockConstants,
     GraphFormatError,
     LoopGraph,
     NonBipartiteComponent,
     analyze_bipartition,
     incidence,
-    incidence_rank,
-    limit_block_constants,
     limit_closed_form,
     limit_inf_norm,
     limit_numeric,
@@ -53,7 +51,6 @@ from .bounds import (
     BoundReport,
     ConjectureLedger,
     ConjectureRecord,
-    SingularBlockError,
     SuiteRecord,
     XiResult,
     adjugate_bound,

@@ -12,20 +12,17 @@ Comparisons use tol = 1e-9 * max(1, |rhs|), recorded in the report context.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .matcore import (
     MatrixError,
+    SingularBlockError,
     SymMatrix,
-    classify,
     delta,
     eigen_sym,
     inf_norm,
-    inverse_dense,
 )
 from .sform import SForm, sform_dense, sform_inf_norm_inverse, sform_inverse
 from .graphlimit import signless_laplacian
@@ -46,6 +43,7 @@ __all__ = [
     "det_lower_bound",
     "det_upper_bound_balanced",
     "adjugate_bound",
+    "hadamard_sanity",
     "xi_functional",
     "conjecture_search",
     "ConjectureRecord",
@@ -55,14 +53,6 @@ __all__ = [
     "SUITES",
     "CONJECTURES",
 ]
-
-
-class SingularBlockError(MatrixError):
-    """A trailing block in the determinant factorization is singular."""
-
-    def __init__(self, message: str, block_index: int):
-        super().__init__(message)
-        self.block_index = block_index
 
 
 @dataclass(frozen=True)
@@ -124,7 +114,7 @@ def _gate(name: str, J: SymMatrix, ell, m, need: str = "dominant", **context):
     the inapplicable report for the first failed hypothesis, else None;
     ``context`` goes into that report after ``n``.
     """
-    rep = _record(J).rep
+    rep = J.dominance
     n = J.n
     if n < 3:
         return rep, ell, m, _inapplicable(name, "needs n >= 3", n=n, **context)
@@ -148,11 +138,11 @@ def varah_bound(J: SymMatrix) -> BoundReport:
     Inapplicable when any dominance margin is <= 0 (in particular for
     balanced matrices).
     """
-    d = delta(J)
+    d = J.dominance.deltas
     if d.min() <= 0:
         return _inapplicable("varah", "not strictly diagonally dominant", n=J.n,
                              min_delta=float(d.min()))
-    lhs = inf_norm(inverse_dense(J))
+    lhs = J.inv_inf_norm
     rhs = float(1.0 / d.min())
     return _report("varah", lhs, rhs, n=J.n, min_delta=float(d.min()))
 
@@ -168,14 +158,14 @@ def main_bound(J: SymMatrix, S: SForm) -> BoundReport:
     if not S.is_dominant:
         return _inapplicable("main", "reference family not diagonally dominant",
                              n=S.n, alpha=S.alpha, ell=S.ell)
-    rep = _record(J).rep
+    rep = J.dominance
     if not rep.is_dominant:
         return _inapplicable("main", "J not diagonally dominant", n=J.n)
     gap = float((J.entries - sform_dense(S).entries).min())
     if gap < -1e-12 * max(1.0, inf_norm(J)):
         return _inapplicable("main", "J not entrywise >= reference matrix",
                              n=J.n, worst_gap=gap)
-    lhs = inf_norm(inverse_dense(J))
+    lhs = J.inv_inf_norm
     rhs = sform_inf_norm_inverse(S)
     return _report("main", lhs, rhs, n=J.n, alpha=S.alpha, ell=S.ell)
 
@@ -186,7 +176,7 @@ def lower_bound_trivial(J: SymMatrix) -> BoundReport:
     m is the largest off-diagonal entry and delta_max the largest dominance
     margin; follows from submultiplicativity of the infinity norm.
     """
-    rep = _record(J).rep
+    rep = J.dominance
     if J.n < 2 or rep.min_offdiag is None or rep.min_offdiag <= 0:
         return _inapplicable("lower", "needs positive off-diagonal entries", n=J.n)
     if not rep.is_dominant:
@@ -194,7 +184,7 @@ def lower_bound_trivial(J: SymMatrix) -> BoundReport:
     m_hat = rep.max_offdiag
     d_hat = max(rep.max_delta, 0.0)
     lhs = 1.0 / (2.0 * m_hat * (J.n - 1) + d_hat)
-    rhs = inf_norm(inverse_dense(J))
+    rhs = J.inv_inf_norm
     return _report("lower", lhs, rhs, n=J.n, m=m_hat, delta=d_hat)
 
 
@@ -210,7 +200,7 @@ def spectral_route_bound(J: SymMatrix, ell: float | None = None) -> BoundReport:
         return bad
     n = J.n
     lams = eigen_sym(J)
-    lhs = inf_norm(inverse_dense(J))
+    lhs = J.inv_inf_norm
     rhs = math.sqrt(n) / ((n - 2) * ell)
     intermediate = math.sqrt(n) / lams[0]
     sharp = (3 * n - 4) / (2.0 * ell * (n - 2) * (n - 1))
@@ -229,7 +219,7 @@ def condition_bound(J: SymMatrix, ell: float | None = None) -> BoundReport:
     n = J.n
     m_hat = rep.max_offdiag
     d_hat = max(rep.max_delta, 0.0)
-    lhs = inf_norm(J) * inf_norm(inverse_dense(J))
+    lhs = inf_norm(J) * J.inv_inf_norm
     rhs = (2.0 * m_hat * (n - 1) + d_hat) * (3 * n - 4) / (2.0 * ell * (n - 2) * (n - 1))
     return _report("cond", lhs, rhs, n=n, ell=ell, m=m_hat, delta=d_hat)
 
@@ -269,76 +259,6 @@ def eig_interval_check(J: SymMatrix, ell: float | None = None,
                    lambda_max=float(lams[-1]))
 
 
-def _trailing_block_norms(a: np.ndarray) -> np.ndarray:
-    """inf_norm(a[k:, k:]) for every k, from row-suffix sums in O(n^2)."""
-    suffix = np.cumsum(np.abs(a)[:, ::-1], axis=1)[:, ::-1]
-    return np.maximum.accumulate(suffix[::-1], axis=0)[::-1].diagonal()
-
-
-# Rows per elimination panel: the pivots of a panel update only its own
-# columns one by one, and the block to its left once, by one matrix product.
-_PANEL = 32
-
-
-def _eliminate(J: SymMatrix) -> tuple[np.ndarray, float]:
-    """The bottom-up elimination of :func:`block_det_ratio`, in panels."""
-    a = J.entries
-    n = J.n
-    floors = (n - np.arange(n)) * np.finfo(float).eps * np.maximum(
-        _trailing_block_norms(a), np.finfo(float).tiny)
-    w = a.copy()
-    for e in range(n, 0, -_PANEL):
-        s = max(e - _PANEL, 0)
-        for k in range(e - 1, max(s, 1) - 1, -1):
-            pivot = w[k, k]
-            if abs(pivot) <= floors[k]:
-                raise SingularBlockError(
-                    f"trailing block starting at row {k + 1} is singular "
-                    f"(pivot {abs(pivot):.3e})",
-                    block_index=k + 1,
-                )
-            col = w[:k, k]
-            w[:k, s:k] -= np.outer(col / pivot, col[s:k])
-        if s:
-            C = w[:s, s:e]
-            w[:s, :s] -= (C / w.diagonal()[s:e]) @ C.T
-    factors = w.diagonal()[:-1] / a.diagonal()[:-1]
-    factors.setflags(write=False)
-    return factors, float(np.prod(factors))
-
-
-class _Record:
-    """What the bounds derive from one matrix, each part computed at most
-    once: the default-tolerance :func:`classify` report and the elimination.
-
-    Holds the matrix only weakly, so the record dies with it.  A part whose
-    computation raises is not stored, and raises again on the next read.
-    """
-
-    def __init__(self, J: SymMatrix):
-        self._matrix = weakref.ref(J)
-
-    @cached_property
-    def rep(self):
-        return classify(self._matrix())
-
-    @cached_property
-    def elimination(self) -> tuple[np.ndarray, float]:
-        return _eliminate(self._matrix())
-
-
-# SymMatrix entries are read-only, so a record stays valid for the matrix's
-# lifetime; matrices hash by identity.
-_RECORDS = weakref.WeakKeyDictionary()
-
-
-def _record(J: SymMatrix) -> _Record:
-    rec = _RECORDS.get(J)
-    if rec is None:
-        rec = _RECORDS[J] = _Record(J)
-    return rec
-
-
 def block_det_ratio(J: SymMatrix) -> tuple[np.ndarray, float]:
     """det(J) / prod(J_ii) by the trailing-block factorization.
 
@@ -355,12 +275,6 @@ def block_det_ratio(J: SymMatrix) -> tuple[np.ndarray, float]:
     matrix is again diagonally dominant, which bounds the growth of the
     entries by a factor of 2 (Wilkinson; Varah 1975).
 
-    The elimination runs in panels of ``_PANEL`` rows from the bottom.
-    Within a panel each pivot updates only the panel's columns; the block
-    to the panel's left then takes the panel's whole Schur update, C D^{-1}
-    C', as one matrix product.  For n <= ``_PANEL`` there is one panel and
-    the steps are the plain rank-one updates.
-
     The pivot of the block starting at row k (1-based) is singular when
     |d| <= size * eps * inf_norm(block), the floor :func:`inverse_dense`
     uses.  Elimination stops at the first such pivot, so
@@ -369,11 +283,10 @@ def block_det_ratio(J: SymMatrix) -> tuple[np.ndarray, float]:
     row 1 is only a factor: a singular J whose trailing blocks are
     nonsingular gives ratio 0.
 
-    Each matrix is eliminated once: the pair (with ``factors`` read-only)
-    is kept in a per-matrix record that every determinant bound reads and
-    that dies with J.
+    Returns ``J.elimination``, so each matrix is eliminated once and every
+    determinant bound reads the same pair, with ``factors`` read-only.
     """
-    return _record(J).elimination
+    return J.elimination
 
 
 def det_ratio_lu(J: SymMatrix) -> float:
@@ -400,7 +313,7 @@ def det_lower_bound(J: SymMatrix, ell: float | None = None,
         return bad
     n = J.n
     base = 1.0 - math.sqrt(m / ell) * (1.0 + m / ell) / (2.0 * (n - 2))
-    _, ratio = _record(J).elimination
+    _, ratio = J.elimination
     if base <= 0:
         return _report("det_lower", float("-inf"), ratio, vacuous=True,
                        n=n, ell=ell, m=m, base=base)
@@ -415,7 +328,7 @@ def det_upper_bound_balanced(J: SymMatrix, ell: float | None = None,
     if bad is not None:
         return bad
     n = J.n
-    _, ratio = _record(J).elimination
+    _, ratio = J.elimination
     rhs = math.exp(-ell * ell / (4.0 * m * m))
     return _report("det_upper", ratio, rhs, n=n, ell=ell, m=m)
 
@@ -431,8 +344,8 @@ def adjugate_bound(J: SymMatrix, ell: float | None = None,
     if bad is not None:
         return bad
     n = J.n
-    _, ratio = _record(J).elimination
-    lhs = abs(ratio) * inf_norm(inverse_dense(J))
+    _, ratio = J.elimination
+    lhs = abs(ratio) * J.inv_inf_norm
     rhs = ((3 * n - 4) / (2.0 * ell * (n - 2) * (n - 1))) * math.exp(
         -ell * ell / (4.0 * m * m))
     return _report("adjugate", lhs, rhs, n=n, ell=ell, m=m)
@@ -440,7 +353,7 @@ def adjugate_bound(J: SymMatrix, ell: float | None = None,
 
 def hadamard_sanity(J: SymMatrix) -> BoundReport:
     """det ratio <= 1 for any positive semidefinite J (classical)."""
-    _, ratio = _record(J).elimination
+    _, ratio = J.elimination
     return _report("hadamard", ratio, 1.0, n=J.n)
 
 
@@ -548,7 +461,7 @@ def _lower_norm_record(trial: int, J: SymMatrix, alpha: float, m: float) -> Conj
     # 0 < J <= alpha*I + m*ones entrywise and J is SDD.
     n = J.n
     lhs = (alpha + 2.0 * m * (n - 1)) / (alpha * (alpha + m * n))
-    rhs = inf_norm(inverse_dense(J))
+    rhs = J.inv_inf_norm
     slack = rhs - lhs
     tol = _tol(lhs)
     return ConjectureRecord(trial=trial, n=n,
@@ -561,7 +474,7 @@ def _det_upper_record(trial: int, J: SymMatrix) -> ConjectureRecord:
     # Conjectured: det ratio of a positive balanced J is at most
     # 2 (1 - 1/(n-1))^{n-1}, the ratio of the balanced reference matrix.
     n = J.n
-    _, ratio = _record(J).elimination
+    _, ratio = J.elimination
     bound = 2.0 * (1.0 - 1.0 / (n - 1)) ** (n - 1)
     slack = bound - ratio
     tol = _tol(bound)

@@ -27,9 +27,7 @@ from . import retina as ret
 from .matcore import (
     MatrixError,
     SingularMatrixError,
-    classify,
     inf_norm,
-    inverse_dense,
     load_matrix,
 )
 from .sform import SForm, sform_inf_norm_inverse
@@ -107,7 +105,7 @@ def _print_report(r: bnd.BoundReport) -> None:
 
 def cmd_inspect(args) -> int:
     J = load_matrix(args.matrix)
-    rep = classify(J)
+    rep = J.dominance
     print(f"matrix: {args.matrix} (n={J.n})")
     kinds = []
     if rep.is_balanced:
@@ -127,15 +125,13 @@ def cmd_inspect(args) -> int:
               f"delta_hat={_fmt(rep.max_delta)}")
     print(f"inf_norm={_fmt(inf_norm(J))}")
     try:
-        inv = inverse_dense(J)
+        inv_norm = J.inv_inf_norm
     except SingularMatrixError as exc:
         print(f"inverse: FAILED ({exc})")
         return 1
-    inv_norm = inf_norm(inv)
     print(f"inv_inf_norm={_fmt(inv_norm)}")
     print(f"cond_inf={_fmt(inf_norm(J) * inv_norm)}")
-    v = bnd.varah_bound(J)
-    _print_report(v)
+    _print_report(bnd.varah_bound(J))
     return 0
 
 
@@ -173,13 +169,12 @@ def cmd_limit(args) -> int:
 def cmd_detbounds(args) -> int:
     J = load_matrix(args.matrix)
     factors, ratio = bnd.block_det_ratio(J)
-    rep = classify(J)
     print(f"matrix: {args.matrix} (n={J.n})")
     print("factors: " + " ".join(_fmt(f) for f in factors))
     print(f"det_ratio={_fmt(ratio)}")
     print(f"det_ratio_lu={_fmt(bnd.det_ratio_lu(J))}")
     reports = [bnd.det_lower_bound(J, args.ell, args.m)]
-    if rep.is_balanced:
+    if J.dominance.is_balanced:
         reports.append(bnd.det_upper_bound_balanced(J, args.ell, args.m))
         reports.append(bnd.adjugate_bound(J, args.ell, args.m))
     reports.append(bnd.hadamard_sanity(J))

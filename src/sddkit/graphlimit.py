@@ -32,17 +32,14 @@ __all__ = [
     "BipartiteComponent",
     "NonBipartiteComponent",
     "BipartitionSummary",
-    "BlockConstants",
     "GraphFormatError",
     "signless_laplacian",
     "incidence",
     "analyze_bipartition",
     "limit_closed_form",
-    "limit_block_constants",
     "limit_u_route",
     "limit_numeric",
     "limit_inf_norm",
-    "incidence_rank",
     "load_graph",
     "save_graph",
 ]
@@ -140,18 +137,6 @@ class BipartitionSummary:
     @property
     def bipartite_components(self) -> list[BipartiteComponent]:
         return [c for c in self.components if isinstance(c, BipartiteComponent)]
-
-
-@dataclass(frozen=True)
-class BlockConstants:
-    """The r x r per-block magnitudes of the limit matrix.
-
-    ``zero_limit`` marks r == 0 (every component non-bipartite, N = 0);
-    ``values`` is then an empty 0 x 0 array.
-    """
-
-    values: np.ndarray
-    zero_limit: bool
 
 
 def signless_laplacian(G: LoopGraph) -> SymMatrix:
@@ -300,31 +285,6 @@ def limit_closed_form(S: SForm, B: BipartitionSummary) -> SymMatrix:
     return SymMatrix(N)
 
 
-def limit_block_constants(S: SForm, B: BipartitionSummary) -> BlockConstants:
-    """Per-block magnitudes c_ij of the limit matrix over bipartite components.
-
-    c_ii = ell/(alpha(alpha+ell*gamma)(p_i+q_i)) (alpha/ell + gamma
-           - (p_i-q_i)^2/(p_i+q_i)) and, for j != i,
-    c_ij = -ell/(alpha(alpha+ell*gamma)) ((p_i-q_i)/(p_i+q_i))
-           ((p_j-q_j)/(p_j+q_j)).
-    """
-    _require_compatible(S, B)
-    bip = B.bipartite_components
-    r = len(bip)
-    if r == 0:
-        return BlockConstants(values=np.zeros((0, 0)), zero_limit=True)
-    alpha, ell, gamma = S.alpha, S.ell, B.gamma
-    imb = np.array([(c.p - c.q) / (c.p + c.q) for c in bip])
-    sizes = np.array([c.p + c.q for c in bip], dtype=float)
-    coeff = ell / (alpha * (alpha + ell * gamma))
-    values = -coeff * np.outer(imb, imb)
-    for i, c in enumerate(bip):
-        values[i, i] = (coeff / sizes[i]) * (
-            alpha / ell + gamma - (c.p - c.q) ** 2 / sizes[i]
-        )
-    return BlockConstants(values=values, zero_limit=False)
-
-
 def _basis_matrix(B: BipartitionSummary) -> np.ndarray:
     """Column basis U: per bipartite component, columns e_anchor + sigma_v e_v
     over the non-anchor vertices (sigma = -1 on the anchor's side, +1 on the
@@ -403,30 +363,6 @@ def limit_inf_norm(S: SForm, B: BipartitionSummary) -> float:
     alpha, ell, gamma, d = S.alpha, S.ell, B.gamma, B.d
     best = max((c.p - c.q) * (d - 2 * (c.p - c.q)) / (c.p + c.q) for c in bip)
     return 1.0 / alpha + (ell / (alpha * (alpha + ell * gamma))) * best
-
-
-def incidence_rank(G: LoopGraph) -> int:
-    """Numeric rank of the incidence matrix, computed per component.
-
-    Uses singular values with cutoff 1e-8 times the largest one.  Equals
-    n minus the number of bipartite components.
-    """
-    summary = analyze_bipartition(G)
-    total = 0
-    for comp in summary.components:
-        verts = comp.vertices
-        vset = set(verts)
-        local = {v: i + 1 for i, v in enumerate(sorted(verts))}
-        sub_edges = [
-            (local[i], local[j]) for (i, j) in G.edges if i in vset and j in vset
-        ]
-        sub = LoopGraph(len(verts), sub_edges)
-        L = incidence(sub)
-        if L.shape[1] == 0:
-            continue
-        sv = np.linalg.svd(L, compute_uv=False)
-        total += int((sv > 1e-8 * sv[0]).sum())
-    return total
 
 
 # Edge-list text format: first line "n", then one edge per line "i j"

@@ -1,17 +1,19 @@
-"""Dense symmetric-matrix kernels.
+"""Dense symmetric-matrix kernels and the analysis of one matrix.
 
 Construction and validation of symmetric matrices, diagonal-dominance
 diagnostics, an LU-based inversion oracle, infinity norms, the LAPACK
 symmetric eigensolver with a per-pair residual certificate, and matrix
-text I/O.  There is no determinant kernel: determinant ratios come from the
-panel-blocked elimination in :func:`sddkit.bounds.block_det_ratio`, which
-never forms det(J) itself and runs once per matrix.
+text I/O.
+
+A :class:`SymMatrix` never changes, so it carries its own analysis, each
+part computed on first use and kept for the matrix's lifetime: the
+dominance report, the SDD elimination without pivoting that gives the
+determinant ratio (det(J) itself is never formed), and inf_norm(J^{-1}).
+Every bound and CLI command reads these members instead of deriving them
+again.
 
 All operations are pure functions of their inputs.  Matrix values are
-immutable after construction and safe to share across threads; because a
-:class:`SymMatrix` never changes, :mod:`sddkit.bounds` keeps what it derives
-from one (its :func:`classify` report and its elimination) for as long as
-the matrix lives.
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -29,6 +32,7 @@ __all__ = [
     "MatrixError",
     "AsymmetricMatrixError",
     "SingularMatrixError",
+    "SingularBlockError",
     "EigenConvergenceError",
     "MatrixFormatError",
     "symmetrize",
@@ -61,6 +65,14 @@ class SingularMatrixError(MatrixError):
         self.pivot = pivot
 
 
+class SingularBlockError(MatrixError):
+    """A trailing block in the determinant factorization is singular."""
+
+    def __init__(self, message: str, block_index: int):
+        super().__init__(message)
+        self.block_index = block_index
+
+
 class EigenConvergenceError(RuntimeError):
     """The LAPACK symmetric eigensolver returned a pair that misses the
     per-pair residual certificate, or failed to converge (residual inf).
@@ -89,6 +101,9 @@ class SymMatrix:
     and frozen read-only at construction.  Asymmetric input is rejected; use
     :func:`symmetrize` for results of floating-point arithmetic that are
     symmetric only up to roundoff.
+
+    The analysis members are computed on first use and kept; a computation
+    that raises stores nothing and raises again on the next read.
     """
 
     entries: np.ndarray
@@ -115,6 +130,22 @@ class SymMatrix:
     def identity(cls, n: int) -> "SymMatrix":
         return cls(np.eye(n))
 
+    @cached_property
+    def dominance(self) -> "DominanceReport":
+        """The default-tolerance :func:`classify` report."""
+        return classify(self)
+
+    @cached_property
+    def elimination(self) -> tuple[np.ndarray, float]:
+        """(factors, ratio) of the SDD elimination, ``factors`` read-only;
+        see :func:`sddkit.bounds.block_det_ratio`."""
+        return _eliminate(self)
+
+    @cached_property
+    def inv_inf_norm(self) -> float:
+        """inf_norm(J^{-1}) from :func:`inverse_dense`."""
+        return inf_norm(inverse_dense(self))
+
 
 @dataclass(frozen=True)
 class DominanceReport:
@@ -131,6 +162,10 @@ class DominanceReport:
     min_offdiag: float | None
     max_offdiag: float | None
     max_delta: float
+
+
+# Entries at most this large in magnitude cannot overflow when two are added.
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
 def symmetrize(entries: np.ndarray, max_skew: float = 1e-8) -> SymMatrix:
@@ -152,8 +187,18 @@ def symmetrize(entries: np.ndarray, max_skew: float = 1e-8) -> SymMatrix:
         raise AsymmetricMatrixError(
             f"asymmetry {skew:.3e} exceeds guard {max_skew:.1e} * {scale:.3e}"
         )
-    np.add(a, a.T, out=work)
-    return SymMatrix(np.divide(work, 2.0, out=work))
+    if scale <= _HALF_MAX:
+        np.add(a, a.T, out=work)
+        return SymMatrix(np.divide(work, 2.0, out=work))
+    # A sum may overflow.  Where it does, halve the two entries first: that
+    # is exact at this size, so the mean is still correctly rounded, and
+    # every finite sum keeps its (a + a') / 2 bits, subnormal ones included.
+    with np.errstate(over="ignore"):
+        np.add(a, a.T, out=work)
+    np.divide(work, 2.0, out=work)
+    over = np.isinf(work)
+    work[over] = a[over] / 2.0 + a.T[over] / 2.0
+    return SymMatrix(work)
 
 
 def delta(J: SymMatrix) -> np.ndarray:
@@ -231,6 +276,51 @@ def inverse_dense(J: SymMatrix) -> SymMatrix:
                                 overwrite_b=True, check_finite=False)
     del lu
     return symmetrize(inv)
+
+
+def _trailing_block_norms(a: np.ndarray) -> np.ndarray:
+    """inf_norm(a[k:, k:]) for every k, from row-suffix sums in O(n^2)."""
+    suffix = np.cumsum(np.abs(a)[:, ::-1], axis=1)[:, ::-1]
+    return np.maximum.accumulate(suffix[::-1], axis=0)[::-1].diagonal()
+
+
+# Rows per elimination panel: the pivots of a panel update only its own
+# columns one by one, and the block to its left once, by one matrix product.
+_PANEL = 32
+
+
+def _eliminate(J: SymMatrix) -> tuple[np.ndarray, float]:
+    """The bottom-up elimination of :func:`sddkit.bounds.block_det_ratio`.
+
+    It runs in panels of ``_PANEL`` rows from the bottom.  Within a panel
+    each pivot updates only the panel's columns; the block to the panel's
+    left then takes the panel's whole Schur update, C D^{-1} C', as one
+    matrix product.  For n <= ``_PANEL`` there is one panel and the steps
+    are the plain rank-one updates.
+    """
+    a = J.entries
+    n = J.n
+    floors = (n - np.arange(n)) * np.finfo(float).eps * np.maximum(
+        _trailing_block_norms(a), np.finfo(float).tiny)
+    w = a.copy()
+    for e in range(n, 0, -_PANEL):
+        s = max(e - _PANEL, 0)
+        for k in range(e - 1, max(s, 1) - 1, -1):
+            pivot = w[k, k]
+            if abs(pivot) <= floors[k]:
+                raise SingularBlockError(
+                    f"trailing block starting at row {k + 1} is singular "
+                    f"(pivot {abs(pivot):.3e})",
+                    block_index=k + 1,
+                )
+            col = w[:k, k]
+            w[:k, s:k] -= np.outer(col / pivot, col[s:k])
+        if s:
+            C = w[:s, s:e]
+            w[:s, :s] -= (C / w.diagonal()[s:e]) @ C.T
+    factors = w.diagonal()[:-1] / a.diagonal()[:-1]
+    factors.setflags(write=False)
+    return factors, float(np.prod(factors))
 
 
 def eigen_sym(M: SymMatrix) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared fixtures: reference matrices, small graphs, and test-side oracles."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -8,7 +9,9 @@ import scipy.linalg
 
 from sddkit import (BipartiteComponent, DomainError, LoopGraph, MatrixError,
                     RetinaProblem, RetinaSolution, SingularBlockError,
-                    SingularMatrixError, SymMatrix, eigen_sym, inverse_dense)
+                    SingularMatrixError, SymMatrix, analyze_bipartition,
+                    eigen_sym, incidence, inverse_dense)
+from sddkit.graphlimit import _require_compatible
 from sddkit.retina import DEFAULT_DOMAIN_FLOOR, _finish
 
 # Two balanced 4x4 matrices; H differs from J in the (1,2) entry (rebalanced).
@@ -221,6 +224,68 @@ def limit_test_graph(n: int, seed: int) -> LoopGraph:
         if kind == "loop_path":
             edges.append((v[0], v[0]))
     return LoopGraph(n, edges)
+
+
+@dataclass(frozen=True)
+class BlockConstants:
+    """The r x r per-block magnitudes of the limit matrix.
+
+    ``zero_limit`` marks r == 0 (every component non-bipartite, N = 0);
+    ``values`` is then an empty 0 x 0 array.
+    """
+
+    values: np.ndarray
+    zero_limit: bool
+
+
+def limit_block_constants(S, B) -> BlockConstants:
+    """Per-block magnitudes c_ij of the limit matrix over bipartite components
+    (test-side oracle restating ``limit_closed_form`` block by block).
+
+    c_ii = ell/(alpha(alpha+ell*gamma)(p_i+q_i)) (alpha/ell + gamma
+           - (p_i-q_i)^2/(p_i+q_i)) and, for j != i,
+    c_ij = -ell/(alpha(alpha+ell*gamma)) ((p_i-q_i)/(p_i+q_i))
+           ((p_j-q_j)/(p_j+q_j)).
+    """
+    _require_compatible(S, B)
+    bip = B.bipartite_components
+    r = len(bip)
+    if r == 0:
+        return BlockConstants(values=np.zeros((0, 0)), zero_limit=True)
+    alpha, ell, gamma = S.alpha, S.ell, B.gamma
+    imb = np.array([(c.p - c.q) / (c.p + c.q) for c in bip])
+    sizes = np.array([c.p + c.q for c in bip], dtype=float)
+    coeff = ell / (alpha * (alpha + ell * gamma))
+    values = -coeff * np.outer(imb, imb)
+    for i, c in enumerate(bip):
+        values[i, i] = (coeff / sizes[i]) * (
+            alpha / ell + gamma - (c.p - c.q) ** 2 / sizes[i]
+        )
+    return BlockConstants(values=values, zero_limit=False)
+
+
+def incidence_rank(G: LoopGraph) -> int:
+    """Numeric rank of the incidence matrix, computed per component
+    (test-side oracle for n minus the number of bipartite components).
+
+    Uses singular values with cutoff 1e-8 times the largest one.
+    """
+    summary = analyze_bipartition(G)
+    total = 0
+    for comp in summary.components:
+        verts = comp.vertices
+        vset = set(verts)
+        local = {v: i + 1 for i, v in enumerate(sorted(verts))}
+        sub_edges = [
+            (local[i], local[j]) for (i, j) in G.edges if i in vset and j in vset
+        ]
+        sub = LoopGraph(len(verts), sub_edges)
+        L = incidence(sub)
+        if L.shape[1] == 0:
+            continue
+        sv = np.linalg.svd(L, compute_uv=False)
+        total += int((sv > 1e-8 * sv[0]).sum())
+    return total
 
 
 class SingularUpdateError(MatrixError):

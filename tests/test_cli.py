@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import (J4_BALANCED, format_matrix_by_entries, jt_matrix,
                      limit_test_graph)
 from sddkit import (SForm, analyze_bipartition, limit_closed_form,
                     limit_numeric, limit_u_route, save_graph, save_matrix,
                     SymMatrix)
-from sddkit import bounds
+from sddkit import matcore
 from sddkit.cli import _print_matrix, main
 
 
@@ -32,6 +33,18 @@ class TestInspect:
         assert "ell_hat=1" in out
         assert "m_hat=7" in out
         assert "inv_inf_norm=" in out
+
+    def test_one_factorization_per_file(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "dominant.txt"
+        save_matrix(SymMatrix(np.array([[5.0, 1, 2], [1, 4, 1], [2, 1, 6]])), path)
+        calls = []
+        lu_factor = scipy.linalg.lu_factor
+        monkeypatch.setattr(scipy.linalg, "lu_factor",
+                            lambda a, **kw: calls.append(a.shape) or lu_factor(a, **kw))
+        assert main(["inspect", "--matrix", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "strictly dominant" in out and "varah: lhs=" in out
+        assert calls == [(3, 3)]
 
     def test_singular_matrix_exits_one(self, tmp_path, capsys):
         path = tmp_path / "sing.txt"
@@ -134,11 +147,21 @@ class TestDetbounds:
 
     def test_one_elimination_per_file(self, j4_file, capsys, monkeypatch):
         calls = []
-        kernel = bounds._eliminate
-        monkeypatch.setattr(bounds, "_eliminate",
+        kernel = matcore._eliminate
+        monkeypatch.setattr(matcore, "_eliminate",
                             lambda J: calls.append(J.n) or kernel(J))
         assert main(["detbounds", "--matrix", j4_file]) == 0
         assert "adjugate:" in capsys.readouterr().out
+        assert calls == [4]
+
+    def test_one_classification_per_file(self, j4_file, capsys, monkeypatch):
+        # classify finds its margins through matcore.delta, whichever module
+        # holds a binding to classify itself.
+        calls = []
+        delta = matcore.delta
+        monkeypatch.setattr(matcore, "delta", lambda J: calls.append(J.n) or delta(J))
+        assert main(["detbounds", "--matrix", j4_file]) == 0
+        assert "det_upper:" in capsys.readouterr().out
         assert calls == [4]
 
 

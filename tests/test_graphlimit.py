@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import (basis_matrix_by_columns, bits, chain_cycle, limit_test_graph,
-                     star)
+from helpers import (basis_matrix_by_columns, bits, chain_cycle, incidence_rank,
+                     limit_block_constants, limit_test_graph, star)
 from sddkit import (
     BipartiteComponent,
     GraphFormatError,
@@ -12,9 +12,7 @@ from sddkit import (
     SForm,
     analyze_bipartition,
     incidence,
-    incidence_rank,
     inf_norm,
-    limit_block_constants,
     limit_closed_form,
     limit_inf_norm,
     limit_numeric,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sddkit import (
     EigenConvergenceError,
     MatrixError,
     MatrixFormatError,
+    SingularBlockError,
     SingularMatrixError,
     SymMatrix,
     classify,
@@ -59,6 +61,51 @@ class TestSymMatrix:
         a[0, 1] = 1e-12
         M = symmetrize(a)
         assert M.entries[0, 1] == M.entries[1, 0]
+
+    def test_symmetrize_near_the_largest_float(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            M = symmetrize(np.full((2, 2), 1e308))
+        np.testing.assert_array_equal(M.entries, np.full((2, 2), 1e308))
+
+    def test_symmetrize_halves_first_only_where_the_sum_overflows(self):
+        tiny = 5e-324
+        a = np.array([[1.7e308, 1.0e308, tiny],
+                      [1.0e308 * (1 + 4e-16), 1.7e308, 3.0],
+                      [2 * tiny, 3.0, tiny]])
+        M = symmetrize(a, max_skew=np.inf).entries
+        with np.errstate(over="ignore"):
+            total = a + a.T
+        finite = np.isfinite(total)
+        assert not finite.all() and finite.any()
+        np.testing.assert_array_equal(bits(M[finite]), bits(total[finite] / 2.0))
+        np.testing.assert_array_equal(bits(M[~finite]),
+                                      bits(a[~finite] / 2.0 + a.T[~finite] / 2.0))
+
+
+class TestAnalysis:
+    def test_dominance_is_the_default_classify_report(self):
+        J = random_balanced(trial_rng(191), 7)
+        rep, ref = J.dominance, classify(J)
+        assert J.dominance is rep
+        np.testing.assert_array_equal(bits(rep.deltas), bits(ref.deltas))
+        assert (rep.is_dominant, rep.is_balanced, rep.is_strictly_dominant,
+                rep.min_offdiag, rep.max_offdiag, rep.max_delta) == (
+            ref.is_dominant, ref.is_balanced, ref.is_strictly_dominant,
+            ref.min_offdiag, ref.max_offdiag, ref.max_delta)
+
+    def test_inv_inf_norm_is_the_norm_of_the_inverse(self):
+        J = random_dominant(trial_rng(193), 9)
+        assert J.inv_inf_norm == inf_norm(inverse_dense(J))
+
+    def test_a_failed_part_is_not_stored(self):
+        J = SymMatrix(np.ones((3, 3)))
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError):
+                J.inv_inf_norm
+            with pytest.raises(SingularBlockError):
+                J.elimination
+        assert "inv_inf_norm" not in vars(J) and "elimination" not in vars(J)
 
 
 class TestDelta:
