@@ -109,8 +109,9 @@ def _gate(name: str, J: SymMatrix, ell, m, need: str = "dominant", **context):
     """Check the hypotheses the interval-type bounds share.
 
     In order: n >= 3, [ell, m] brackets the off-diagonal entries (a missing
-    end defaults to the observed extreme), and J is diagonally ``need``
-    ("dominant" or "balanced").  Returns (rep, ell, m, bad) where ``bad`` is
+    end defaults to the observed extreme), J is diagonally ``need``
+    ("dominant" or "balanced"), and every J_ii > 0 (dominance is measured
+    with |J_ii|).  Returns (rep, ell, m, bad) where ``bad`` is
     the inapplicable report for the first failed hypothesis, else None;
     ``context`` goes into that report after ``n``.
     """
@@ -128,6 +129,9 @@ def _gate(name: str, J: SymMatrix, ell, m, need: str = "dominant", **context):
             n=n, **context, ell=float(ell), m=float(m))
     if not (rep.is_balanced if need == "balanced" else rep.is_dominant):
         return rep, ell, m, _inapplicable(name, f"J not diagonally {need}",
+                                          n=n, **context)
+    if not (J.entries.diagonal() > 0).all():
+        return rep, ell, m, _inapplicable(name, "needs a positive diagonal",
                                           n=n, **context)
     return rep, float(ell), float(m), None
 
@@ -352,8 +356,19 @@ def adjugate_bound(J: SymMatrix, ell: float | None = None,
 
 
 def hadamard_sanity(J: SymMatrix) -> BoundReport:
-    """det ratio <= 1 for any positive semidefinite J (classical)."""
-    _, ratio = J.elimination
+    """det ratio <= 1 for any positive semidefinite J (classical).
+
+    Inapplicable unless every J_ii > 0 and J is PSD, which holds exactly
+    when every elimination pivot (factor times J_ii) is >= 0: J is congruent
+    to its pivots.  The zero pivot of a singular PSD J may round either way,
+    so a pivot within n * eps * inf_norm(J) of zero counts as zero.
+    """
+    diag = J.entries.diagonal()
+    if not (diag > 0).all():
+        return _inapplicable("hadamard", "needs a positive diagonal", n=J.n)
+    factors, ratio = J.elimination
+    if (factors * diag[:-1] < -J.n * np.finfo(float).eps * inf_norm(J)).any():
+        return _inapplicable("hadamard", "J not positive semidefinite", n=J.n)
     return _report("hadamard", ratio, 1.0, n=J.n)
 
 

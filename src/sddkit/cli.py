@@ -76,16 +76,11 @@ def _parse_sform(text: str) -> SForm:
     return SForm(int(parts[0]), float(parts[1]), float(parts[2]))
 
 
-def _parse_pair(text: str, name: str) -> tuple[float, float]:
+def _split_pair(text: str, name: str) -> list[str]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected '{name}' as 'a,b', got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _parse_int_pair(text: str, name: str) -> tuple[int, int]:
-    a, b = _parse_pair(text, name)
-    return int(a), int(b)
+    return parts
 
 
 def _params_str(params: dict) -> str:
@@ -187,7 +182,7 @@ def cmd_detbounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    n_range = _parse_int_pair(args.n_range, "--n-range")
+    n_range = tuple(map(int, _split_pair(args.n_range, "--n-range")))
     records = bnd.verify_suite(args.suite, n_range, args.trials, args.seed)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
@@ -216,7 +211,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mle(args) -> int:
-    theta_range = _parse_pair(args.theta_range, "--theta-range")
+    theta_range = tuple(map(float, _split_pair(args.theta_range, "--theta-range")))
     trials, summary = ret.consistency_experiment(
         args.n, args.k, args.trials, theta_range, args.seed)
     if args.csv:

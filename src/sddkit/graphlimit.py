@@ -184,8 +184,6 @@ def _neighbors(G: LoopGraph):
         else:
             adj[i].append(j)
             adj[j].append(i)
-    for v in adj:
-        adj[v].sort()
     return adj, loops
 
 

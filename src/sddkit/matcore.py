@@ -126,13 +126,9 @@ class SymMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def identity(cls, n: int) -> "SymMatrix":
-        return cls(np.eye(n))
-
     @cached_property
     def dominance(self) -> "DominanceReport":
-        """The default-tolerance :func:`classify` report."""
+        """The :func:`classify` report."""
         return classify(self)
 
     @cached_property
@@ -168,12 +164,12 @@ class DominanceReport:
 _HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
-def symmetrize(entries: np.ndarray, max_skew: float = 1e-8) -> SymMatrix:
+def symmetrize(entries: np.ndarray) -> SymMatrix:
     """Average a nearly-symmetric array with its transpose.
 
     Restores the exact-symmetry invariant after floating-point arithmetic.
     Raises :class:`AsymmetricMatrixError` if the largest skew exceeds
-    ``max_skew * max(1, |entries|_max)``: asymmetry that large signals a
+    ``1e-8 * max(1, |entries|_max)``: asymmetry that large signals a
     genuinely asymmetric input, not roundoff.
     """
     a = np.asarray(entries, dtype=float)
@@ -183,10 +179,9 @@ def symmetrize(entries: np.ndarray, max_skew: float = 1e-8) -> SymMatrix:
     work = np.subtract(a, a.T)
     skew = float(np.abs(work, out=work).max())
     scale = max(1.0, float(np.abs(a, out=work).max()))
-    if skew > max_skew * scale:
+    if skew > 1e-8 * scale:
         raise AsymmetricMatrixError(
-            f"asymmetry {skew:.3e} exceeds guard {max_skew:.1e} * {scale:.3e}"
-        )
+            f"asymmetry {skew:.3e} exceeds guard 1.0e-08 * {scale:.3e}")
     if scale <= _HALF_MAX:
         np.add(a, a.T, out=work)
         return SymMatrix(np.divide(work, 2.0, out=work))
@@ -207,22 +202,15 @@ def delta(J: SymMatrix) -> np.ndarray:
     return 2.0 * a.diagonal() - a.sum(axis=1)
 
 
-def default_dominance_tol(J: SymMatrix) -> float:
-    # Floating balanced matrices rarely have exact zero margins.
-    return 1e-12 * inf_norm(J)
-
-
-def classify(J: SymMatrix, tol: float | None = None) -> DominanceReport:
-    """Classify dominance with an explicit tolerance on the margins.
+def classify(J: SymMatrix) -> DominanceReport:
+    """Classify dominance within tol = 1e-12 * inf_norm(J) on the margins
+    (floating balanced matrices rarely have exact zero margins).
 
     dominant iff delta_i >= -tol for all i; balanced iff |delta_i| <= tol for
-    all i; strictly dominant iff delta_i > tol for all i.  ``tol`` defaults to
-    ``1e-12 * inf_norm(J)``.
+    all i; strictly dominant iff delta_i > tol for all i.  Margins use |J_ii|,
+    so a negative diagonal can pass; bounds that need J_ii > 0 check it.
     """
-    if tol is None:
-        tol = default_dominance_tol(J)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    tol = 1e-12 * inf_norm(J)
     d = delta(J)
     a = J.entries
     n = J.n
@@ -396,8 +384,7 @@ def load_matrix(path) -> SymMatrix:
         )
     if skew == 0.0:
         return SymMatrix(a)
-    # Halve before adding, so entries near the largest float cannot overflow.
-    return SymMatrix(a / 2.0 + a.T / 2.0)
+    return symmetrize(a)
 
 
 def save_matrix(M: SymMatrix, path) -> None:

@@ -35,10 +35,9 @@ def _symmetric_off(rng, n: int, lo: float, hi: float) -> np.ndarray:
 
 
 def _with_diagonal(off: np.ndarray, margins: np.ndarray) -> SymMatrix:
-    a = off.copy()
-    np.fill_diagonal(a, 0.0)
-    np.fill_diagonal(a, a.sum(axis=1) + margins)
-    return SymMatrix(a)
+    """Row sums plus ``margins`` on the zero diagonal of a fresh ``off``."""
+    np.fill_diagonal(off, off.sum(axis=1) + margins)
+    return SymMatrix(off)
 
 
 def random_balanced(rng, n: int, lo: float = 1.0, hi: float = 3.0) -> SymMatrix:
@@ -54,26 +53,25 @@ def random_dominant(rng, n: int, lo: float = 1.0, hi: float = 3.0,
     return _with_diagonal(off, rng.uniform(0.0, margin_hi, size=n))
 
 
-def random_strictly_dominant(rng, n: int, lo: float = 1.0, hi: float = 3.0,
-                             margin_lo: float = 0.05,
-                             margin_hi: float = 2.0) -> SymMatrix:
-    """Positive SDD matrix with margins bounded away from zero."""
-    off = _symmetric_off(rng, n, lo, hi)
-    return _with_diagonal(off, rng.uniform(margin_lo, margin_hi, size=n))
+def random_strictly_dominant(rng, n: int) -> SymMatrix:
+    """Positive SDD matrix with off-diagonals uniform in [1, 3] and margins
+    uniform in [0.05, 2], so bounded away from zero."""
+    off = _symmetric_off(rng, n, 1.0, 3.0)
+    return _with_diagonal(off, rng.uniform(0.05, 2.0, size=n))
 
 
 def random_geq_sform(rng, S: SForm, bump_hi: float = 2.0,
-                     margin_hi: float = 2.0, nonzero: bool = False) -> SymMatrix:
+                     nonzero: bool = False) -> SymMatrix:
     """SDD matrix entrywise >= the dense realization of S.
 
     Adds a nonnegative SDD increment (off-diagonal bumps in [0, bump_hi],
-    extra margins in [0, margin_hi]); with ``nonzero`` the increment is
-    guaranteed to be nonzero so the result differs from S.
+    extra margins in [0, 2]); with ``nonzero`` the increment is guaranteed
+    to be nonzero so the result differs from S.
     """
     n = S.n
     while True:
         bump = _symmetric_off(rng, n, 0.0, bump_hi)
-        margins = rng.uniform(0.0, margin_hi, size=n)
+        margins = rng.uniform(0.0, 2.0, size=n)
         inc = _with_diagonal(bump, margins).entries
         if not nonzero or inc.max() > 0:
             break

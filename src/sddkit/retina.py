@@ -16,6 +16,9 @@ iteration safe and gives a Lipschitz constant for the inverse map:
 with ell a lower bound on 1/(theta_i + theta_j)^2 over the relevant domain.
 The solver reports that constant evaluated at the converged iterate; that is
 a local, heuristic certificate, not a rigorous domain-wide one.
+
+The solver keeps every theta_i + theta_j at or above ``DOMAIN_FLOOR``; f_map,
+jacobian and residual raise DomainError for a pair sum within it of zero.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ __all__ = [
     "consistency_experiment",
 ]
 
-DEFAULT_DOMAIN_FLOOR = 1e-10
+DOMAIN_FLOOR = 1e-10
 
 
 class DomainError(ValueError):
@@ -94,49 +97,45 @@ def _pair_sums(x: np.ndarray, floor: float, out: np.ndarray | None = None) -> np
     return z
 
 
-def f_map(x: np.ndarray, domain_floor: float = DEFAULT_DOMAIN_FLOOR) -> np.ndarray:
+def f_map(x: np.ndarray) -> np.ndarray:
     """F_i(x) = -sum_{j != i} 1/(x_i + x_j).
 
     With x = -theta and all theta_i + theta_j > 0 this returns the expected
     degree sequence: d = F(-theta) means d_i = sum_{j != i} 1/(theta_i + theta_j).
     """
-    z = _pair_sums(np.asarray(x, dtype=float), domain_floor)
+    z = _pair_sums(np.asarray(x, dtype=float), DOMAIN_FLOOR)
     return -np.divide(1.0, z, out=z).sum(axis=1)
 
 
-def _jacobian_entries(x: np.ndarray, floor: float,
-                      out: np.ndarray | None = None) -> np.ndarray:
+def _jacobian_entries(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Entries of the Jacobian of f_map at x, written into ``out`` when given:
     pair sums, squared, reciprocal, then the row sums on the diagonal."""
-    w = _pair_sums(x, floor, out)
+    w = _pair_sums(x, DOMAIN_FLOOR, out)
     np.multiply(w, w, out=w)
     np.divide(1.0, w, out=w)
     np.fill_diagonal(w, w.sum(axis=1))
     return w
 
 
-def jacobian(x: np.ndarray, domain_floor: float = DEFAULT_DOMAIN_FLOOR) -> SymMatrix:
+def jacobian(x: np.ndarray) -> SymMatrix:
     """Jacobian of f_map at x: off-diagonal 1/(x_i+x_j)^2, diagonal row sums.
 
     Diagonally balanced by construction, and positive definite whenever all
     pairwise sums are nonzero and n >= 3.
     """
-    return SymMatrix(_jacobian_entries(np.asarray(x, dtype=float), domain_floor))
+    return SymMatrix(_jacobian_entries(np.asarray(x, dtype=float)))
 
 
-def residual(theta: np.ndarray, d: np.ndarray,
-             domain_floor: float = DEFAULT_DOMAIN_FLOOR) -> np.ndarray:
+def residual(theta: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Moment-matching residual F(-theta) - d."""
-    return f_map(-np.asarray(theta, dtype=float), domain_floor) - np.asarray(d, dtype=float)
+    return f_map(-np.asarray(theta, dtype=float)) - np.asarray(d, dtype=float)
 
 
 @dataclass(frozen=True)
 class RetinaProblem:
-    """A degree-sequence instance: finite targets d > 0 and the domain floor
-    enforced on every pairwise sum theta_i + theta_j during solving."""
+    """A degree-sequence instance: at least three finite targets d > 0."""
 
     d: np.ndarray
-    domain_floor: float = DEFAULT_DOMAIN_FLOOR
 
     def __post_init__(self):
         d = np.array(self.d, dtype=float)
@@ -147,8 +146,6 @@ class RetinaProblem:
             raise ValueError(f"target degree d[{i}] = {d[i]} is not finite")
         if not (d > 0).all():
             raise ValueError("all target degrees must be positive")
-        if not self.domain_floor > 0:
-            raise ValueError("domain_floor must be positive")
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
 
@@ -222,16 +219,15 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10,
     """
     d = prob.d
     n = prob.n
-    floor = prob.domain_floor
     # uniform closed form; clamped so the start respects the domain floor
-    theta = np.full(n, max((n - 1) / (2.0 * float(d.mean())), floor))
-    r = residual(theta, d, floor)
+    theta = np.full(n, max((n - 1) / (2.0 * float(d.mean())), DOMAIN_FLOOR))
+    r = residual(theta, d)
     r_inf = float(np.abs(r).max())
     w = np.empty((n, n))
     for it in range(1, max_iter + 1):
         if r_inf <= tol:
             return _finish(theta, r_inf, it - 1, True, n)
-        _jacobian_entries(-theta, floor, out=w)
+        _jacobian_entries(-theta, out=w)
         try:
             cho = scipy.linalg.cho_factor(w.T, overwrite_a=True, check_finite=False)
         except scipy.linalg.LinAlgError:
@@ -241,8 +237,8 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10,
         step_inf = float(np.abs(step).max())
         while True:
             cand = theta + lam * step
-            if _low_pair_sum(cand) >= floor:  # the smallest pair sum
-                r_new = residual(cand, d, floor)
+            if _low_pair_sum(cand) >= DOMAIN_FLOOR:  # the smallest pair sum
+                r_new = residual(cand, d)
                 r_new_inf = float(np.abs(r_new).max())
                 if r_new_inf < r_inf:
                     theta, r, r_inf = cand, r_new, r_new_inf
@@ -342,13 +338,15 @@ def consistency_experiment(n: int, k: float, trials: int,
     but excluded from the within-bound fraction.  Everything is a pure
     function of (seed, trial index).
     """
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if k <= 1:
         raise ValueError("k must be > 1")
     lo, hi = theta_range
-    if not (0 < lo <= hi):
-        raise ValueError(f"need 0 < lo <= hi, got {theta_range}")
+    if not (0 < lo <= hi < math.inf):
+        raise ValueError(f"need 0 < lo <= hi < inf, got {theta_range}")
     bound = consistency_bound(n, k, lo, hi)
     results = []
     for t in range(trials):

@@ -7,6 +7,7 @@ have closed forms, so downstream checks can bypass numeric factorization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,9 @@ __all__ = [
 class SForm:
     """Parameters (n, alpha, ell) of the matrix alpha*I_n + ell*ones.
 
-    Requires n >= 3 and alpha, ell > 0; every result built on this family
-    assumes that much, so smaller or degenerate inputs are rejected rather
-    than special-cased.  The family is diagonally dominant exactly when
+    Requires n >= 3 and finite alpha, ell > 0; every result built on this
+    family assumes that much, so smaller or degenerate inputs are rejected
+    rather than special-cased.  The family is diagonally dominant exactly when
     alpha >= (n-2)*ell, with per-row margin alpha - (n-2)*ell.
     """
 
@@ -39,10 +40,10 @@ class SForm:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 3:
             raise ValueError(f"n must be an integer >= 3, got {self.n}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.ell > 0:
-            raise ValueError(f"ell must be > 0, got {self.ell}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 0 < self.ell < math.inf:
+            raise ValueError(f"ell must be finite and > 0, got {self.ell}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "ell", float(self.ell))

@@ -12,7 +12,7 @@ from sddkit import (BipartiteComponent, DomainError, LoopGraph, MatrixError,
                     SingularMatrixError, SymMatrix, analyze_bipartition,
                     eigen_sym, incidence, inverse_dense)
 from sddkit.graphlimit import _require_compatible
-from sddkit.retina import DEFAULT_DOMAIN_FLOOR, _finish
+from sddkit.retina import DOMAIN_FLOOR, _finish
 
 # Two balanced 4x4 matrices; H differs from J in the (1,2) entry (rebalanced).
 J4_BALANCED = SymMatrix(np.array([
@@ -341,21 +341,20 @@ def pair_sums_by_scan(x: np.ndarray, floor: float) -> np.ndarray:
     return z
 
 
-def f_map_by_scan(x: np.ndarray, domain_floor: float = DEFAULT_DOMAIN_FLOOR) -> np.ndarray:
-    z = pair_sums_by_scan(np.asarray(x, dtype=float), domain_floor)
+def f_map_by_scan(x: np.ndarray) -> np.ndarray:
+    z = pair_sums_by_scan(np.asarray(x, dtype=float), DOMAIN_FLOOR)
     return -(1.0 / z).sum(axis=1)
 
 
-def jacobian_by_scan(x: np.ndarray, domain_floor: float = DEFAULT_DOMAIN_FLOOR) -> SymMatrix:
-    z = pair_sums_by_scan(np.asarray(x, dtype=float), domain_floor)
+def jacobian_by_scan(x: np.ndarray) -> SymMatrix:
+    z = pair_sums_by_scan(np.asarray(x, dtype=float), DOMAIN_FLOOR)
     w = 1.0 / (z * z)
     np.fill_diagonal(w, w.sum(axis=1))
     return SymMatrix(w)
 
 
-def residual_by_scan(theta: np.ndarray, d: np.ndarray,
-                     domain_floor: float = DEFAULT_DOMAIN_FLOOR) -> np.ndarray:
-    return f_map_by_scan(-np.asarray(theta, dtype=float), domain_floor) - np.asarray(d, dtype=float)
+def residual_by_scan(theta: np.ndarray, d: np.ndarray) -> np.ndarray:
+    return f_map_by_scan(-np.asarray(theta, dtype=float)) - np.asarray(d, dtype=float)
 
 
 def solve_retina_by_scan(prob: RetinaProblem, tol: float = 1e-10,
@@ -364,14 +363,13 @@ def solve_retina_by_scan(prob: RetinaProblem, tol: float = 1e-10,
     Jacobian per step, factored from a copy."""
     d = prob.d
     n = prob.n
-    floor = prob.domain_floor
-    theta = np.full(n, max((n - 1) / (2.0 * float(d.mean())), floor))
-    r = residual_by_scan(theta, d, floor)
+    theta = np.full(n, max((n - 1) / (2.0 * float(d.mean())), DOMAIN_FLOOR))
+    r = residual_by_scan(theta, d)
     r_inf = float(np.abs(r).max())
     for it in range(1, max_iter + 1):
         if r_inf <= tol:
             return _finish(theta, r_inf, it - 1, True, n)
-        w = jacobian_by_scan(-theta, floor)
+        w = jacobian_by_scan(-theta)
         try:
             cho = scipy.linalg.cho_factor(w.entries, check_finite=False)
         except scipy.linalg.LinAlgError:
@@ -382,8 +380,8 @@ def solve_retina_by_scan(prob: RetinaProblem, tol: float = 1e-10,
         while True:
             cand = theta + lam * step
             low = np.partition(cand, 1)[:2]
-            if low[0] + low[1] >= floor:
-                r_new = residual_by_scan(cand, d, floor)
+            if low[0] + low[1] >= DOMAIN_FLOOR:
+                r_new = residual_by_scan(cand, d)
                 r_new_inf = float(np.abs(r_new).max())
                 if r_new_inf < r_inf:
                     theta, r, r_inf = cand, r_new, r_new_inf

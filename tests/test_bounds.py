@@ -194,7 +194,7 @@ class TestEigIntervals:
 
 
 # The six interval-type certificates share one precondition gate: n >= 3,
-# [ell, m] brackets the off-diagonals, J dominant (or balanced).
+# [ell, m] brackets the off-diagonals, J dominant (or balanced), J_ii > 0.
 GATED = [
     ("spectral", spectral_route_bound, "dominant"),
     ("cond", condition_bound, "dominant"),
@@ -206,7 +206,7 @@ GATED = [
 
 
 @pytest.mark.parametrize("name, bound, need", GATED, ids=[g[0] for g in GATED])
-@pytest.mark.parametrize("case", ["n2", "ell_above_min", "hypothesis"])
+@pytest.mark.parametrize("case", ["n2", "ell_above_min", "hypothesis", "negative_diagonal"])
 def test_gate_reports_first_failed_precondition(name, bound, need, case):
     if case == "n2":
         r = bound(SymMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
@@ -216,6 +216,11 @@ def test_gate_reports_first_failed_precondition(name, bound, need, case):
         r = bound(J4_BALANCED, ell=2.0)
         reason = "[ell, m] does not bracket the off-diagonals"
         context = {"n": 4, "ell": 2.0, "m": 7.0}
+    elif case == "negative_diagonal":
+        # dominant, or balanced, in |J_ii|: diagonal -4 or -3, off-diagonals 1
+        r = bound(SymMatrix((-5.0 if need == "dominant" else -4.0) * np.eye(4)
+                            + np.ones((4, 4))))
+        reason, context = "needs a positive diagonal", {"n": 4}
     elif need == "dominant":
         r = bound(SymMatrix(np.array([[1.0, 1, 1], [1, 3, 1], [1, 1, 3]])))
         reason, context = "J not diagonally dominant", {"n": 3}
@@ -393,7 +398,7 @@ class TestPanelElimination:
         calls = []
         classify = matcore.classify
         monkeypatch.setattr(matcore, "classify",
-                            lambda J, tol=None: calls.append(J.n) or classify(J, tol))
+                            lambda J: calls.append(J.n) or classify(J))
         records = verify_suite("eig", (6, 6), trials=4, seed=11)
         assert len(records) == 4 * 5
         assert calls == [6] * 4
@@ -468,6 +473,45 @@ class TestDetUpperBound:
         rng = trial_rng(139)
         J = random_dominant(rng, 5, margin_hi=3.0)
         assert not det_upper_bound_balanced(J).applicable
+
+
+class TestHadamard:
+    def test_indefinite_is_inapplicable(self):
+        # eigenvalues -1.69, -1, 7.69; the det ratio 3.25 exceeds 1
+        J = SymMatrix(np.array([[2.0, 3, 3], [3, 2, 3], [3, 3, 1]]))
+        assert J.elimination[1] == pytest.approx(3.25)
+        r = hadamard_sanity(J)
+        assert not r.applicable
+        assert r.context == {"n": 3, "reason": "J not positive semidefinite"}
+
+    def test_non_positive_diagonal_is_inapplicable(self):
+        r = hadamard_sanity(SymMatrix(-5.0 * np.eye(4) + np.ones((4, 4))))
+        assert r.context == {"n": 4, "reason": "needs a positive diagonal"}
+
+    def test_singular_psd_holds(self):
+        # path Laplacian: PSD with a zero row-1 pivot
+        r = hadamard_sanity(SymMatrix(np.array([[1.0, -1, 0], [-1, 2, -1], [0, -1, 1]])))
+        assert r.applicable and r.holds and r.lhs == 0.0
+        # a weighted Laplacian whose zero row-1 pivot rounds below zero
+        w = np.triu(trial_rng(211, 4).uniform(0.5, 2.0, size=(6, 6)), 1)
+        J = SymMatrix(np.diag((w + w.T).sum(axis=1)) - (w + w.T))
+        assert J.elimination[0][0] < 0
+        assert hadamard_sanity(J).holds
+
+    def test_applicable_exactly_when_positive_definite(self):
+        rng = trial_rng(199)
+        seen = set()
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            b = rng.normal(size=(n, n))
+            a = b + b.T
+            np.fill_diagonal(a, np.abs(a.diagonal()) + rng.uniform(0.0, 4.0))
+            r = hadamard_sanity(SymMatrix(a))
+            positive_definite = bool(np.linalg.eigvalsh(a)[0] > 0)
+            assert r.applicable == positive_definite
+            assert r.holds == positive_definite
+            seen.add(positive_definite)
+        assert seen == {True, False}
 
 
 class TestAdjugateBound:

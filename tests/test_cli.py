@@ -145,6 +145,14 @@ class TestDetbounds:
         assert "hadamard:" in out
         assert "VIOLATED" not in out
 
+    def test_indefinite_matrix_skips_hadamard(self, tmp_path, capsys):
+        path = tmp_path / "indefinite.txt"
+        path.write_text("3\n2 3 3\n3 2 3\n3 3 1\n")
+        assert main(["detbounds", "--matrix", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "hadamard: inapplicable (J not positive semidefinite)\n" in out
+        assert "VIOLATED" not in out
+
     def test_one_elimination_per_file(self, j4_file, capsys, monkeypatch):
         calls = []
         kernel = matcore._eliminate
@@ -254,6 +262,24 @@ class TestFailureCorpus:
 
     def test_bad_sform_argument(self, cycle4_file):
         assert main(["limit", "--sform", "4,2", "--graph", cycle4_file]) == 2
+
+    @pytest.mark.parametrize("argv, value", [
+        (["limit", "--sform", "4,inf,1", "--graph", "CYCLE4", "--u-route"], "inf"),
+        (["limit", "--sform", "4,inf,1", "--graph", "CYCLE4"], "inf"),
+        (["limit", "--sform", "4,2,inf", "--graph", "CYCLE4"], "inf"),
+        (["mle", "--n", "10", "--trials", "1", "--theta-range", "0.5,inf"], "inf"),
+        (["mle", "--n", "-3"], "-3"),
+        (["verify", "--suite", "det", "--n-range", "3.7,4"], "3.7"),
+    ], ids=["sform_inf_u_route", "sform_inf_closed_form", "sform_ell_inf",
+            "theta_range_inf", "mle_negative_n", "n_range_not_integer"])
+    def test_excluded_input_rejected(self, argv, value, cycle4_file, capsys):
+        argv = [cycle4_file if a == "CYCLE4" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert value in lines[0]
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -73,7 +73,7 @@ class TestSymMatrix:
         a = np.array([[1.7e308, 1.0e308, tiny],
                       [1.0e308 * (1 + 4e-16), 1.7e308, 3.0],
                       [2 * tiny, 3.0, tiny]])
-        M = symmetrize(a, max_skew=np.inf).entries
+        M = symmetrize(a).entries
         with np.errstate(over="ignore"):
             total = a + a.T
         finite = np.isfinite(total)
@@ -130,11 +130,11 @@ class TestDelta:
 
 class TestClassify:
     def test_balanced_not_strict(self):
-        rep = classify(ones_plus(2, 4), tol=0.0)
+        rep = classify(ones_plus(2, 4))
         assert rep.is_balanced and rep.is_dominant and not rep.is_strictly_dominant
 
     def test_strictly_dominant(self):
-        rep = classify(ones_plus(3, 4), tol=0.0)
+        rep = classify(ones_plus(3, 4))
         assert rep.is_strictly_dominant
         np.testing.assert_array_equal(rep.deltas, np.ones(4))
 
@@ -144,15 +144,11 @@ class TestClassify:
         assert rep.min_offdiag == 1 and rep.max_offdiag == 7
 
     def test_exact_integer_balanced_at_zero_tol(self):
-        assert classify(J4_BALANCED, tol=0.0).is_balanced
+        assert classify(J4_BALANCED).is_balanced
 
     def test_single_entry_has_no_offdiag(self):
         rep = classify(SymMatrix(np.array([[4.0]])))
         assert rep.min_offdiag is None and rep.max_offdiag is None
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            classify(ones_plus(2, 4), tol=-1.0)
 
 
 class TestInverseDense:
@@ -236,7 +232,7 @@ class TestEigenSym:
     def test_matches_lapack(self, seed, n):
         rng = trial_rng(seed)
         a = rng.normal(size=(n, n))
-        M = symmetrize(a + a.T, max_skew=np.inf)
+        M = symmetrize(a + a.T)
         np.testing.assert_allclose(eigen_sym(M), np.linalg.eigvalsh(M.entries),
                                    atol=1e-10 * max(1.0, inf_norm(M)))
 

@@ -17,7 +17,7 @@ from sddkit import (
     solve_retina,
 )
 from sddkit import retina
-from sddkit.retina import DEFAULT_DOMAIN_FLOOR, consistency_bound
+from sddkit.retina import DOMAIN_FLOOR, consistency_bound
 from sddkit.randmat import trial_rng
 
 
@@ -146,8 +146,6 @@ class TestSolve:
             RetinaProblem(np.array([1.0, -1.0, 1.0]))
         with pytest.raises(ValueError):
             RetinaProblem(np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            RetinaProblem(np.ones(4), domain_floor=0.0)
 
 
 class TestSampleDegrees:
@@ -246,7 +244,7 @@ def _assert_same_outcome(new, old):
         np.testing.assert_array_equal(bits(new), bits(old))
 
 
-FLOOR = DEFAULT_DOMAIN_FLOOR
+FLOOR = DOMAIN_FLOOR
 INSIDE = np.nextafter(FLOOR, 0.0) / 2  # two of these sum to just under the floor
 NAN = np.nan
 
