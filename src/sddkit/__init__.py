@@ -49,8 +49,6 @@ from .graphlimit import (
 
 from .bounds import (
     BoundReport,
-    ConjectureLedger,
-    ConjectureRecord,
     SuiteRecord,
     XiResult,
     adjugate_bound,

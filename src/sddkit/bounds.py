@@ -7,6 +7,11 @@ violated precondition yields an inapplicable report, and a vacuous bound
 (no information) is flagged rather than dropped.
 
 Comparisons use tol = 1e-9 * max(1, |rhs|), recorded in the report context.
+
+One seeded-trial engine runs both the verification suites
+(:func:`verify_suite`) and the searches over the paper's two conjectured
+inequalities (:func:`conjecture_search`); each yields a list of
+:class:`SuiteRecord`, one per report.
 """
 
 from __future__ import annotations
@@ -46,8 +51,6 @@ __all__ = [
     "hadamard_sanity",
     "xi_functional",
     "conjecture_search",
-    "ConjectureRecord",
-    "ConjectureLedger",
     "SuiteRecord",
     "verify_suite",
     "SUITES",
@@ -442,112 +445,21 @@ def xi_functional(S: SForm, P: SymMatrix) -> XiResult:
 
 
 # ---------------------------------------------------------------------------
-# Seeded searches over the two conjectured extremal inequalities.
-
-CONJECTURES = ("lower_norm", "det_upper")
-_MODE_TAG = {"lower_norm": 101, "det_upper": 102}
-
-
-@dataclass(frozen=True)
-class ConjectureRecord:
-    trial: int
-    n: int
-    params: dict
-    lhs: float
-    rhs: float
-    slack: float
-    violation: bool
-
-
-@dataclass(frozen=True)
-class ConjectureLedger:
-    """Outcome of a seeded random search; violations are findings, not errors."""
-
-    mode: str
-    trials: int
-    seed: int
-    records: list
-    min_slack: float
-    violations: list
-
-
-def _lower_norm_record(trial: int, J: SymMatrix, alpha: float, m: float) -> ConjectureRecord:
-    # Conjectured: inf_norm(J^{-1}) >= inf_norm(S(alpha, m)^{-1}) whenever
-    # 0 < J <= alpha*I + m*ones entrywise and J is SDD.
-    n = J.n
-    lhs = (alpha + 2.0 * m * (n - 1)) / (alpha * (alpha + m * n))
-    rhs = J.inv_inf_norm
-    slack = rhs - lhs
-    tol = _tol(lhs)
-    return ConjectureRecord(trial=trial, n=n,
-                            params={"alpha": alpha, "m": m},
-                            lhs=lhs, rhs=rhs, slack=slack,
-                            violation=bool(slack < -tol))
-
-
-def _det_upper_record(trial: int, J: SymMatrix) -> ConjectureRecord:
-    # Conjectured: det ratio of a positive balanced J is at most
-    # 2 (1 - 1/(n-1))^{n-1}, the ratio of the balanced reference matrix.
-    n = J.n
-    _, ratio = J.elimination
-    bound = 2.0 * (1.0 - 1.0 / (n - 1)) ** (n - 1)
-    slack = bound - ratio
-    tol = _tol(bound)
-    return ConjectureRecord(trial=trial, n=n, params={},
-                            lhs=ratio, rhs=bound, slack=slack,
-                            violation=bool(slack < -tol))
-
-
-def conjecture_search(mode: str, trials: int, seed: int) -> ConjectureLedger:
-    """Deterministic seeded random search over a conjectured inequality.
-
-    mode "lower_norm": SDD matrices 0 < J <= alpha*I + m*ones, testing
-    whether the family member is the norm minimizer (trial 0 probes the
-    conjectured equality case J = alpha*I + m*ones exactly).
-    mode "det_upper": positive balanced matrices, testing the determinant
-    ratio against the balanced reference value.
-
-    A violated inequality is recorded as a finding in the ledger, never
-    raised.
-    """
-    if mode not in CONJECTURES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {CONJECTURES}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    records = []
-    for t in range(trials):
-        rng = randmat.trial_rng(seed, _MODE_TAG[mode], t)
-        n = int(rng.integers(3, 11))
-        if mode == "lower_norm":
-            m = float(rng.uniform(0.5, 2.0))
-            margin_cap = float(rng.uniform(0.0, 2.0 * m))
-            alpha = (n - 2) * m + margin_cap
-            if t == 0:
-                J = sform_dense(SForm(n, alpha, m))
-            else:
-                J = randmat.random_dominant(rng, n, lo=0.05 * m, hi=m,
-                                            margin_hi=margin_cap)
-            records.append(_lower_norm_record(t, J, alpha, m))
-        else:
-            J = randmat.random_balanced(rng, n, lo=0.2, hi=3.0)
-            records.append(_det_upper_record(t, J))
-    min_slack = min(r.slack for r in records)
-    violations = [r.trial for r in records if r.violation]
-    return ConjectureLedger(mode=mode, trials=trials, seed=seed,
-                            records=records, min_slack=float(min_slack),
-                            violations=violations)
-
-
-# ---------------------------------------------------------------------------
-# Randomized verification suites (one inequality family per suite).
+# Seeded trials: the randomized verification suites, one inequality family
+# each, and the searches over the two conjectured extremal inequalities.
 
 SUITES = ("varah", "main", "lower", "spectral", "cond", "eig", "det",
           "adjugate", "xi")
-_SUITE_TAG = {name: 200 + k for k, name in enumerate(SUITES)}
+CONJECTURES = ("lower_norm", "det_upper")
+_TAG = {"lower_norm": 101, "det_upper": 102,
+        **{name: 200 + k for k, name in enumerate(SUITES)}}
 
 
 @dataclass(frozen=True)
 class SuiteRecord:
+    """One report of one seeded trial; ``suite`` is the suite or the
+    conjecture mode, ``params`` the drawn values the instance was built from."""
+
     suite: str
     trial: int
     n: int
@@ -557,6 +469,24 @@ class SuiteRecord:
 
 def _suite_records(suite: str, trial: int, rng, n: int) -> list[tuple[dict, BoundReport]]:
     """One trial's (params, report) pairs, drawing the instance from ``rng``."""
+    if suite == "lower_norm":
+        # Conjectured: inf_norm(J^{-1}) >= inf_norm(S(alpha, m)^{-1}) whenever
+        # 0 < J <= alpha*I + m*ones entrywise and J is SDD.
+        m = float(rng.uniform(0.5, 2.0))
+        margin_cap = float(rng.uniform(0.0, 2.0 * m))
+        alpha = (n - 2) * m + margin_cap
+        S = SForm(n, alpha, m)
+        J = sform_dense(S) if trial == 0 else randmat.random_dominant(
+            rng, n, lo=0.05 * m, hi=m, margin_hi=margin_cap)
+        return [({"alpha": alpha, "m": m},
+                 _report("lower_norm_conjecture", sform_inf_norm_inverse(S),
+                         J.inv_inf_norm, n=n))]
+    if suite == "det_upper":
+        # Conjectured: det ratio of a positive balanced J is at most
+        # 2 (1 - 1/(n-1))^{n-1}, the ratio of the balanced reference matrix.
+        _, ratio = randmat.random_balanced(rng, n, lo=0.2, hi=3.0).elimination
+        return [({}, _report("det_upper_conjecture", ratio,
+                             2.0 * (1.0 - 1.0 / (n - 1)) ** (n - 1), n=n))]
     if suite == "varah":
         J = randmat.random_strictly_dominant(rng, n)
         return [({}, varah_bound(J))]
@@ -592,7 +522,7 @@ def _suite_records(suite: str, trial: int, rng, n: int) -> list[tuple[dict, Boun
     if suite == "adjugate":
         J = randmat.random_balanced(rng, n)
         return [({}, adjugate_bound(J))]
-    # suite == "xi"; verify_suite rejects unknown suites before any draw
+    # suite == "xi"; the public callers reject unknown names before any draw
     ell = float(rng.uniform(0.5, 2.0))
     alpha = (n - 2) * ell * (1.0 + float(rng.uniform(0.0, 1.0)))
     S = SForm(n, alpha, ell)
@@ -607,25 +537,46 @@ def _suite_records(suite: str, trial: int, rng, n: int) -> list[tuple[dict, Boun
     return [({"alpha": alpha, "ell": ell, "edges": G.num_edges}, report)]
 
 
+def _trials(name: str, lo: int, hi: int, trials: int, seed: int) -> list[SuiteRecord]:
+    """Each trial draws its dimension uniformly from lo..hi and its instance
+    from a per-trial generator keyed by (seed, name, trial), so results do
+    not depend on scheduling or on other suites."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    out = []
+    for t in range(trials):
+        rng = randmat.trial_rng(seed, _TAG[name], t)
+        n = int(rng.integers(lo, hi + 1))
+        out.extend(SuiteRecord(name, t, n, params, report)
+                   for params, report in _suite_records(name, t, rng, n))
+    return out
+
+
 def verify_suite(suite: str, n_range: tuple[int, int], trials: int,
                  seed: int) -> list[SuiteRecord]:
-    """Run one randomized inequality suite; deterministic in (suite, seed).
-
-    Each trial draws its dimension uniformly from ``n_range`` and its
-    instance from a per-trial generator keyed by (seed, suite, trial), so
-    results do not depend on scheduling or on other suites.
-    """
+    """Run one randomized inequality suite; deterministic in (suite, seed)."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     lo, hi = n_range
     if not (3 <= lo <= hi):
         raise ValueError(f"need 3 <= n_lo <= n_hi, got {n_range}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    out = []
-    for t in range(trials):
-        rng = randmat.trial_rng(seed, _SUITE_TAG[suite], t)
-        n = int(rng.integers(lo, hi + 1))
-        out.extend(SuiteRecord(suite, t, n, params, report)
-                   for params, report in _suite_records(suite, t, rng, n))
-    return out
+    return _trials(suite, lo, hi, trials, seed)
+
+
+def conjecture_search(mode: str, trials: int, seed: int) -> list[SuiteRecord]:
+    """Deterministic seeded random search over a conjectured inequality,
+    with n drawn from 3..10; each record's ``suite`` is ``mode``.
+
+    mode "lower_norm": SDD matrices 0 < J <= alpha*I + m*ones, testing
+    whether the family member is the norm minimizer (trial 0 probes the
+    conjectured equality case J = alpha*I + m*ones exactly).  The report's
+    lhs is inf_norm(S(alpha, m)^{-1}) and its rhs inf_norm(J^{-1}).
+    mode "det_upper": positive balanced matrices, testing the determinant
+    ratio (lhs) against the balanced reference value (rhs).
+
+    A record whose report does not hold is a finding about the conjecture,
+    never an error.
+    """
+    if mode not in CONJECTURES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {CONJECTURES}")
+    return _trials(mode, 3, 10, trials, seed)

@@ -134,6 +134,17 @@ def cmd_limit(args) -> int:
     S = _parse_sform(args.sform)
     G = load_graph(args.graph)
     B = analyze_bipartition(G)
+    # The limit is computed before any output, so a rejected input prints
+    # only its error line.
+    if args.t is not None:
+        mode = f"numeric t={_fmt(args.t)}"
+        N = limit_numeric(S, G, args.t)
+    elif args.u_route:
+        mode = "u-route"
+        N = limit_u_route(S, B)
+    else:
+        mode = "closed-form"
+        N = limit_closed_form(S, B)
     print(f"sform: n={S.n} alpha={_fmt(S.alpha)} ell={_fmt(S.ell)}")
     print(f"graph: {G.n} vertices, {G.num_edges} edges")
     comps = []
@@ -144,15 +155,6 @@ def cmd_limit(args) -> int:
             comps.append(f"non-bipartite({len(c.vertices)})")
     print(f"bipartition: r={B.r} s={B.s} gamma={_fmt(B.gamma)} d={_fmt(B.d)} "
           f"[{', '.join(comps)}]")
-    if args.t is not None:
-        mode = f"numeric t={_fmt(args.t)}"
-        N = limit_numeric(S, G, args.t)
-    elif args.u_route:
-        mode = "u-route"
-        N = limit_u_route(S, B)
-    else:
-        mode = "closed-form"
-        N = limit_closed_form(S, B)
     print(f"mode: {mode}")
     _print_matrix(N.entries)
     print(f"inf_norm={_fmt(inf_norm(N))}")
@@ -235,20 +237,23 @@ def cmd_mle(args) -> int:
 
 def cmd_explore(args) -> int:
     mode = args.conjecture.replace("-", "_")
-    ledger = bnd.conjecture_search(mode, args.trials, args.seed)
+    records = bnd.conjecture_search(mode, args.trials, args.seed)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["trial", "n", "params", "lhs", "rhs", "slack", "violation"])
-            for r in ledger.records:
-                w.writerow([r.trial, r.n, _params_str(r.params),
+            for rec in records:
+                r = rec.report
+                w.writerow([rec.trial, rec.n, _params_str(rec.params),
                             format(r.lhs, ".17g"), format(r.rhs, ".17g"),
-                            format(r.slack, ".17g"), int(r.violation)])
-    print(f"conjecture={args.conjecture} trials={ledger.trials} seed={ledger.seed}")
-    print(f"min_slack={_fmt(ledger.min_slack)} violations={len(ledger.violations)}")
-    for t in ledger.violations[:20]:
-        r = ledger.records[t]
-        print(f"FINDING trial={t} n={r.n} params={_params_str(r.params)} "
+                            format(r.slack, ".17g"), int(not r.holds)])
+    findings = [rec for rec in records if not rec.report.holds]
+    print(f"conjecture={args.conjecture} trials={args.trials} seed={args.seed}")
+    print(f"min_slack={_fmt(min(rec.report.slack for rec in records))} "
+          f"violations={len(findings)}")
+    for rec in findings[:20]:
+        r = rec.report
+        print(f"FINDING trial={rec.trial} n={rec.n} params={_params_str(rec.params)} "
               f"lhs={_fmt(r.lhs)} rhs={_fmt(r.rhs)} slack={_fmt(r.slack)}")
     # A violation is a finding about the conjecture, not a failed check.
     return 0

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .matcore import SymMatrix, inverse_dense, symmetrize
+from .matcore import SymMatrix, _mean_with_transpose, inverse_dense
 from .sform import SForm, sform_dense, sform_inverse
 
 __all__ = [
@@ -329,7 +329,7 @@ def limit_u_route(S: SForm, B: BipartitionSummary) -> SymMatrix:
     N = SiU @ scipy.linalg.cho_solve(cho, SiU.T, check_finite=False)
     del SiU, cho
     np.subtract(Sinv, N, out=N)
-    return symmetrize(N)
+    return _mean_with_transpose(N)
 
 
 def limit_numeric(S: SForm, G: LoopGraph, t: float) -> SymMatrix:
@@ -338,13 +338,18 @@ def limit_numeric(S: SForm, G: LoopGraph, t: float) -> SymMatrix:
     This is the oracle the closed forms are checked against, not the limit
     itself; entries approach the limit at rate O(1/t).
     """
-    if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    if not 0 < t < np.inf:
+        raise ValueError(f"t must be finite and > 0, got {t}")
     if S.n != G.n:
         raise ValueError(f"dimension mismatch: sform n={S.n}, graph n={G.n}")
-    # No name holds the sum, so it is freed before the inversion starts.
-    return inverse_dense(
-        SymMatrix(sform_dense(S).entries + t * signless_laplacian(G).entries))
+    with np.errstate(over="ignore"):
+        a = sform_dense(S).entries + t * signless_laplacian(G).entries
+    if not np.isfinite(a.max()):
+        raise ValueError(f"t={t} makes S + t*P overflow")
+    # J holds a copy, so the sum is freed before the inversion starts.
+    J = SymMatrix(a)
+    del a
+    return inverse_dense(J)
 
 
 def limit_inf_norm(S: SForm, B: BipartitionSummary) -> float:

@@ -160,39 +160,43 @@ class DominanceReport:
     max_delta: float
 
 
-# Entries at most this large in magnitude cannot overflow when two are added.
-_HALF_MAX = float(np.finfo(float).max) / 2.0
-
-
 def symmetrize(entries: np.ndarray) -> SymMatrix:
     """Average a nearly-symmetric array with its transpose.
 
-    Restores the exact-symmetry invariant after floating-point arithmetic.
-    Raises :class:`AsymmetricMatrixError` if the largest skew exceeds
-    ``1e-8 * max(1, |entries|_max)``: asymmetry that large signals a
+    Restores the exact-symmetry invariant after floating-point arithmetic on
+    outside input.  Raises :class:`AsymmetricMatrixError` if the largest skew
+    exceeds ``1e-8 * max(1, |entries|_max)``: asymmetry that large signals a
     genuinely asymmetric input, not roundoff.
     """
     a = np.asarray(entries, dtype=float)
     if not a.size:
         return SymMatrix(a)
-    # One scratch array holds the skew, then |a|, then the halved sum.
+    # One scratch array holds the skew, then |a|; it is freed before the mean.
     work = np.subtract(a, a.T)
     skew = float(np.abs(work, out=work).max())
     scale = max(1.0, float(np.abs(a, out=work).max()))
+    del work
     if skew > 1e-8 * scale:
         raise AsymmetricMatrixError(
             f"asymmetry {skew:.3e} exceeds guard 1.0e-08 * {scale:.3e}")
-    if scale <= _HALF_MAX:
-        np.add(a, a.T, out=work)
-        return SymMatrix(np.divide(work, 2.0, out=work))
-    # A sum may overflow.  Where it does, halve the two entries first: that
-    # is exact at this size, so the mean is still correctly rounded, and
-    # every finite sum keeps its (a + a') / 2 bits, subnormal ones included.
+    return _mean_with_transpose(a)
+
+
+def _mean_with_transpose(a: np.ndarray) -> SymMatrix:
+    """(a + a') / 2, correctly rounded and without overflow, as a SymMatrix.
+
+    No asymmetry guard: callers pass arrays that are symmetric up to their
+    own roundoff.
+    """
     with np.errstate(over="ignore"):
-        np.add(a, a.T, out=work)
+        work = np.add(a, a.T)
     np.divide(work, 2.0, out=work)
+    # Where a sum overflowed, halve the two entries first: that is exact at
+    # this size, so the mean is still correctly rounded, and every finite sum
+    # keeps its (a + a') / 2 bits, subnormal ones included.
     over = np.isinf(work)
-    work[over] = a[over] / 2.0 + a.T[over] / 2.0
+    if over.any():
+        work[over] = a[over] / 2.0 + a.T[over] / 2.0
     return SymMatrix(work)
 
 
@@ -259,11 +263,13 @@ def inverse_dense(J: SymMatrix) -> SymMatrix:
             pivot=smallest,
         )
     # Solve into a Fortran-ordered identity in place, so LAPACK needs no
-    # copy of it, and free the factor before symmetrize takes its scratch.
+    # copy of it, and free the factor before the mean takes its scratch.
+    # The solve is asymmetric only by roundoff, which grows with the
+    # condition number, so no skew guard applies.
     inv = scipy.linalg.lu_solve((lu, piv), np.eye(n, order="F"),
                                 overwrite_b=True, check_finite=False)
     del lu
-    return symmetrize(inv)
+    return _mean_with_transpose(inv)
 
 
 def _trailing_block_norms(a: np.ndarray) -> np.ndarray:
@@ -384,7 +390,7 @@ def load_matrix(path) -> SymMatrix:
         )
     if skew == 0.0:
         return SymMatrix(a)
-    return symmetrize(a)
+    return _mean_with_transpose(a)
 
 
 def save_matrix(M: SymMatrix, path) -> None:

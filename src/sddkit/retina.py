@@ -342,8 +342,8 @@ def consistency_experiment(n: int, k: float, trials: int,
         raise ValueError(f"n must be >= 3, got {n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if k <= 1:
-        raise ValueError("k must be > 1")
+    if not 1 < k < math.inf:
+        raise ValueError(f"k must be finite and > 1, got {k}")
     lo, hi = theta_range
     if not (0 < lo <= hi < math.inf):
         raise ValueError(f"need 0 < lo <= hi < inf, got {theta_range}")

@@ -8,9 +8,9 @@ import numpy as np
 import scipy.linalg
 
 from sddkit import (BipartiteComponent, DomainError, LoopGraph, MatrixError,
-                    RetinaProblem, RetinaSolution, SingularBlockError,
+                    RetinaProblem, RetinaSolution, SForm, SingularBlockError,
                     SingularMatrixError, SymMatrix, analyze_bipartition,
-                    eigen_sym, incidence, inverse_dense)
+                    eigen_sym, incidence, inverse_dense, randmat, sform_dense)
 from sddkit.graphlimit import _require_compatible
 from sddkit.retina import DOMAIN_FLOOR, _finish
 
@@ -415,3 +415,104 @@ def sample_degrees_by_scan(theta: np.ndarray, seed: int) -> np.ndarray:
     np.add.at(d, iu[0], weights)
     np.add.at(d, iu[1], weights)
     return d
+
+
+# The conjecture search as its own engine, with its own record, ledger and
+# tolerance rule (test-side oracle for ``bounds.conjecture_search``).
+
+CONJECTURES = ("lower_norm", "det_upper")
+_MODE_TAG = {"lower_norm": 101, "det_upper": 102}
+
+
+def _tol(x: float) -> float:
+    return 1e-9 * max(1.0, abs(x))
+
+
+@dataclass(frozen=True)
+class ConjectureRecord:
+    trial: int
+    n: int
+    params: dict
+    lhs: float
+    rhs: float
+    slack: float
+    violation: bool
+
+
+@dataclass(frozen=True)
+class ConjectureLedger:
+    """Outcome of a seeded random search; violations are findings, not errors."""
+
+    mode: str
+    trials: int
+    seed: int
+    records: list
+    min_slack: float
+    violations: list
+
+
+def _lower_norm_record(trial: int, J: SymMatrix, alpha: float, m: float) -> ConjectureRecord:
+    # Conjectured: inf_norm(J^{-1}) >= inf_norm(S(alpha, m)^{-1}) whenever
+    # 0 < J <= alpha*I + m*ones entrywise and J is SDD.
+    n = J.n
+    lhs = (alpha + 2.0 * m * (n - 1)) / (alpha * (alpha + m * n))
+    rhs = J.inv_inf_norm
+    slack = rhs - lhs
+    tol = _tol(lhs)
+    return ConjectureRecord(trial=trial, n=n,
+                            params={"alpha": alpha, "m": m},
+                            lhs=lhs, rhs=rhs, slack=slack,
+                            violation=bool(slack < -tol))
+
+
+def _det_upper_record(trial: int, J: SymMatrix) -> ConjectureRecord:
+    # Conjectured: det ratio of a positive balanced J is at most
+    # 2 (1 - 1/(n-1))^{n-1}, the ratio of the balanced reference matrix.
+    n = J.n
+    _, ratio = J.elimination
+    bound = 2.0 * (1.0 - 1.0 / (n - 1)) ** (n - 1)
+    slack = bound - ratio
+    tol = _tol(bound)
+    return ConjectureRecord(trial=trial, n=n, params={},
+                            lhs=ratio, rhs=bound, slack=slack,
+                            violation=bool(slack < -tol))
+
+
+def conjecture_search_ledger(mode: str, trials: int, seed: int) -> ConjectureLedger:
+    """Deterministic seeded random search over a conjectured inequality.
+
+    mode "lower_norm": SDD matrices 0 < J <= alpha*I + m*ones, testing
+    whether the family member is the norm minimizer (trial 0 probes the
+    conjectured equality case J = alpha*I + m*ones exactly).
+    mode "det_upper": positive balanced matrices, testing the determinant
+    ratio against the balanced reference value.
+
+    A violated inequality is recorded as a finding in the ledger, never
+    raised.
+    """
+    if mode not in CONJECTURES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {CONJECTURES}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    records = []
+    for t in range(trials):
+        rng = randmat.trial_rng(seed, _MODE_TAG[mode], t)
+        n = int(rng.integers(3, 11))
+        if mode == "lower_norm":
+            m = float(rng.uniform(0.5, 2.0))
+            margin_cap = float(rng.uniform(0.0, 2.0 * m))
+            alpha = (n - 2) * m + margin_cap
+            if t == 0:
+                J = sform_dense(SForm(n, alpha, m))
+            else:
+                J = randmat.random_dominant(rng, n, lo=0.05 * m, hi=m,
+                                            margin_hi=margin_cap)
+            records.append(_lower_norm_record(t, J, alpha, m))
+        else:
+            J = randmat.random_balanced(rng, n, lo=0.2, hi=3.0)
+            records.append(_det_upper_record(t, J))
+    min_slack = min(r.slack for r in records)
+    violations = [r.trial for r in records if r.violation]
+    return ConjectureLedger(mode=mode, trials=trials, seed=seed,
+                            records=records, min_slack=float(min_slack),
+                            violations=violations)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (J4_BALANCED, bits, block_det_ratio_by_inverses,
-                     block_det_ratio_unblocked)
+                     block_det_ratio_unblocked, conjecture_search_ledger)
 from sddkit import (
     LoopGraph,
     SForm,
@@ -32,7 +32,7 @@ from sddkit import (
     xi_functional,
 )
 from sddkit import matcore
-from sddkit.bounds import SUITES
+from sddkit.bounds import CONJECTURES, SUITES
 from sddkit.randmat import random_balanced, random_dominant, trial_rng
 
 
@@ -587,8 +587,8 @@ class TestXiFunctional:
 
 class TestConjectureSearch:
     def test_lower_norm_equality_case(self):
-        led = conjecture_search("lower_norm", trials=1, seed=5)
-        assert abs(led.records[0].slack) < 1e-12  # trial 0 is the family member
+        records = conjecture_search("lower_norm", trials=1, seed=5)
+        assert abs(records[0].report.slack) < 1e-12  # trial 0 is the family member
 
     def test_det_upper_equality_case(self):
         for n in (4, 7):
@@ -600,17 +600,38 @@ class TestConjectureSearch:
     def test_search_is_deterministic(self):
         a = conjecture_search("det_upper", 25, seed=9)
         b = conjecture_search("det_upper", 25, seed=9)
-        assert [r.slack for r in a.records] == [r.slack for r in b.records]
+        assert [r.report.slack for r in a] == [r.report.slack for r in b]
 
-    def test_ledger_shape(self):
-        led = conjecture_search("lower_norm", 50, seed=1)
-        assert led.trials == 50 and len(led.records) == 50
-        assert led.min_slack <= min(r.slack for r in led.records) + 1e-15
-        assert all(led.records[t].violation for t in led.violations)
+    def test_records_shape(self):
+        records = conjecture_search("lower_norm", 50, seed=1)
+        assert [r.trial for r in records] == list(range(50))
+        assert all(r.suite == "lower_norm" for r in records)
+        assert np.isfinite(min(r.report.slack for r in records))
+        assert all(r.report.holds == (r.report.slack >= -r.report.context["tol"])
+                   for r in records)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             conjecture_search("nope", 1, 0)
+        with pytest.raises(ValueError):
+            conjecture_search("det_upper", 0, 0)
+
+    @pytest.mark.parametrize("mode", CONJECTURES)
+    def test_matches_separate_engine(self, mode):
+        # The suite engine reproduces the search's own former engine bit for
+        # bit; only the tolerance differs (1e-9 max(1, |rhs|) instead of
+        # 1e-9 max(1, |lhs|) for lower_norm), and no trial here lies between.
+        for seed in (0, 7, 71):
+            records = conjecture_search(mode, 300, seed)
+            ledger = conjecture_search_ledger(mode, 300, seed)
+            assert len(records) == len(ledger.records) == 300
+            for rec, old in zip(records, ledger.records):
+                r = rec.report
+                assert (rec.suite, rec.trial, rec.n, rec.params) == \
+                    (mode, old.trial, old.n, old.params)
+                assert bits(np.array([r.lhs, r.rhs, r.slack])).tolist() == \
+                    bits(np.array([old.lhs, old.rhs, old.slack])).tolist()
+                assert (not r.holds) == old.violation
 
 
 class TestVerifySuites:
@@ -633,3 +654,6 @@ class TestVerifySuites:
             verify_suite("main", (1, 5), 10, 0)
         with pytest.raises(ValueError):
             verify_suite("nope", (3, 5), 10, 0)
+        for mode in CONJECTURES:
+            with pytest.raises(ValueError):
+                verify_suite(mode, (3, 5), 10, 0)

@@ -46,6 +46,16 @@ class TestInspect:
         assert "strictly dominant" in out and "varah: lhs=" in out
         assert calls == [(3, 3)]
 
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_ill_conditioned_hilbert_matrix(self, n, tmp_path, capsys):
+        # Positive definite, so the inverse exists; its LU inverse is
+        # asymmetric by roundoff far above 1e-8 relative.
+        path = tmp_path / "hilbert.txt"
+        save_matrix(SymMatrix(scipy.linalg.hilbert(n)), path)
+        assert main(["inspect", "--matrix", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "inv_inf_norm=" in captured.out and captured.err == ""
+
     def test_singular_matrix_exits_one(self, tmp_path, capsys):
         path = tmp_path / "sing.txt"
         save_matrix(SymMatrix(np.ones((2, 2))), path)
@@ -270,8 +280,15 @@ class TestFailureCorpus:
         (["mle", "--n", "10", "--trials", "1", "--theta-range", "0.5,inf"], "inf"),
         (["mle", "--n", "-3"], "-3"),
         (["verify", "--suite", "det", "--n-range", "3.7,4"], "3.7"),
+        (["limit", "--sform", "4,2,1", "--graph", "CYCLE4", "--t", "inf"],
+         "t must be finite and > 0, got inf"),
+        (["limit", "--sform", "4,2,1", "--graph", "CYCLE4", "--t", "1e308"], "t=1e+308"),
+        (["mle", "--n", "10", "--trials", "1", "--k", "nan"], "k must be finite and > 1, got nan"),
+        (["mle", "--n", "10", "--trials", "1", "--k", "inf"], "k must be finite and > 1, got inf"),
     ], ids=["sform_inf_u_route", "sform_inf_closed_form", "sform_ell_inf",
-            "theta_range_inf", "mle_negative_n", "n_range_not_integer"])
+            "theta_range_inf", "mle_negative_n", "n_range_not_integer",
+            "limit_t_inf", "limit_t_overflows", "mle_k_nan", "mle_k_inf"])
+    @pytest.mark.filterwarnings("error")
     def test_excluded_input_rejected(self, argv, value, cycle4_file, capsys):
         argv = [cycle4_file if a == "CYCLE4" else a for a in argv]
         assert main(argv) == 2

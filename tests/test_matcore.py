@@ -171,6 +171,18 @@ class TestInverseDense:
             inverse_dense(SymMatrix(np.ones((2, 2))))
         assert err.value.pivot >= 0.0
 
+    def test_ill_conditioned_inverse_is_averaged_without_the_skew_guard(self):
+        # hilbert(9) is positive definite with cond ~ 5e11; its LU inverse is
+        # asymmetric by 2.3e3 against entries near 1.2e11, past symmetrize's
+        # 1e-8 guard, though only by roundoff.
+        H = SymMatrix(scipy.linalg.hilbert(9))
+        raw = scipy.linalg.lu_solve(scipy.linalg.lu_factor(H.entries), np.eye(9))
+        with pytest.raises(AsymmetricMatrixError):
+            symmetrize(raw)  # the public guard stays
+        inv = inverse_dense(H).entries
+        np.testing.assert_array_equal(bits(inv), bits((raw + raw.T) / 2.0))
+        np.testing.assert_allclose(inv, scipy.linalg.invhilbert(9), rtol=1e-5)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(3, 12))
     def test_roundtrip_random_sdd(self, seed, n):
