@@ -21,7 +21,6 @@ from .matcore import (
     inverse_dense,
     load_matrix,
     save_matrix,
-    symmetrize,
 )
 from .sform import (
     SForm,

@@ -47,25 +47,44 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-# Rows per formatting block: the scratch space is O(_PRINT_ROWS * n).
-# Blocks of 16 to 64 rows print an 800 x 800 limit equally fast; smaller
-# blocks leave less freed memory behind in a long-running process.
+# Rows per block: the scratch space is O(_PRINT_ROWS * n) plus one table
+# entry per distinct value of the matrix.  Blocks of 16 to 64 rows print an
+# 800 x 800 limit within 10% of the same time; smaller blocks leave less
+# freed memory behind in a long-running process.
 _PRINT_ROWS = 32
 
 
 def _print_matrix(entries: np.ndarray) -> None:
     """One line per row of ``_fmt`` tokens, formatting each distinct value
-    of a block of rows once.
+    of the matrix once.
 
     Values are keyed on their bit pattern, not compared as floats, so -0.0
-    keeps its ``-0`` token.
+    keeps its ``-0`` token.  Each block of rows looks its distinct keys up in
+    a sorted table of the keys formatted so far, formats only the new ones
+    and inserts them with their tokens.
     """
     a = np.ascontiguousarray(entries, dtype=np.float64)
+    seen = np.empty(0, dtype=np.int64)
+    seen_tokens = np.empty(0, dtype=object)
+    interned = {}
     for start in range(0, a.shape[0], _PRINT_ROWS):
         block = a[start:start + _PRINT_ROWS]
         keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
-        tokens = np.array([_fmt(v) for v in keys.view(np.float64).tolist()], dtype=object)
-        for row in tokens[inverse.reshape(block.shape)]:
+        pos = np.searchsorted(seen, keys)
+        # A key is new unless the table holds it at its insertion point.
+        new = pos == seen.size
+        new[~new] = seen[pos[~new]] != keys[~new]
+        tokens = np.empty(keys.size, dtype=object)
+        tokens[~new] = seen_tokens[pos[~new]]
+        # Values that differ past 12 digits share a token, and then one
+        # string: the t=1e8 matrix of perfbench's seed-277 limit pass has
+        # 101k keys but 34k tokens.
+        tokens[new] = [interned.setdefault(t, t)
+                       for t in map(_fmt, keys[new].view(np.float64).tolist())]
+        seen = np.insert(seen, pos[new], keys[new])
+        seen_tokens = np.insert(seen_tokens, pos[new], tokens[new])
+        # Lists, not object-array rows: str.join reads a list directly.
+        for row in tokens[inverse.reshape(block.shape)].tolist():
             sys.stdout.write(" ".join(row) + "\n")
 
 

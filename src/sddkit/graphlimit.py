@@ -7,8 +7,10 @@ components, and this module computes it three independent ways:
 
 * ``limit_closed_form`` -- the block formula built from per-component
   bipartition sizes (p_i, q_i),
-* ``limit_u_route`` -- the rank-factorization route through a basis matrix U
-  with N = S^{-1} - S^{-1} U (U' S^{-1} U)^{-1} U' S^{-1},
+* ``limit_u_route`` -- the rank-factorization route through a basis U of
+  range(P), N = S^{-1} - S^{-1} U (U' S^{-1} U)^{-1} U' S^{-1}; each column of U
+  holds one or two +-1 entries, so U is kept as index and sign arrays and its
+  products are gathers,
 * ``limit_numeric`` -- a plain dense inverse at large finite t (the oracle).
 
 Vertices are numbered 1..n everywhere, matching the edge-list file format;
@@ -283,40 +285,67 @@ def limit_closed_form(S: SForm, B: BipartitionSummary) -> SymMatrix:
     return SymMatrix(N)
 
 
-def _basis_matrix(B: BipartitionSummary) -> np.ndarray:
-    """Column basis U: per bipartite component, columns e_anchor + sigma_v e_v
-    over the non-anchor vertices (sigma = -1 on the anchor's side, +1 on the
-    other); identity columns for non-bipartite components."""
-    U = np.zeros((B.n, B.n - B.r))
-    col = 0
+def _basis(B: BipartitionSummary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column basis U as (head, tail, sign): column c of U is
+    e_head[c] + sign[c] e_tail[c], with 0-based vertex indices.
+
+    Per bipartite component, one column per non-anchor vertex v: head is the
+    anchor (the component's lowest vertex), tail is v, and sign is -1 when v
+    is on the anchor's side, +1 otherwise.  Each vertex of a non-bipartite
+    component gives an identity column: head = tail = v and sign 0.
+    """
+    head, tail, sign = [], [], []
     for comp in B.components:
         if isinstance(comp, BipartiteComponent):
-            verts = comp.vertices
-            anchor = verts[0]
+            anchor, *rest = comp.vertices
             side_p = set(comp.vertices_p)
             anchor_side_p = anchor in side_p
-            for v in verts[1:]:
-                same_side = (v in side_p) == anchor_side_p
-                U[anchor - 1, col] = 1.0
-                U[v - 1, col] = -1.0 if same_side else 1.0
-                col += 1
+            for v in rest:
+                head.append(anchor - 1)
+                tail.append(v - 1)
+                sign.append(-1.0 if (v in side_p) == anchor_side_p else 1.0)
         else:
             for v in comp.vertices:
-                U[v - 1, col] = 1.0
-                col += 1
-    return U
+                head.append(v - 1)
+                tail.append(v - 1)
+                sign.append(0.0)
+    return np.array(head, dtype=np.intp), np.array(tail, dtype=np.intp), np.array(sign)
+
+
+def _basis_product(a: np.ndarray, basis, axis: int) -> np.ndarray:
+    """a U (axis=1) or U' a (axis=0) by gathering columns or rows of ``a``,
+    bitwise equal to the GEMM against the dense U.
+
+    Every product with an entry of U is exact and all but two are zero, so
+    each GEMM entry is the one correctly rounded sum of the two gathered
+    terms, in any summation order.  GEMM accumulates from +0, so adding +0
+    turns a -0 sum into +0 as well.  The result is C-ordered, like the GEMM's.
+    """
+    head, tail, sign = basis
+    out = np.take(a, tail, axis=axis)
+    np.multiply(out, sign if axis == 1 else sign[:, None], out=out)
+    np.add(out, np.take(a, head, axis=axis), out=out)
+    out += 0.0
+    return out
 
 
 def limit_u_route(S: SForm, B: BipartitionSummary) -> SymMatrix:
-    """N = S^{-1} - S^{-1} U (U' S^{-1} U)^{-1} U' S^{-1} with dense kernels."""
+    """N = S^{-1} - S^{-1} U (U' S^{-1} U)^{-1} U' S^{-1}.
+
+    U is held as index and sign arrays (:func:`_basis`), so S^{-1} U and
+    U' S^{-1} U are O(n^2) gathers (:func:`_basis_product`) with the bits of
+    the dense products; only the Cholesky factorization, its solve and the
+    final product cost O(n^3).
+    """
     _require_compatible(S, B)
     Sinv = sform_inverse(S).entries
-    U = _basis_matrix(B)
-    if U.shape[1] == 0:
+    basis = _basis(B)
+    if basis[0].size == 0:
         return SymMatrix(Sinv)
-    SiU = Sinv @ U
+    SiU = _basis_product(Sinv, basis, axis=1)
     try:
-        cho = scipy.linalg.cho_factor(U.T @ SiU, check_finite=False)
+        cho = scipy.linalg.cho_factor(_basis_product(SiU, basis, axis=0),
+                                      check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         # U' S^{-1} U is positive definite whenever U has full column rank,
         # which the construction guarantees; failure means a bug here.
@@ -325,7 +354,6 @@ def limit_u_route(S: SForm, B: BipartitionSummary) -> SymMatrix:
         ) from exc
     # Release each n x n intermediate once it is spent; holding all of them
     # made this route the memory peak of a large `limit` run.
-    del U
     N = SiU @ scipy.linalg.cho_solve(cho, SiU.T, check_finite=False)
     del SiU, cho
     np.subtract(Sinv, N, out=N)

@@ -35,7 +35,6 @@ __all__ = [
     "SingularBlockError",
     "EigenConvergenceError",
     "MatrixFormatError",
-    "symmetrize",
     "delta",
     "classify",
     "inverse_dense",
@@ -98,9 +97,9 @@ class SymMatrix:
     """Dense symmetric real matrix, the universal numeric carrier.
 
     The entry array is validated (square, n >= 1, finite, exactly symmetric)
-    and frozen read-only at construction.  Asymmetric input is rejected; use
-    :func:`symmetrize` for results of floating-point arithmetic that are
-    symmetric only up to roundoff.
+    and frozen read-only at construction.  Asymmetric input is rejected, so
+    results of floating-point arithmetic that are symmetric only up to
+    roundoff are averaged with their transpose first.
 
     The analysis members are computed on first use and kept; a computation
     that raises stores nothing and raises again on the next read.
@@ -158,28 +157,6 @@ class DominanceReport:
     min_offdiag: float | None
     max_offdiag: float | None
     max_delta: float
-
-
-def symmetrize(entries: np.ndarray) -> SymMatrix:
-    """Average a nearly-symmetric array with its transpose.
-
-    Restores the exact-symmetry invariant after floating-point arithmetic on
-    outside input.  Raises :class:`AsymmetricMatrixError` if the largest skew
-    exceeds ``1e-8 * max(1, |entries|_max)``: asymmetry that large signals a
-    genuinely asymmetric input, not roundoff.
-    """
-    a = np.asarray(entries, dtype=float)
-    if not a.size:
-        return SymMatrix(a)
-    # One scratch array holds the skew, then |a|; it is freed before the mean.
-    work = np.subtract(a, a.T)
-    skew = float(np.abs(work, out=work).max())
-    scale = max(1.0, float(np.abs(a, out=work).max()))
-    del work
-    if skew > 1e-8 * scale:
-        raise AsymmetricMatrixError(
-            f"asymmetry {skew:.3e} exceeds guard 1.0e-08 * {scale:.3e}")
-    return _mean_with_transpose(a)
 
 
 def _mean_with_transpose(a: np.ndarray) -> SymMatrix:

@@ -7,11 +7,13 @@ import numpy as np
 
 import scipy.linalg
 
-from sddkit import (BipartiteComponent, DomainError, LoopGraph, MatrixError,
-                    RetinaProblem, RetinaSolution, SForm, SingularBlockError,
-                    SingularMatrixError, SymMatrix, analyze_bipartition,
-                    eigen_sym, incidence, inverse_dense, randmat, sform_dense)
+from sddkit import (AsymmetricMatrixError, BipartiteComponent, DomainError,
+                    LoopGraph, MatrixError, RetinaProblem, RetinaSolution, SForm,
+                    SingularBlockError, SingularMatrixError, SymMatrix,
+                    analyze_bipartition, eigen_sym, incidence, inverse_dense,
+                    randmat, sform_dense)
 from sddkit.graphlimit import _require_compatible
+from sddkit.matcore import _mean_with_transpose
 from sddkit.retina import DOMAIN_FLOOR, _finish
 
 # Two balanced 4x4 matrices; H differs from J in the (1,2) entry (rebalanced).
@@ -32,6 +34,23 @@ H4_BALANCED = SymMatrix(np.array([
 # 3x3 pair where the (1,2) entry was lowered without rebalancing.
 J3 = SymMatrix(np.array([[3, 2, 1], [2, 3, 1], [1, 1, 2]], dtype=float))
 H3 = SymMatrix(np.array([[3, 1, 1], [1, 3, 1], [1, 1, 2]], dtype=float))
+
+
+def symmetrize(entries: np.ndarray) -> SymMatrix:
+    """Average a nearly-symmetric array with its transpose (test-side oracle,
+    formerly ``matcore.symmetrize``).
+
+    Raises :class:`AsymmetricMatrixError` if the largest skew exceeds
+    ``1e-8 * max(1, |entries|_max)``: asymmetry that large signals a
+    genuinely asymmetric input, not roundoff.
+    """
+    a = np.asarray(entries, dtype=float)
+    skew = float(np.abs(a - a.T).max())
+    scale = max(1.0, float(np.abs(a).max()))
+    if skew > 1e-8 * scale:
+        raise AsymmetricMatrixError(
+            f"asymmetry {skew:.3e} exceeds guard 1.0e-08 * {scale:.3e}")
+    return _mean_with_transpose(a)
 
 
 def jt_matrix(t: float) -> np.ndarray:

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import (J4_BALANCED, format_matrix_by_entries, jt_matrix,
+from helpers import (J4_BALANCED, bits, format_matrix_by_entries, jt_matrix,
                      limit_test_graph)
 from sddkit import (SForm, analyze_bipartition, limit_closed_form,
                     limit_numeric, limit_u_route, save_graph, save_matrix,
                     SymMatrix)
-from sddkit import matcore
+from sddkit import cli, matcore
 from sddkit.cli import _print_matrix, main
 
 
@@ -91,8 +91,20 @@ def _print_cases():
     x = 1.0 / 3.0
     signed_zeros = rng.choice([0.0, -0.0, 1.5, -1.5], size=(70, 70))
     signed_zeros[0, :2] = [0.0, -0.0]
+    # The rows of the last block bring a value no earlier block has.
+    last_block_new = rng.choice([x, 0.25], size=(70, 70))
+    last_block_new[69, 3] = 0.75
+    # +0 above the diagonal and -0 below it, the first in one block and its
+    # mirror in another.
+    zeros_across_diagonal = np.full((40, 40), 2.5)
+    zeros_across_diagonal[np.triu_indices(40, 1)] = 0.0
+    zeros_across_diagonal[np.tril_indices(40, -1)] = -0.0
     return {
         "1x1": np.array([[0.1]]),
+        "n32": rng.standard_normal((32, 32)),
+        "n33_all_distinct": np.arange(33 * 33).reshape(33, 33) / 7.0,
+        "last_block_new": last_block_new,
+        "zeros_across_diagonal": zeros_across_diagonal,
         "n64": rng.standard_normal((64, 64)),
         "n65": rng.standard_normal((65, 65)),
         "n130": rng.integers(-4, 5, size=(130, 130)) / 7.0,
@@ -112,6 +124,20 @@ class TestPrintMatrix:
         entries = _print_cases()[name]
         _print_matrix(entries)
         assert capsys.readouterr().out == format_matrix_by_entries(entries)
+
+    @pytest.mark.parametrize("name", ["n130", "signed_zeros", "last_block_new",
+                                      "zeros_across_diagonal", "limit_n150"])
+    def test_formats_each_distinct_value_once(self, name, capsys, monkeypatch):
+        if name == "limit_n150":
+            B = analyze_bipartition(limit_test_graph(150, seed=3))
+            entries = limit_closed_form(SForm(150, 148.0, 1.0), B).entries
+        else:
+            entries = _print_cases()[name]
+        calls = []
+        monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or format(v, ".12g"))
+        _print_matrix(entries)
+        assert capsys.readouterr().out == format_matrix_by_entries(entries)
+        assert len(calls) == np.unique(bits(entries)).size
 
 
 class TestLimitMatrixBytes:
@@ -214,6 +240,12 @@ class TestMle:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "trial,n,err_inf,bound,within_bound,residual_inf,iterations,converged"
         assert len(lines) == 5
+
+    def test_target_past_float_range(self, capsys):
+        assert main(["mle", "--n", "10", "--trials", "1", "--k", "400"]) == 0
+        captured = capsys.readouterr()
+        assert " target=1\n" in captured.out
+        assert "Traceback" not in captured.err
 
     def test_stdout_deterministic(self, capsys):
         args = ["mle", "--n", "15", "--trials", "3", "--seed", "9"]

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from helpers import (basis_matrix_by_columns, bits, chain_cycle, incidence_rank,
-                     limit_block_constants, limit_test_graph, star)
+                     limit_block_constants, limit_test_graph, star, symmetrize)
 from sddkit import (
     BipartiteComponent,
     GraphFormatError,
@@ -25,9 +25,8 @@ from sddkit import (
     sform_dense,
     sform_inverse,
     signless_laplacian,
-    symmetrize,
 )
-from sddkit.graphlimit import _basis_matrix
+from sddkit.graphlimit import _basis, _basis_product
 from sddkit.randmat import random_loop_graph, trial_rng
 
 S4 = SForm(4, 2.0, 1.0)
@@ -250,6 +249,16 @@ def _bitwise_cases():
     return cases
 
 
+def basis_matrix_from_index(B) -> np.ndarray:
+    """The dense U that ``graphlimit._basis`` describes by index and sign."""
+    head, tail, sign = _basis(B)
+    cols = np.arange(head.size)
+    U = np.zeros((B.n, head.size))
+    U[head, cols] = 1.0
+    U[tail, cols] += sign
+    return U
+
+
 class TestRoutesBitwise:
     """The memory-lean basis, u-route and finite-t inverse give the bits of
     the plain expressions."""
@@ -257,11 +266,39 @@ class TestRoutesBitwise:
     def test_basis_and_u_route(self):
         for S, G in _bitwise_cases():
             B = analyze_bipartition(G)
-            U = _basis_matrix(B)
+            U = basis_matrix_from_index(B)
             assert U.shape == (G.n, G.n - B.r)
             assert np.array_equal(bits(U), bits(basis_matrix_by_columns(B)))
             assert np.array_equal(bits(limit_u_route(S, B).entries),
                                   bits(u_route_by_formula(S, B)))
+
+    @pytest.mark.parametrize("S,G,columns", [
+        # identity columns only: a self-loop, a triangle and a self-loop
+        (SForm(5, 3.0, 1.0), LoopGraph(5, [(1, 1), (2, 3), (3, 4), (2, 4), (5, 5)]), 5),
+        # r = n: no columns, so N is S^{-1} itself
+        (SForm(4, 2.0, 1.0), LoopGraph(4), 0),
+        (SForm(3, 2.0, 1.0), LoopGraph(3, [(2, 3)]), 1),
+    ], ids=["non_bipartite_only", "isolated_only", "single_edge"])
+    def test_u_route_small_graphs(self, S, G, columns):
+        B = analyze_bipartition(G)
+        assert _basis(B)[0].size == columns
+        assert np.array_equal(bits(limit_u_route(S, B).entries),
+                              bits(u_route_by_formula(S, B)))
+
+    def test_gathers_give_the_products_bits(self):
+        # The off-diagonal entries of the last S^{-1} underflow to -0, which
+        # the products turn into +0, alone or summed with another -0.
+        cases = _bitwise_cases()
+        cases.append((SForm(5, 1e200, 1e-200), LoopGraph(5, [(1, 2), (3, 4), (4, 5), (3, 5)])))
+        for S, G in cases:
+            B = analyze_bipartition(G)
+            U = basis_matrix_by_columns(B)
+            Sinv = sform_inverse(S).entries
+            SiU = _basis_product(Sinv, _basis(B), axis=1)
+            assert SiU.flags.c_contiguous
+            assert np.array_equal(bits(SiU), bits(Sinv @ U))
+            assert np.array_equal(bits(_basis_product(SiU, _basis(B), axis=0)),
+                                  bits(U.T @ (Sinv @ U)))
 
     def test_numeric(self):
         for S, G in _bitwise_cases():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (H4_BALANCED, J3, H3, J4_BALANCED, SingularUpdateError, bits,
-                     eigen_sym_by_jacobi, jt_matrix, loewner_geq, smw_update)
+                     eigen_sym_by_jacobi, jt_matrix, loewner_geq, smw_update,
+                     symmetrize)
 from sddkit import (
     AsymmetricMatrixError,
     EigenConvergenceError,
@@ -24,7 +25,6 @@ from sddkit import (
     inverse_dense,
     load_matrix,
     save_matrix,
-    symmetrize,
 )
 from sddkit.randmat import random_balanced, random_dominant, trial_rng
 

@@ -207,6 +207,12 @@ class TestConsistencyExperiment:
         assert 0.0 <= summary.fraction_within <= 1.0
         assert summary.target == pytest.approx(1 - 3 / 20)
 
+    @pytest.mark.parametrize("k, target", [(2.0, 1.0 - 3.0 / 10 ** (2.0 - 1)), (400.0, 1.0)])
+    def test_target_bits(self, k, target):
+        # n^(k-1) overflows a float at k = 400; the target is then exactly 1.
+        _, summary = consistency_experiment(10, k, 1, (0.5, 2.0), seed=0)
+        assert summary.target.hex() == target.hex()
+
     def test_bound_formula(self):
         # theta in [0.5, 2] gives m = 1 and ell = 1/16
         b = consistency_bound(100, 2.0, 0.5, 2.0)
