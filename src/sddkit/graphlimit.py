@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .matcore import SymMatrix, _mean_with_transpose, inverse_dense
+from .matcore import SymMatrix, _adopt, _mean_with_transpose, inverse_dense
 from .sform import SForm, sform_dense, sform_inverse
 
 __all__ = [
@@ -282,7 +282,7 @@ def limit_closed_form(S: SForm, B: BipartitionSummary) -> SymMatrix:
     y, Y = _side_vectors(B)
     alpha, ell = S.alpha, S.ell
     N = Y / alpha - (ell / (alpha * (alpha + ell * B.gamma))) * np.outer(y, y)
-    return SymMatrix(N)
+    return _adopt(N)
 
 
 def _basis(B: BipartitionSummary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -374,10 +374,7 @@ def limit_numeric(S: SForm, G: LoopGraph, t: float) -> SymMatrix:
         a = sform_dense(S).entries + t * signless_laplacian(G).entries
     if not np.isfinite(a.max()):
         raise ValueError(f"t={t} makes S + t*P overflow")
-    # J holds a copy, so the sum is freed before the inversion starts.
-    J = SymMatrix(a)
-    del a
-    return inverse_dense(J)
+    return inverse_dense(_adopt(a))
 
 
 def limit_inf_norm(S: SForm, B: BipartitionSummary) -> float:

@@ -97,9 +97,10 @@ class SymMatrix:
     """Dense symmetric real matrix, the universal numeric carrier.
 
     The entry array is validated (square, n >= 1, finite, exactly symmetric)
-    and frozen read-only at construction.  Asymmetric input is rejected, so
-    results of floating-point arithmetic that are symmetric only up to
-    roundoff are averaged with their transpose first.
+    and frozen read-only at construction.  It is copied first unless it is
+    already a read-only float64 array that owns its memory.  Asymmetric input
+    is rejected, so results of floating-point arithmetic that are symmetric
+    only up to roundoff are averaged with their transpose first.
 
     The analysis members are computed on first use and kept; a computation
     that raises stores nothing and raises again on the next read.
@@ -108,7 +109,14 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=float)
+        a = self.entries
+        # A read-only float array that owns its memory was handed over by a
+        # caller that never writes to it again (see _adopt), so it is kept as
+        # it is; anything else is copied, and later writes by the caller
+        # cannot reach the matrix.
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                and a.flags.owndata and not a.flags.writeable):
+            a = np.array(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise MatrixError(f"expected a square 2-d array, got shape {a.shape}")
         if a.shape[0] < 1:
@@ -159,6 +167,17 @@ class DominanceReport:
     max_delta: float
 
 
+def _adopt(a: np.ndarray) -> SymMatrix:
+    """A SymMatrix holding ``a`` itself, not a copy.
+
+    For a float64 array the caller just built and never writes to again:
+    ``a`` is frozen read-only here, and every check of :class:`SymMatrix`
+    still runs.
+    """
+    a.setflags(write=False)
+    return SymMatrix(a)
+
+
 def _mean_with_transpose(a: np.ndarray) -> SymMatrix:
     """(a + a') / 2, correctly rounded and without overflow, as a SymMatrix.
 
@@ -174,7 +193,7 @@ def _mean_with_transpose(a: np.ndarray) -> SymMatrix:
     over = np.isinf(work)
     if over.any():
         work[over] = a[over] / 2.0 + a.T[over] / 2.0
-    return SymMatrix(work)
+    return _adopt(work)
 
 
 def delta(J: SymMatrix) -> np.ndarray:
@@ -318,11 +337,29 @@ def eigen_sym(M: SymMatrix) -> np.ndarray:
     return lams
 
 
-# Matrix text format: first line "n", then n whitespace-separated rows of n
-# finite decimal reals.  Symmetry is validated on load with 1e-9 relative
-# tolerance.
+# Matrix text format: first line "n", then n rows of n finite decimal reals,
+# separated by any whitespace; blank lines are skipped.  The file must be
+# symmetric to 1e-9 relative skew, and a nearly symmetric one is averaged
+# with its transpose.  Mirrored entries are usually spelled alike (save_matrix
+# spells both with .17g), so an entry below the diagonal is parsed only when
+# its text differs from its mirror's: a file of identical spellings costs
+# n(n+1)/2 decimal parses, not n^2.
 
 def load_matrix(path) -> SymMatrix:
+    """Read a matrix text file (format above) as a :class:`SymMatrix`.
+
+    One pass over the rows, in file order.  Each row's entries on and above
+    the diagonal are parsed.  An entry below it whose text equals its mirror's
+    takes the mirror's parsed value; any other, such as ``1.0`` mirroring
+    ``1``, is parsed itself.  So the entries are bitwise those of parsing
+    every token.  Only the column tokens not yet mirrored are kept, about
+    n^2/4 strings at most.
+
+    Raises :class:`MatrixFormatError` with the 1-based ``line`` of the first
+    bad line: content after n rows, a row of the wrong length, a bad number,
+    a non-finite entry, or missing rows (reported at the last line).  Raises
+    :class:`AsymmetricMatrixError` past the skew tolerance.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -336,37 +373,71 @@ def load_matrix(path) -> SymMatrix:
         raise MatrixFormatError(f"bad dimension {head[0]!r}", line=1) from None
     if n < 1:
         raise MatrixFormatError(f"dimension must be >= 1, got {n}", line=1)
-    rows = []
+    uppers = []  # row i's entries i..n-1
+    fixes = []   # (i, j, value) of each entry below the diagonal spelled
+                 # unlike its mirror
+    cols = []    # cols[k]: the tokens (j, k) of the rows j < k read so far
     lineno = 1
     for raw in lines[1:]:
         lineno += 1
         if not raw.strip():
             continue
-        if len(rows) == n:
+        i = len(uppers)
+        if i == n:
             raise MatrixFormatError(f"unexpected content after {n} rows", line=lineno)
-        parts = raw.split()
-        if len(parts) != n:
-            raise MatrixFormatError(f"expected {n} entries, got {len(parts)}", line=lineno)
+        mirror = cols[i] if i else []
+        # A line that starts with the mirror's tokens, as save_matrix writes
+        # them, needs only its remainder split.
+        prefix = " ".join(mirror)
+        if i and raw.startswith(prefix) and raw[len(prefix):len(prefix) + 1] in (" ", "\t"):
+            lower, upper = mirror, raw[len(prefix) + 1:].split()
+        else:
+            parts = raw.split()
+            lower, upper = parts[:i], parts[i:]
+        if len(lower) + len(upper) != n:
+            raise MatrixFormatError(f"expected {n} entries, got {len(lower) + len(upper)}",
+                                    line=lineno)
+        diff = [j for j in range(i) if lower[j] != mirror[j]] if lower != mirror else []
         try:
-            row = list(map(float, parts))
+            values = list(map(float, upper))
+            fixed = [float(lower[j]) for j in diff]
         except ValueError:
             raise MatrixFormatError(f"bad number in row {raw!r}", line=lineno) from None
         # A finite sum rules out inf and nan; finite entries can still sum
         # past the largest float, so an infinite sum is checked entry-wise.
-        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+        # Mirrored entries were checked with their own row.
+        if not math.isfinite(sum(values) + sum(fixed)) \
+                and not all(map(math.isfinite, values + fixed)):
             raise MatrixFormatError(f"non-finite entry in row {raw!r}", line=lineno)
-        rows.append(row)
-    if len(rows) != n:
-        raise MatrixFormatError(f"expected {n} rows, found {len(rows)}", line=lineno)
-    a = np.array(rows, dtype=float)
+        if not i:
+            # Allocated once the first row holds n entries, so a dimension
+            # line the file does not back claims no memory.
+            cols = [[] for _ in range(n)]
+        for col, token in zip(cols[i + 1:], upper[1:]):
+            col.append(token)
+        cols[i] = None
+        uppers.append(np.array(values))
+        fixes += zip([i] * len(diff), diff, fixed)
+    if len(uppers) != n:
+        raise MatrixFormatError(f"expected {n} rows, found {len(uppers)}", line=lineno)
+    a = np.empty((n, n))
+    for i, row in enumerate(uppers):
+        a[i, i:] = row
+        a[i, :i] = a[:i, i]
+    del uppers
+    if not fixes:
+        # Every entry below the diagonal holds its mirror's bits.
+        return _adopt(a)
+    fix_rows, fix_cols, fix_values = zip(*fixes)
+    a[fix_rows, fix_cols] = fix_values
     skew = float(np.abs(a - a.T).max())
-    scale = max(float(np.abs(a).max()), np.finfo(float).tiny)
+    scale = max(float(np.abs(a).max()), np.finfo(np.float64).tiny)
     if skew > 1e-9 * scale:
         raise AsymmetricMatrixError(
             f"matrix file is not symmetric: relative skew {skew / scale:.3e} > 1e-9"
         )
     if skew == 0.0:
-        return SymMatrix(a)
+        return _adopt(a)
     return _mean_with_transpose(a)
 
 

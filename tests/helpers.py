@@ -8,7 +8,8 @@ import numpy as np
 import scipy.linalg
 
 from sddkit import (AsymmetricMatrixError, BipartiteComponent, DomainError,
-                    LoopGraph, MatrixError, RetinaProblem, RetinaSolution, SForm,
+                    LoopGraph, MatrixError, MatrixFormatError, RetinaProblem,
+                    RetinaSolution, SForm,
                     SingularBlockError, SingularMatrixError, SymMatrix,
                     analyze_bipartition, eigen_sym, incidence, inverse_dense,
                     randmat, sform_dense)
@@ -50,6 +51,54 @@ def symmetrize(entries: np.ndarray) -> SymMatrix:
     if skew > 1e-8 * scale:
         raise AsymmetricMatrixError(
             f"asymmetry {skew:.3e} exceeds guard 1.0e-08 * {scale:.3e}")
+    return _mean_with_transpose(a)
+
+
+def load_matrix_by_rows(path) -> SymMatrix:
+    """``matcore.load_matrix`` parsing every token of every row (test-side
+    oracle): the same entries, and the same errors with the same ``line``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise MatrixFormatError("empty file", line=1)
+    head = lines[0].split()
+    if len(head) != 1:
+        raise MatrixFormatError(f"expected a single dimension, got {lines[0]!r}", line=1)
+    try:
+        n = int(head[0])
+    except ValueError:
+        raise MatrixFormatError(f"bad dimension {head[0]!r}", line=1) from None
+    if n < 1:
+        raise MatrixFormatError(f"dimension must be >= 1, got {n}", line=1)
+    rows = []
+    lineno = 1
+    for raw in lines[1:]:
+        lineno += 1
+        if not raw.strip():
+            continue
+        if len(rows) == n:
+            raise MatrixFormatError(f"unexpected content after {n} rows", line=lineno)
+        parts = raw.split()
+        if len(parts) != n:
+            raise MatrixFormatError(f"expected {n} entries, got {len(parts)}", line=lineno)
+        try:
+            row = list(map(float, parts))
+        except ValueError:
+            raise MatrixFormatError(f"bad number in row {raw!r}", line=lineno) from None
+        if not all(map(math.isfinite, row)):
+            raise MatrixFormatError(f"non-finite entry in row {raw!r}", line=lineno)
+        rows.append(row)
+    if len(rows) != n:
+        raise MatrixFormatError(f"expected {n} rows, found {len(rows)}", line=lineno)
+    a = np.array(rows, dtype=float)
+    skew = float(np.abs(a - a.T).max())
+    scale = max(float(np.abs(a).max()), np.finfo(float).tiny)
+    if skew > 1e-9 * scale:
+        raise AsymmetricMatrixError(
+            f"matrix file is not symmetric: relative skew {skew / scale:.3e} > 1e-9"
+        )
+    if skew == 0.0:
+        return SymMatrix(a)
     return _mean_with_transpose(a)
 
 

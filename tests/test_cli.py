@@ -339,3 +339,40 @@ class TestFailureCorpus:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "nope"])
         assert err.value.code == 2
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_parsers(self, j4_file, cycle4_file,
+                                                       capsys, monkeypatch):
+        calls = [
+            ["inspect", "--matrix", j4_file],
+            ["limit", "--sform", "4,2,1", "--graph", cycle4_file, "--t", "2"],
+            ["limit", "--sform", "4,2,1", "--graph", cycle4_file, "--t", "2",
+             "--u-route"],  # mutually exclusive: a usage error
+            ["limit", "--sform", "4,2,1", "--graph", cycle4_file, "--u-route"],
+            ["detbounds", "--matrix", j4_file, "--ell", "1"],
+            ["inspect", "--matrix", j4_file],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        built = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        shared = [run(argv) for argv in calls]
+        assert len(built) == 1
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        cli._parser.cache_clear()
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0]
+        assert "not allowed with argument" in shared[2][2]

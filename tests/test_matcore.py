@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (H4_BALANCED, J3, H3, J4_BALANCED, SingularUpdateError, bits,
-                     eigen_sym_by_jacobi, jt_matrix, loewner_geq, smw_update,
-                     symmetrize)
+                     eigen_sym_by_jacobi, jt_matrix, load_matrix_by_rows, loewner_geq,
+                     smw_update, symmetrize)
 from sddkit import (
     AsymmetricMatrixError,
     EigenConvergenceError,
@@ -26,6 +28,7 @@ from sddkit import (
     load_matrix,
     save_matrix,
 )
+from sddkit import matcore
 from sddkit.randmat import random_balanced, random_dominant, trial_rng
 
 
@@ -52,6 +55,37 @@ class TestSymMatrix:
         M = SymMatrix(np.eye(2))
         with pytest.raises(ValueError):
             M.entries[0, 0] = 5.0
+
+    def test_copies_a_writeable_array(self):
+        x = np.array([[2.0, 1.0], [1.0, 2.0]])
+        M = SymMatrix(x)
+        x[0, 1] = x[1, 0] = 5.0
+        assert M.entries[0, 1] == 1.0 and x.flags.writeable
+
+    def test_adopts_a_fresh_array(self):
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
+        M = matcore._adopt(a)
+        assert M.entries is a and not a.flags.writeable
+
+    def test_mean_with_transpose_keeps_one_matrix(self):
+        a = random_dominant(trial_rng(400, 3), 400).entries
+        tracemalloc.start()
+        try:
+            M = matcore._mean_with_transpose(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M.entries.base is None and peak < 1.5 * a.nbytes
+
+    @pytest.mark.parametrize("a", [
+        np.zeros((2, 3)), np.zeros((0, 0)), np.zeros(3),
+        np.array([[1.0, np.inf], [np.inf, 1.0]]), jt_matrix(1.0),
+    ], ids=["non-square", "empty", "1-d", "non-finite", "asymmetric"])
+    def test_adopted_arrays_are_validated(self, a):
+        with pytest.raises(MatrixError) as copied:
+            SymMatrix(a.copy())
+        with pytest.raises(type(copied.value), match=re.escape(str(copied.value))):
+            matcore._adopt(a.copy())
 
     def test_symmetrize_guard(self):
         a = np.eye(3)
@@ -425,3 +459,156 @@ class TestMatrixIO:
         path.write_text("3\n1 0 0\n")
         with pytest.raises(MatrixFormatError):
             load_matrix(path)
+
+
+# Spellings of one value; mirrored entries may use different ones.
+SPELLINGS = (lambda v: format(v, ".17g"), repr, lambda v: format(v, ".20e"))
+BAD_TOKENS = ("x", "1.2.3", "--1", "1e", "0x10", "1,5")
+NON_FINITE_TOKENS = ("inf", "-inf", "nan", "Infinity", "1e400")
+CORRUPTIONS = ("bad_upper", "bad_lower", "non_finite_upper", "non_finite_lower",
+               "underscore", "short_row", "long_row", "extra_row", "missing_row")
+
+
+@st.composite
+def matrix_texts(draw):
+    """The text of a symmetric matrix file: each mirrored pair spelled alike
+    or differently (.17g, repr, .20e, 1 / 1.0, 0 / -0, a nearby or a far
+    value), varied whitespace and line ends, and at most one corruption."""
+    n = draw(st.integers(1, 6))
+    value = st.one_of(st.integers(-3, 3).map(float),
+                      st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+                      st.sampled_from([0.0, -0.0, 1e308, 5e-324, 0.1]))
+    spelling = st.sampled_from(SPELLINGS)
+    grid = [[""] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = draw(value)
+            grid[i][j] = draw(spelling)(v)
+            if j == i:
+                continue
+            mirror = draw(st.sampled_from(["same", "same", "respelled", "zero_sign",
+                                           "near", "far"]))
+            w = {"zero_sign": -v if v == 0 else v,
+                 "near": float(np.nextafter(v, np.inf)), "far": v + 1.0}.get(mirror, v)
+            grid[j][i] = grid[i][j] if mirror == "same" else draw(spelling)(w)
+    corruption = draw(st.sampled_from((None,) * 4 + CORRUPTIONS))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if corruption in ("bad_upper", "bad_lower", "non_finite_upper",
+                      "non_finite_lower", "underscore"):
+        # The entry on the named side of the diagonal, if a side is named.
+        lo, hi = min(i, j), max(i, j)
+        if corruption.endswith("upper"):
+            i, j = lo, hi
+        elif corruption.endswith("lower"):
+            i, j = hi, lo
+        tokens = {"bad": BAD_TOKENS, "non": NON_FINITE_TOKENS}.get(corruption[:3])
+        grid[i][j] = draw(st.sampled_from(tokens)) if tokens else "1_000"
+    elif corruption == "short_row":
+        del grid[i][j]
+    elif corruption == "long_row":
+        grid[i].insert(j, "1")
+    elif corruption == "extra_row":
+        grid.insert(i + 1, list(grid[i]))
+    elif corruption == "missing_row":
+        del grid[i]
+    gap = st.sampled_from([" ", " ", "\t", "   ", " \t "])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [str(n)]
+    for row in grid:
+        text = row[0] if row else ""
+        for token in row[1:]:
+            text += draw(gap) + token
+        lines.append(draw(st.sampled_from(["", "", " ", "\t"])) + text
+                     + draw(st.sampled_from(["", "", " "])))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    return newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+
+
+def load_outcome(loader, path):
+    """Entry bits, or the error's class, message and line."""
+    try:
+        return bits(loader(path).entries).tolist()
+    except MatrixError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+class TestLoadMatrixOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(text=matrix_texts())
+    def test_matches_parsing_every_token(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("load") / "m.txt"
+        path.write_bytes(text.encode())
+        assert load_outcome(load_matrix, path) == load_outcome(load_matrix_by_rows, path)
+
+    @pytest.mark.parametrize("text", [
+        "3\n1 2 3\n2 1 4\n3 4 1\n",          # mirrors spelled alike
+        "2\n1 2\n2.0 1\n",                   # 1 / 1.0 spellings
+        "2\n1 0\n-0 1\n",                    # -0 below a 0
+        "2\n1 0.1\n0.10000000000000001 1\n",  # repr / .17g
+        "2\n1 1_000\n1000 1\n",
+        "2\n1 2\n2.0000000000001 1\n",       # averaged
+        "2\n1 2\n3 1\n",                     # asymmetric
+        "2\n1 2\n2 x\n",
+        "2\n1 2\n x 1\n",
+        "2\n1 2\n2 inf\n",
+        "2\n1 2\n\tinf 1\n",
+        "2\n1 2\n2 1 1\n",
+        "2\n1 2\n2\n",
+        "2\n1 2\n2 1\n2 1\n",
+        "3\n1 2 3\n2 1 4\n",
+        "2\r\n1 2\r\n\r\n  2\t1  \r\n",
+    ])
+    def test_examples(self, text, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(text.encode())
+        assert load_outcome(load_matrix, path) == load_outcome(load_matrix_by_rows, path)
+
+
+class TestLoadMatrixCost:
+    @staticmethod
+    def count_parses(monkeypatch, path) -> tuple[np.ndarray, int]:
+        """load_matrix(path).entries and its number of ``float`` calls on text."""
+        count = [0]
+
+        def counting_float(x=0.0):
+            count[0] += isinstance(x, str)
+            return float(x)
+
+        with monkeypatch.context() as m:
+            m.setattr(matcore, "float", counting_float, raising=False)
+            entries = load_matrix(path).entries
+        return entries, count[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_saved_file_parses_each_mirrored_pair_once(self, n, tmp_path, monkeypatch):
+        J = random_dominant(trial_rng(n, 0), n)
+        path = tmp_path / "m.txt"
+        save_matrix(J, path)
+        entries, parses = self.count_parses(monkeypatch, path)
+        assert bits(entries).tolist() == bits(J.entries).tolist()
+        assert parses == n * (n + 1) // 2
+
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_respelled_lower_part_parses_every_token(self, n, tmp_path, monkeypatch):
+        a = random_dominant(trial_rng(n, 1), n).entries
+        path = tmp_path / "m.txt"
+        path.write_text(f"{n}\n" + "".join(
+            " ".join(format(v, ".20e" if j < i else ".17g") for j, v in enumerate(row)) + "\n"
+            for i, row in enumerate(a)))
+        entries, parses = self.count_parses(monkeypatch, path)
+        assert bits(entries).tolist() == bits(a).tolist()
+        assert parses == n * n
+
+    def test_peak_memory_of_one_load(self, tmp_path):
+        n = 300
+        path = tmp_path / "m.txt"
+        save_matrix(random_balanced(trial_rng(n, 2), n), path)
+        load_matrix(path)
+        tracemalloc.start()
+        try:
+            load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * n * n
