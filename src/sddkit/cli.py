@@ -57,20 +57,35 @@ _PRINT_ROWS = 32
 
 def _print_matrix(entries: np.ndarray) -> None:
     """One line per row of ``_fmt`` tokens, formatting each distinct value
-    of the matrix once.
+    once and, where the matrix is symmetric, looking up each mirrored pair
+    once.
 
     Values are keyed on their bit pattern, not compared as floats, so -0.0
-    keeps its ``-0`` token.  Each block of rows looks its distinct keys up in
-    a sorted table of the keys formatted so far, formats only the new ones
-    and inserts them with their tokens.
+    keeps its ``-0`` token.  Rows go in blocks of ``_PRINT_ROWS``.  An entry
+    left of its block's diagonal block whose bits equal its mirror's takes
+    the mirror's token, which an earlier block placed.  Each block looks up
+    its other entries, those on and right of its diagonal block and any left
+    of it that differ from their mirror (a -0 facing a +0, say), in a sorted
+    table of the keys formatted so far; it formats only the new keys and
+    inserts them with their tokens.
     """
     a = np.ascontiguousarray(entries, dtype=np.float64)
+    n = a.shape[0]
+    bits = a.view(np.int64)
     seen = np.empty(0, dtype=np.int64)
     seen_tokens = np.empty(0, dtype=object)
     interned = {}
-    for start in range(0, a.shape[0], _PRINT_ROWS):
-        block = a[start:start + _PRINT_ROWS]
-        keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    # strips[b]: tokens of the printed rows in block b's columns, one piece
+    # per block of rows.  A strip is dropped once block b has printed, so at
+    # most about n^2/4 references wait at a time.
+    strips = [[] for _ in range(0, n, _PRINT_ROWS)]
+    for b, start in enumerate(range(0, n, _PRINT_ROWS)):
+        block = bits[start:start + _PRINT_ROWS]
+        stop = start + block.shape[0]
+        right = block[:, start:]
+        odd = block[:, :start] != bits[:start, start:stop].T
+        keys, inverse = np.unique(np.concatenate((right.ravel(), block[:, :start][odd])),
+                                  return_inverse=True)
         pos = np.searchsorted(seen, keys)
         # A key is new unless the table holds it at its insertion point.
         new = pos == seen.size
@@ -84,8 +99,18 @@ def _print_matrix(entries: np.ndarray) -> None:
                        for t in map(_fmt, keys[new].view(np.float64).tolist())]
         seen = np.insert(seen, pos[new], keys[new])
         seen_tokens = np.insert(seen_tokens, pos[new], tokens[new])
+        found = tokens[inverse]
+        rows = np.empty(block.shape, dtype=object)
+        rows[:, start:] = found[:right.size].reshape(right.shape)
+        if start:
+            left = rows[:, :start]
+            left[...] = np.concatenate(strips[b]).T
+            left[odd] = found[right.size:]
+        strips[b] = None
+        for c in range(b + 1, len(strips)):
+            strips[c].append(rows[:, c * _PRINT_ROWS:(c + 1) * _PRINT_ROWS].copy())
         # Lists, not object-array rows: str.join reads a list directly.
-        for row in tokens[inverse.reshape(block.shape)].tolist():
+        for row in rows.tolist():
             sys.stdout.write(" ".join(row) + "\n")
 
 

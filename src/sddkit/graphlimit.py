@@ -10,8 +10,14 @@ components, and this module computes it three independent ways:
 * ``limit_u_route`` -- the rank-factorization route through a basis U of
   range(P), N = S^{-1} - S^{-1} U (U' S^{-1} U)^{-1} U' S^{-1}; each column of U
   holds one or two +-1 entries, so U is kept as index and sign arrays and its
-  products are gathers,
-* ``limit_numeric`` -- a plain dense inverse at large finite t (the oracle).
+  products are gathers, and the correction is one triangular solve and one
+  symmetric rank-k update from the Cholesky factor of U' S^{-1} U,
+* ``limit_numeric`` -- the Cholesky inverse of S + t P at large finite t (the
+  oracle).
+
+S, S + t P and U' S^{-1} U are symmetric positive definite, so both dense
+routes factor by Cholesky, compute one triangle and copy it onto the other:
+their results are exactly symmetric without averaging with the transpose.
 
 Vertices are numbered 1..n everywhere, matching the edge-list file format;
 the per-vertex side labels keep y, Y, and N in original vertex order so no
@@ -26,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .matcore import SymMatrix, _adopt, _mean_with_transpose, inverse_dense
+from .matcore import (SymMatrix, _adopt, _fill_upper, _inverse_cholesky,
+                      _require_plain_text)
 from .sform import SForm, sform_dense, sform_inverse
 
 __all__ = [
@@ -334,37 +341,47 @@ def limit_u_route(S: SForm, B: BipartitionSummary) -> SymMatrix:
 
     U is held as index and sign arrays (:func:`_basis`), so S^{-1} U and
     U' S^{-1} U are O(n^2) gathers (:func:`_basis_product`) with the bits of
-    the dense products; only the Cholesky factorization, its solve and the
-    final product cost O(n^3).
+    the dense products.  With the Cholesky factor U' S^{-1} U = R'R, the
+    correction is X'X for X = R'^{-1} (S^{-1} U)': one triangular solve and
+    one symmetric rank-k update (SYRK) that subtracts X'X from S^{-1} in
+    place, about 2.3 n^3 flops with the factorization.  SYRK computes one
+    triangle, which is copied onto the other, so N is exactly symmetric with
+    no averaging.
     """
     _require_compatible(S, B)
-    Sinv = sform_inverse(S).entries
+    # A writeable copy: SYRK accumulates into it.
+    Sinv = sform_inverse(S).entries.copy()
     basis = _basis(B)
     if basis[0].size == 0:
-        return SymMatrix(Sinv)
+        return _adopt(Sinv)
     SiU = _basis_product(Sinv, basis, axis=1)
     try:
-        cho = scipy.linalg.cho_factor(_basis_product(SiU, basis, axis=0),
-                                      check_finite=False)
+        R, _ = scipy.linalg.cho_factor(_basis_product(SiU, basis, axis=0),
+                                       check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         # U' S^{-1} U is positive definite whenever U has full column rank,
         # which the construction guarantees; failure means a bug here.
         raise AssertionError(
             "U' S^-1 U not positive definite: basis construction is broken"
         ) from exc
-    # Release each n x n intermediate once it is spent; holding all of them
-    # made this route the memory peak of a large `limit` run.
-    N = SiU @ scipy.linalg.cho_solve(cho, SiU.T, check_finite=False)
-    del SiU, cho
-    np.subtract(Sinv, N, out=N)
-    return _mean_with_transpose(N)
+    # SiU' is Fortran-ordered, so BLAS solves in SiU's memory and writes the
+    # upper triangle of Sinv' (Sinv's lower one) in Sinv's memory.
+    X = scipy.linalg.blas.dtrsm(1.0, R, SiU.T, trans_a=1, overwrite_b=1)
+    del R
+    scipy.linalg.blas.dsyrk(-1.0, X, beta=1.0, c=Sinv.T, trans=1, overwrite_c=1)
+    return _adopt(_fill_upper(Sinv))
 
 
 def limit_numeric(S: SForm, G: LoopGraph, t: float) -> SymMatrix:
     """The raw finite-t inverse (sform_dense(S) + t * signless_laplacian)^{-1}.
 
     This is the oracle the closed forms are checked against, not the limit
-    itself; entries approach the limit at rate O(1/t).
+    itself; entries approach the limit at rate O(1/t).  S + t P is positive
+    definite (S is, and P is semidefinite), so it is inverted by Cholesky,
+    about n^3 flops, with one triangle copied onto the other: the result is
+    exactly symmetric with no averaging.  A squared pivot at or below
+    n * eps * inf_norm(S + t P), as at t = 1e16 on large graphs, raises
+    :class:`~sddkit.matcore.SingularMatrixError`.
     """
     if not 0 < t < np.inf:
         raise ValueError(f"t must be finite and > 0, got {t}")
@@ -374,7 +391,7 @@ def limit_numeric(S: SForm, G: LoopGraph, t: float) -> SymMatrix:
         a = sform_dense(S).entries + t * signless_laplacian(G).entries
     if not np.isfinite(a.max()):
         raise ValueError(f"t={t} makes S + t*P overflow")
-    return inverse_dense(_adopt(a))
+    return _inverse_cholesky(a)
 
 
 def limit_inf_norm(S: SForm, B: BipartitionSummary) -> float:
@@ -394,13 +411,14 @@ def limit_inf_norm(S: SForm, B: BipartitionSummary) -> float:
 
 
 # Edge-list text format: first line "n", then one edge per line "i j"
-# (1-based; i == j denotes a self-loop).
+# (1-based; i == j denotes a self-loop).  Every line must be ASCII without "_".
 
 def load_graph(path) -> LoopGraph:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise GraphFormatError("empty file", line=1)
+    _require_plain_text(lines[0], 1, GraphFormatError)
     head = lines[0].split()
     if len(head) != 1:
         raise GraphFormatError(f"expected a single vertex count, got {lines[0]!r}", line=1)
@@ -412,6 +430,7 @@ def load_graph(path) -> LoopGraph:
         raise GraphFormatError(f"vertex count must be >= 1, got {n}", line=1)
     edges = []
     for lineno, raw in enumerate(lines[1:], start=2):
+        _require_plain_text(raw, lineno, GraphFormatError)
         if not raw.strip():
             continue
         parts = raw.split()

@@ -1,7 +1,8 @@
 """Dense symmetric-matrix kernels and the analysis of one matrix.
 
 Construction and validation of symmetric matrices, diagonal-dominance
-diagnostics, an LU-based inversion oracle, infinity norms, the LAPACK
+diagnostics, an LU-based inversion oracle and a Cholesky inverse for
+positive definite input, infinity norms, the LAPACK
 symmetric eigensolver with a per-pair residual certificate, and matrix
 text I/O.
 
@@ -56,7 +57,9 @@ class AsymmetricMatrixError(MatrixError):
 class SingularMatrixError(MatrixError):
     """Matrix is singular to working precision.
 
-    Carries the magnitude of the smallest LU pivot in ``pivot``.
+    Carries the smallest pivot in ``pivot``: the magnitude of the smallest LU
+    pivot, or the smallest squared Cholesky pivot (the failing, non-positive
+    one if the factorization broke down).
     """
 
     def __init__(self, message: str, pivot: float):
@@ -196,6 +199,23 @@ def _mean_with_transpose(a: np.ndarray) -> SymMatrix:
     return _adopt(work)
 
 
+def _fill_upper(a: np.ndarray) -> np.ndarray:
+    """Copy the lower triangle of the square array ``a`` onto its upper
+    triangle, in place, and return ``a``.
+
+    It goes by blocks of rows, so it needs no n x n temporary.
+    """
+    n = a.shape[0]
+    step = 64
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        block = a[s:e, s:e]
+        upper = np.triu_indices(e - s, 1)
+        block[upper] = block.T[upper]
+        a[s:e, e:] = a[e:, s:e].T
+    return a
+
+
 def delta(J: SymMatrix) -> np.ndarray:
     """Per-row dominance margins |J_ii| - sum_{j != i} |J_ij|."""
     a = np.abs(J.entries)
@@ -236,6 +256,17 @@ def inf_norm(M: SymMatrix) -> float:
     return float(np.abs(M.entries).sum(axis=1).max())
 
 
+def _check_pivot(smallest: float, n: int, norm: float, failed: bool = False) -> None:
+    """Raise :class:`SingularMatrixError` if the factorization ``failed`` or
+    the smallest pivot of an n x n matrix of infinity norm ``norm`` is at or
+    below n * eps * norm."""
+    if failed or smallest <= n * np.finfo(float).eps * max(norm, np.finfo(float).tiny):
+        raise SingularMatrixError(
+            f"matrix singular to working precision (pivot {smallest:.3e})",
+            pivot=smallest,
+        )
+
+
 def inverse_dense(J: SymMatrix) -> SymMatrix:
     """Invert via pivoted LU and re-symmetrize the result.
 
@@ -250,14 +281,7 @@ def inverse_dense(J: SymMatrix) -> SymMatrix:
         # pivot check runs; the check below raises in that case.
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(lu.diagonal())
-    floor = n * np.finfo(float).eps * max(inf_norm(J), np.finfo(float).tiny)
-    smallest = float(pivots.min())
-    if smallest <= floor:
-        raise SingularMatrixError(
-            f"matrix singular to working precision (pivot {smallest:.3e})",
-            pivot=smallest,
-        )
+    _check_pivot(float(np.abs(lu.diagonal()).min()), n, inf_norm(J))
     # Solve into a Fortran-ordered identity in place, so LAPACK needs no
     # copy of it, and free the factor before the mean takes its scratch.
     # The solve is asymmetric only by roundoff, which grows with the
@@ -266,6 +290,31 @@ def inverse_dense(J: SymMatrix) -> SymMatrix:
                                 overwrite_b=True, check_finite=False)
     del lu
     return _mean_with_transpose(inv)
+
+
+def _inverse_cholesky(a: np.ndarray) -> SymMatrix:
+    """The inverse of the symmetric positive definite, C-ordered float64
+    array ``a``, computed in ``a``'s own memory, which the caller hands over.
+
+    One Cholesky factorization (``potrf``, n^3/3 flops) and the inverse from
+    the factor (``potri``, 2n^3/3).  Both work on one triangle, which is then
+    copied onto the other, so the result is exactly symmetric with no
+    averaging.  A factorization that breaks down, or a squared pivot at or
+    below :func:`inverse_dense`'s floor, raises :class:`SingularMatrixError`.
+    """
+    n = a.shape[0]
+    norm = float(np.abs(a).sum(axis=1).max())
+    # a is symmetric, so its transpose is the same matrix in Fortran order,
+    # which LAPACK works on in place; its upper triangle is a's lower one.
+    f, info = scipy.linalg.lapack.dpotrf(a.T, lower=0, clean=0, overwrite_a=1)
+    pivots = f.diagonal()
+    # potrf stops at the first squared pivot that is not positive and leaves
+    # it in place.
+    smallest = float(pivots[info - 1]) if info else float((pivots * pivots).min())
+    _check_pivot(smallest, n, norm, failed=info > 0)
+    # Every pivot is positive, so potri cannot fail.
+    scipy.linalg.lapack.dpotri(f, lower=0, overwrite_c=1)
+    return _adopt(_fill_upper(a))
 
 
 def _trailing_block_norms(a: np.ndarray) -> np.ndarray:
@@ -337,10 +386,22 @@ def eigen_sym(M: SymMatrix) -> np.ndarray:
     return lams
 
 
+def _require_plain_text(raw: str, line: int, error) -> None:
+    """Raise ``error`` for a line that is not ASCII or holds a ``_``.
+
+    Python's int() and float() also read digits of other scripts (Arabic-
+    Indic one-two as 12) and ``_`` digit separators (``1_000``), which no
+    decimal numeral of a file format here contains.  ``str.isascii`` is O(1)
+    in CPython.
+    """
+    if not raw.isascii() or "_" in raw:
+        raise error(f"not a plain ASCII decimal line: {raw!r}", line=line)
+
+
 # Matrix text format: first line "n", then n rows of n finite decimal reals,
-# separated by any whitespace; blank lines are skipped.  The file must be
-# symmetric to 1e-9 relative skew, and a nearly symmetric one is averaged
-# with its transpose.  Mirrored entries are usually spelled alike (save_matrix
+# separated by any whitespace; blank lines are skipped.  Every line must be
+# ASCII without "_".  The file must be symmetric to 1e-9 relative skew, and
+# a nearly symmetric one is averaged with its transpose.  Mirrored entries are usually spelled alike (save_matrix
 # spells both with .17g), so an entry below the diagonal is parsed only when
 # its text differs from its mirror's: a file of identical spellings costs
 # n(n+1)/2 decimal parses, not n^2.
@@ -356,14 +417,16 @@ def load_matrix(path) -> SymMatrix:
     n^2/4 strings at most.
 
     Raises :class:`MatrixFormatError` with the 1-based ``line`` of the first
-    bad line: content after n rows, a row of the wrong length, a bad number,
-    a non-finite entry, or missing rows (reported at the last line).  Raises
+    bad line: a line that is not ASCII or holds a ``_``, content after n
+    rows, a row of the wrong length, a bad number, a non-finite entry, or
+    missing rows (reported at the last line).  Raises
     :class:`AsymmetricMatrixError` past the skew tolerance.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise MatrixFormatError("empty file", line=1)
+    _require_plain_text(lines[0], 1, MatrixFormatError)
     head = lines[0].split()
     if len(head) != 1:
         raise MatrixFormatError(f"expected a single dimension, got {lines[0]!r}", line=1)
@@ -380,6 +443,7 @@ def load_matrix(path) -> SymMatrix:
     lineno = 1
     for raw in lines[1:]:
         lineno += 1
+        _require_plain_text(raw, lineno, MatrixFormatError)
         if not raw.strip():
             continue
         i = len(uppers)

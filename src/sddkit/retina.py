@@ -133,7 +133,18 @@ def residual(theta: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RetinaProblem:
-    """A degree-sequence instance: at least three finite targets d > 0."""
+    """A degree-sequence instance: at least three finite targets d > 0, each
+    below the sum of the others.
+
+    The last condition is necessary.  Each weight w_ij = 1/(theta_i +
+    theta_j) > 0 counts toward both d_i and d_j, so sum_{j != i} d_j = d_i +
+    2 * (the weights of the pairs without i), and n >= 3 leaves at least one
+    such pair.  A target with d_i >= sum_{j != i} d_j is rejected, naming i
+    and the margin sum_{j != i} d_j - d_i.  For when the estimate exists
+    exactly, see Hillar and Wibisono, "Maximum entropy distributions on
+    graphs", arXiv:1301.3321; this check is only the necessary condition
+    above, and the solver may still fail to converge on targets that pass it.
+    """
 
     d: np.ndarray
 
@@ -146,6 +157,14 @@ class RetinaProblem:
             raise ValueError(f"target degree d[{i}] = {d[i]} is not finite")
         if not (d > 0).all():
             raise ValueError("all target degrees must be positive")
+        # Only the largest target can reach the sum of the others.  Its
+        # margin sum_{j != i} d_j - d_i is rounded once.
+        i = int(np.argmax(d))
+        margin = math.fsum(np.append(np.delete(d, i), -d[i]))
+        if margin <= 0:
+            raise ValueError(
+                f"infeasible target degrees: d[{i}] = {d[i]:g} is not below the "
+                f"sum of the others (margin {margin:g})")
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
 

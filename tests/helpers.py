@@ -12,7 +12,7 @@ from sddkit import (AsymmetricMatrixError, BipartiteComponent, DomainError,
                     RetinaSolution, SForm,
                     SingularBlockError, SingularMatrixError, SymMatrix,
                     analyze_bipartition, eigen_sym, incidence, inverse_dense,
-                    randmat, sform_dense)
+                    randmat, sform_dense, sform_inverse, signless_laplacian)
 from sddkit.graphlimit import _require_compatible
 from sddkit.matcore import _mean_with_transpose
 from sddkit.retina import DOMAIN_FLOOR, _finish
@@ -61,6 +61,8 @@ def load_matrix_by_rows(path) -> SymMatrix:
         lines = fh.read().splitlines()
     if not lines:
         raise MatrixFormatError("empty file", line=1)
+    if not lines[0].isascii() or "_" in lines[0]:
+        raise MatrixFormatError(f"not a plain ASCII decimal line: {lines[0]!r}", line=1)
     head = lines[0].split()
     if len(head) != 1:
         raise MatrixFormatError(f"expected a single dimension, got {lines[0]!r}", line=1)
@@ -74,6 +76,8 @@ def load_matrix_by_rows(path) -> SymMatrix:
     lineno = 1
     for raw in lines[1:]:
         lineno += 1
+        if not raw.isascii() or "_" in raw:
+            raise MatrixFormatError(f"not a plain ASCII decimal line: {raw!r}", line=lineno)
         if not raw.strip():
             continue
         if len(rows) == n:
@@ -241,6 +245,29 @@ def format_matrix_by_entries(entries: np.ndarray) -> str:
     return "".join(" ".join(format(v, ".12g") for v in row) + "\n" for row in entries)
 
 
+def print_matrix_by_blocks(entries: np.ndarray, rows: int = 32) -> str:
+    """The text of ``cli._print_matrix`` from a printer that dedupes and
+    looks up every entry of each block of ``rows`` rows, ignoring symmetry
+    (test-side oracle, the printer's former algorithm)."""
+    a = np.ascontiguousarray(entries, dtype=np.float64)
+    seen = np.empty(0, dtype=np.int64)
+    seen_tokens = np.empty(0, dtype=object)
+    lines = []
+    for start in range(0, a.shape[0], rows):
+        block = a[start:start + rows]
+        keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        pos = np.searchsorted(seen, keys)
+        new = pos == seen.size
+        new[~new] = seen[pos[~new]] != keys[~new]
+        tokens = np.empty(keys.size, dtype=object)
+        tokens[~new] = seen_tokens[pos[~new]]
+        tokens[new] = [format(v, ".12g") for v in keys[new].view(np.float64).tolist()]
+        seen = np.insert(seen, pos[new], keys[new])
+        seen_tokens = np.insert(seen_tokens, pos[new], tokens[new])
+        lines += [" ".join(row) + "\n" for row in tokens[inverse.reshape(block.shape)].tolist()]
+    return "".join(lines)
+
+
 def basis_matrix_by_columns(B) -> np.ndarray:
     """The U basis of ``graphlimit._basis_matrix`` stacked from one n-vector
     per column (test-side oracle)."""
@@ -265,6 +292,27 @@ def basis_matrix_by_columns(B) -> np.ndarray:
     if not cols:
         return np.zeros((n, 0))
     return np.column_stack(cols)
+
+
+def u_route_by_cho_solve(S, B) -> np.ndarray:
+    """The u-route by a Cholesky solve against all n columns of (S^{-1} U)',
+    a full product and the mean with the transpose (test-side oracle, the
+    route's former expression)."""
+    Sinv = sform_inverse(S).entries
+    U = basis_matrix_by_columns(B)
+    if U.shape[1] == 0:
+        return Sinv
+    SiU = Sinv @ U
+    cho = scipy.linalg.cho_factor(U.T @ SiU, check_finite=False)
+    N = Sinv - SiU @ scipy.linalg.cho_solve(cho, SiU.T, check_finite=False)
+    return symmetrize(N).entries
+
+
+def limit_numeric_by_lu(S, G: LoopGraph, t: float) -> np.ndarray:
+    """(S + t P)^{-1} by the pivoted-LU inverse :func:`inverse_dense`
+    (test-side oracle, the former ``limit_numeric``)."""
+    A = sform_dense(S).entries + t * signless_laplacian(G).entries
+    return inverse_dense(SymMatrix(A)).entries
 
 
 def limit_test_graph(n: int, seed: int) -> LoopGraph:

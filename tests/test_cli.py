@@ -1,9 +1,15 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from helpers import (J4_BALANCED, bits, format_matrix_by_entries, jt_matrix,
-                     limit_test_graph)
+                     limit_test_graph, print_matrix_by_blocks)
 from sddkit import (SForm, analyze_bipartition, limit_closed_form,
                     limit_numeric, limit_u_route, save_graph, save_matrix,
                     SymMatrix)
@@ -138,6 +144,54 @@ class TestPrintMatrix:
         _print_matrix(entries)
         assert capsys.readouterr().out == format_matrix_by_entries(entries)
         assert len(calls) == np.unique(bits(entries)).size
+
+
+@st.composite
+def nearly_symmetric_matrices(draw):
+    """A symmetric matrix from a small pool of values (signed zeros,
+    subnormals, values equal to 12 digits), then some entries below the
+    diagonal replaced: by the mirror with its zero sign flipped, by the next
+    float toward zero, or by another pool value."""
+    n = draw(st.integers(1, 100))
+    pool = draw(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1 / 3,
+                         np.nextafter(1 / 3, 1.0), 1e300, -1.5]),
+        st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.array(pool)[rng.integers(0, len(pool), size=(n, n))]
+    lower = np.tril_indices(n, -1)
+    a[lower] = a.T[lower]
+    change = rng.random(lower[0].size) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    rows, cols = lower[0][change], lower[1][change]
+    mirror = a[cols, rows]
+    how = rng.integers(0, 3, size=rows.size)
+    a[rows, cols] = np.where(how == 0, np.where(mirror == 0, -mirror, mirror),
+                             np.where(how == 1, np.nextafter(mirror, 0.0),
+                                      np.array(pool)[rng.integers(0, len(pool), size=rows.size)]))
+    return a
+
+
+class TestPrintMatrixAgainstBlockPrinter:
+    @settings(max_examples=300, deadline=None)
+    @given(entries=nearly_symmetric_matrices())
+    @example(entries=np.array([[-0.0]]))
+    @example(entries=np.array([[1.0, 0.0], [-0.0, 1.0]]))
+    @example(entries=np.array([[1.0, 5e-324], [-5e-324, 1.0]]))
+    def test_same_bytes(self, entries):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _print_matrix(entries)
+        assert out.getvalue() == print_matrix_by_blocks(entries)
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 70, 97])
+    def test_signed_zero_mirrors(self, n, capsys):
+        # +0 on and above the diagonal, -0 below it, so every mirrored pair's
+        # bits differ; each block's zeros straddle its diagonal block.
+        entries = np.zeros((n, n))
+        entries[np.tril_indices(n, -1)] = -0.0
+        _print_matrix(entries)
+        out = capsys.readouterr().out
+        assert out == print_matrix_by_blocks(entries) == format_matrix_by_entries(entries)
 
 
 class TestLimitMatrixBytes:
@@ -301,6 +355,30 @@ class TestFailureCorpus:
         path.write_text("3\n1 2 3\n")
         assert main(["limit", "--sform", "3,1,1", "--graph", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_singular_finite_t_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "g800.edges"
+        save_graph(limit_test_graph(800, seed=5), path)
+        assert main(["limit", "--sform", "800,798,1", "--graph", str(path),
+                     "--t", "1e16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: solver failed: matrix singular")
+
+    @pytest.mark.parametrize("text, line", [
+        ("12\n2 1_0\n", 2),
+        ("1_2\n2 10\n", 1),
+        ("\u0661\u0662\n1 2\n", 1),
+        ("12\n1 2\n\uff11 2\n", 3),
+        ("12\n1 2\n\u00a0\n", 3),
+    ], ids=["underscore", "underscore_count", "arabic_indic_count",
+            "fullwidth_digit", "non_ascii_blank"])
+    def test_non_decimal_graph_text(self, text, line, tmp_path, capsys):
+        path = tmp_path / "g.edges"
+        path.write_text(text, encoding="utf-8")
+        assert main(["limit", "--sform", "12,10,1", "--graph", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: not a plain ASCII decimal line")
 
     def test_bad_sform_argument(self, cycle4_file):
         assert main(["limit", "--sform", "4,2", "--graph", cycle4_file]) == 2

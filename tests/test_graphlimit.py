@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 from helpers import (basis_matrix_by_columns, bits, chain_cycle, incidence_rank,
-                     limit_block_constants, limit_test_graph, star, symmetrize)
+                     limit_block_constants, limit_numeric_by_lu, limit_test_graph,
+                     star, u_route_by_cho_solve)
 from sddkit import (
     BipartiteComponent,
     GraphFormatError,
@@ -20,8 +21,8 @@ from sddkit import (
     load_graph,
     save_graph,
     sform_inf_norm_inverse,
+    SingularMatrixError,
     SymMatrix,
-    inverse_dense,
     sform_dense,
     sform_inverse,
     signless_laplacian,
@@ -228,16 +229,31 @@ class TestURoute:
         np.testing.assert_allclose(N.entries, np.zeros((6, 6)), atol=1e-10)
 
 
+def upper_onto_lower(a: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose upper triangle is ``a``'s, by selection."""
+    return np.where(np.triu(np.ones(a.shape, dtype=bool)), a, a.T)
+
+
 def u_route_by_formula(S: SForm, B) -> np.ndarray:
-    """The u-route as one expression over stacked basis columns."""
+    """The u-route's LAPACK/BLAS calls on the dense U, stacked column by column."""
     Sinv = sform_inverse(S).entries
     U = basis_matrix_by_columns(B)
     if U.shape[1] == 0:
         return Sinv
     SiU = Sinv @ U
-    cho = scipy.linalg.cho_factor(U.T @ SiU, check_finite=False)
-    N = Sinv - SiU @ scipy.linalg.cho_solve(cho, SiU.T, check_finite=False)
-    return symmetrize(N).entries
+    R, _ = scipy.linalg.cho_factor(U.T @ SiU, check_finite=False)
+    X = scipy.linalg.blas.dtrsm(1.0, R, SiU.T, trans_a=1)
+    return upper_onto_lower(scipy.linalg.blas.dsyrk(-1.0, X, beta=1.0, c=Sinv, trans=1))
+
+
+def numeric_by_formula(S: SForm, G, t: float) -> np.ndarray:
+    """limit_numeric's LAPACK calls on the dense S + t P."""
+    A = sform_dense(S).entries + t * signless_laplacian(G).entries
+    factor, info = scipy.linalg.lapack.dpotrf(A)
+    assert info == 0
+    inv, info = scipy.linalg.lapack.dpotri(factor)
+    assert info == 0
+    return upper_onto_lower(inv)
 
 
 def _bitwise_cases():
@@ -261,7 +277,7 @@ def basis_matrix_from_index(B) -> np.ndarray:
 
 class TestRoutesBitwise:
     """The memory-lean basis, u-route and finite-t inverse give the bits of
-    the plain expressions."""
+    the same LAPACK/BLAS calls on the plain dense matrices."""
 
     def test_basis_and_u_route(self):
         for S, G in _bitwise_cases():
@@ -302,9 +318,59 @@ class TestRoutesBitwise:
 
     def test_numeric(self):
         for S, G in _bitwise_cases():
-            A = sform_dense(S).entries + 1e8 * signless_laplacian(G).entries
             assert np.array_equal(bits(limit_numeric(S, G, 1e8).entries),
-                                  bits(inverse_dense(SymMatrix(A)).entries))
+                                  bits(numeric_by_formula(S, G, 1e8)))
+
+    def test_routes_are_bitwise_symmetric(self):
+        for S, G in _bitwise_cases():
+            for N in (limit_u_route(S, analyze_bipartition(G)).entries,
+                      limit_numeric(S, G, 1e8).entries):
+                assert np.array_equal(bits(N), bits(N.T))
+
+
+class TestRoutesAgainstFormerOracles:
+    """The Cholesky routes against the cho_solve u-route and the LU inverse
+    they replaced."""
+
+    def test_u_route(self):
+        # Within 1e-10 of max|N|, or of max|S^{-1}| where the limit is zero
+        # and N is roundoff left from cancelling S^{-1}.
+        for S, G in _bitwise_cases():
+            B = analyze_bipartition(G)
+            old = u_route_by_cho_solve(S, B)
+            new = limit_u_route(S, B).entries
+            scale = np.abs(old if B.r else sform_inverse(S).entries).max()
+            assert np.abs(new - old).max() <= 1e-10 * scale
+
+    def test_numeric_at_n800(self):
+        S, G = _bitwise_cases()[-1]
+        assert S.n == 800
+        old = limit_numeric_by_lu(S, G, 1e8)
+        new = limit_numeric(S, G, 1e8).entries
+        assert np.abs(new - old).max() <= 1e-10 * np.abs(old).max()
+
+    def test_numeric(self):
+        # Two backward-stable inverses of S + 1e8 P agree only to the size of
+        # their forward errors, cond_inf * eps relative; on the small cases
+        # that exceeds 1e-10 (up to 4.4e-9 apart, with LU itself up to
+        # 1.9e-9 from an iteratively refined inverse).
+        for S, G in _bitwise_cases():
+            A = sform_dense(S).entries + 1e8 * signless_laplacian(G).entries
+            tol = max(1e-10, np.linalg.cond(A, np.inf) * np.finfo(float).eps)
+            old = limit_numeric_by_lu(S, G, 1e8)
+            new = limit_numeric(S, G, 1e8).entries
+            assert np.abs(new - old).max() <= tol * np.abs(old).max()
+
+    def test_singular_sum_still_raises(self):
+        S, G = SForm(800, 798.0, 1.0), limit_test_graph(800, seed=5)
+        with pytest.raises(SingularMatrixError) as err:
+            limit_numeric_by_lu(S, G, 1e16)
+        floor = 800 * np.finfo(float).eps * inf_norm(
+            SymMatrix(sform_dense(S).entries + 1e16 * signless_laplacian(G).entries))
+        assert err.value.pivot <= floor
+        with pytest.raises(SingularMatrixError) as err:
+            limit_numeric(S, G, 1e16)
+        assert err.value.pivot <= floor
 
 
 class TestNumericLimit:
@@ -426,6 +492,22 @@ class TestGraphIO:
         path.write_text("4\n1 2\n2 3\n3 4\n1 4\n")
         g = load_graph(path)
         assert g.num_edges == 4 and g.n == 4
+
+    @pytest.mark.parametrize("text, line", [
+        ("12\n2 1_0\n", 2),
+        ("1_2\n2 10\n", 1),
+        ("\u0661\u0662\n1 2\n", 1),
+        ("12\n1 2\n\u0661 \u0662\n", 3),
+    ], ids=["underscore_vertex", "underscore_count", "arabic_indic_count",
+            "arabic_indic_edge"])
+    def test_rejects_non_decimal_numerals(self, text, line, tmp_path):
+        # int() reads each of these: "1_0" as 10, "\u0661\u0662" as 12.
+        path = tmp_path / "g.edges"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(GraphFormatError) as err:
+            load_graph(path)
+        assert err.value.line == line
+        assert "not a plain ASCII decimal line" in str(err.value)
 
     def test_bad_edge_line(self, tmp_path):
         path = tmp_path / "bad.edges"

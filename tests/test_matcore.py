@@ -565,6 +565,28 @@ class TestLoadMatrixOracle:
         assert load_outcome(load_matrix, path) == load_outcome(load_matrix_by_rows, path)
 
 
+class TestLoadMatrixRejectsNonDecimal:
+    @pytest.mark.parametrize("text, line", [
+        ("2\n1 1_000\n1000 1\n", 2),
+        ("2\n1 1000\n1_000 1\n", 3),
+        ("2_0\n" + "1 0\n" * 20, 1),
+        ("\u0662\n1 12\n12 1\n", 1),
+        ("2\n1 \u0661\u0662\n12 1\n", 2),
+        ("2\n1 12\n\uff11\uff12 1\n", 3),
+        ("2\n1 12\n\u00a0\n12 1\n", 3),
+    ], ids=["underscore_upper", "underscore_lower", "underscore_dimension",
+            "arabic_indic_dimension", "arabic_indic_upper", "fullwidth_lower",
+            "non_ascii_blank"])
+    def test_rejected_with_line(self, text, line, tmp_path):
+        # float() reads each of these: "1_000" as 1000.0, "\u0661\u0662" as 12.0.
+        path = tmp_path / "m.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MatrixFormatError) as err:
+            load_matrix(path)
+        assert err.value.line == line
+        assert "not a plain ASCII decimal line" in str(err.value)
+
+
 class TestLoadMatrixCost:
     @staticmethod
     def count_parses(monkeypatch, path) -> tuple[np.ndarray, int]:

@@ -132,9 +132,26 @@ class TestSolve:
         assert sol.ell_used == brute
 
     def test_infeasible_targets_fail_gracefully(self):
-        # row 1 wants tiny pair sums, rows 2-3 want huge ones: no solution
-        sol = solve_retina(RetinaProblem(np.array([1000.0, 1e-3, 1e-3])), max_iter=30)
-        assert not sol.converged
+        # row 1 wants tiny pair sums, rows 2-3 want huge ones: no solution,
+        # and the problem is rejected before any Newton step.
+        with pytest.raises(ValueError, match=r"d\[0\] = 1000 .* \(margin -999\.998\)"):
+            RetinaProblem(np.array([1000.0, 1e-3, 1e-3]))
+
+    @pytest.mark.parametrize("d, index, margin", [
+        ([1.0, 1.0, 50.0], 2, "-48"),
+        ([1.0, 2.0, 3.5], 2, "-0.5"),
+        ([5.0, 1.0, 1.0, 1.0], 0, "-2"),
+        ([1.0, 2.0, 3.0], 2, "0"),
+    ], ids=["far", "near", "n4", "boundary"])
+    def test_rejects_target_not_below_the_others(self, d, index, margin):
+        with pytest.raises(ValueError, match=rf"infeasible .* d\[{index}\] = .*"
+                                             rf"\(margin {margin}\)"):
+            RetinaProblem(np.array(d))
+
+    def test_feasible_target_near_the_bound_converges(self):
+        sol = solve_retina(RetinaProblem(np.array([1.0, 2.0, 2.99])))
+        assert sol.converged
+        np.testing.assert_allclose(f_map(-sol.theta), [1.0, 2.0, 2.99], rtol=1e-9)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_degree(self, bad):
@@ -361,7 +378,9 @@ class TestBitwiseOracles:
         assert not sol.converged and sol.iterations == 2
 
     @pytest.mark.parametrize("max_iter", [30, 80])
-    def test_infeasible_targets(self, max_iter):
-        sol = self.assert_same_solution(RetinaProblem(np.array([1000.0, 1e-3, 1e-3])),
+    def test_unconverged_feasible_targets(self, max_iter):
+        # Feasible (weights 999.985, 0.015 and 0.005), but the run stops
+        # short of the residual tolerance.
+        sol = self.assert_same_solution(RetinaProblem(np.array([1000.0, 999.99, 0.02])),
                                         max_iter=max_iter)
         assert not sol.converged
