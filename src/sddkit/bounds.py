@@ -320,7 +320,7 @@ def det_lower_bound(J: SymMatrix, ell: float | None = None,
         return bad
     n = J.n
     base = 1.0 - math.sqrt(m / ell) * (1.0 + m / ell) / (2.0 * (n - 2))
-    _, ratio = J.elimination
+    _, ratio = block_det_ratio(J)
     if base <= 0:
         return _report("det_lower", float("-inf"), ratio, vacuous=True,
                        n=n, ell=ell, m=m, base=base)
@@ -335,7 +335,7 @@ def det_upper_bound_balanced(J: SymMatrix, ell: float | None = None,
     if bad is not None:
         return bad
     n = J.n
-    _, ratio = J.elimination
+    _, ratio = block_det_ratio(J)
     rhs = math.exp(-ell * ell / (4.0 * m * m))
     return _report("det_upper", ratio, rhs, n=n, ell=ell, m=m)
 
@@ -351,7 +351,7 @@ def adjugate_bound(J: SymMatrix, ell: float | None = None,
     if bad is not None:
         return bad
     n = J.n
-    _, ratio = J.elimination
+    _, ratio = block_det_ratio(J)
     lhs = abs(ratio) * J.inv_inf_norm
     rhs = ((3 * n - 4) / (2.0 * ell * (n - 2) * (n - 1))) * math.exp(
         -ell * ell / (4.0 * m * m))
@@ -369,7 +369,7 @@ def hadamard_sanity(J: SymMatrix) -> BoundReport:
     diag = J.entries.diagonal()
     if not (diag > 0).all():
         return _inapplicable("hadamard", "needs a positive diagonal", n=J.n)
-    factors, ratio = J.elimination
+    factors, ratio = block_det_ratio(J)
     if (factors * diag[:-1] < -J.n * np.finfo(float).eps * inf_norm(J)).any():
         return _inapplicable("hadamard", "J not positive semidefinite", n=J.n)
     return _report("hadamard", ratio, 1.0, n=J.n)
@@ -484,7 +484,7 @@ def _suite_records(suite: str, trial: int, rng, n: int) -> list[tuple[dict, Boun
     if suite == "det_upper":
         # Conjectured: det ratio of a positive balanced J is at most
         # 2 (1 - 1/(n-1))^{n-1}, the ratio of the balanced reference matrix.
-        _, ratio = randmat.random_balanced(rng, n, lo=0.2, hi=3.0).elimination
+        _, ratio = block_det_ratio(randmat.random_balanced(rng, n, lo=0.2, hi=3.0))
         return [({}, _report("det_upper_conjecture", ratio,
                              2.0 * (1.0 - 1.0 / (n - 1)) ** (n - 1), n=n))]
     if suite == "varah":

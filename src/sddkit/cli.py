@@ -178,6 +178,10 @@ def cmd_inspect(args) -> int:
 def cmd_limit(args) -> int:
     S = _parse_sform(args.sform)
     G = load_graph(args.graph)
+    # Before the graph is analysed: a header may claim far more vertices
+    # than the file lists edges.
+    if G.n != S.n:
+        raise ValueError(f"dimension mismatch: sform n={S.n}, graph n={G.n}")
     B = analyze_bipartition(G)
     # The limit is computed before any output, so a rejected input prints
     # only its error line.

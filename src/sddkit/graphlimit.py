@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .matcore import (SymMatrix, _adopt, _fill_upper, _inverse_cholesky,
-                      _require_plain_text)
+                      _numbered_lines, _read_count)
 from .sform import SForm, sform_dense, sform_inverse
 
 __all__ = [
@@ -415,34 +415,22 @@ def limit_inf_norm(S: SForm, B: BipartitionSummary) -> float:
 
 def load_graph(path) -> LoopGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise GraphFormatError("empty file", line=1)
-    _require_plain_text(lines[0], 1, GraphFormatError)
-    head = lines[0].split()
-    if len(head) != 1:
-        raise GraphFormatError(f"expected a single vertex count, got {lines[0]!r}", line=1)
-    try:
-        n = int(head[0])
-    except ValueError:
-        raise GraphFormatError(f"bad vertex count {head[0]!r}", line=1) from None
-    if n < 1:
-        raise GraphFormatError(f"vertex count must be >= 1, got {n}", line=1)
-    edges = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        _require_plain_text(raw, lineno, GraphFormatError)
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"expected 'i j', got {raw!r}", line=lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"bad vertex in {raw!r}", line=lineno) from None
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise GraphFormatError(f"vertex outside 1..{n} in {raw!r}", line=lineno)
-        edges.append((i, j))
+        lines = _numbered_lines(fh, GraphFormatError)
+        n = _read_count(lines, GraphFormatError, "vertex count")
+        edges = []
+        for lineno, raw in lines:
+            if not raw.strip():
+                continue
+            parts = raw.split()
+            if len(parts) != 2:
+                raise GraphFormatError(f"expected 'i j', got {raw!r}", line=lineno)
+            try:
+                i, j = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"bad vertex in {raw!r}", line=lineno) from None
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise GraphFormatError(f"vertex outside 1..{n} in {raw!r}", line=lineno)
+            edges.append((i, j))
     return LoopGraph(n, edges)
 
 

@@ -398,23 +398,59 @@ def _require_plain_text(raw: str, line: int, error) -> None:
         raise error(f"not a plain ASCII decimal line: {raw!r}", line=line)
 
 
+def _numbered_lines(fh, error):
+    """Yield ``(lineno, line)`` for the text file ``fh``, numbered and split
+    exactly as ``str.splitlines`` splits the whole text, one physical line
+    at a time; each line must pass :func:`_require_plain_text`.
+
+    A physical line can hold several logical ones: besides ``\\n``,
+    splitlines also breaks at ``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``,
+    ``\\u2028`` and ``\\u2029``.
+    """
+    lineno = 0
+    for physical in fh:
+        for line in physical.splitlines():
+            lineno += 1
+            _require_plain_text(line, lineno, error)
+            yield lineno, line
+
+
+def _read_count(lines, error, noun: str) -> int:
+    """The single integer >= 1 on the first of the numbered ``lines``;
+    ``error`` at line 1 names it by ``noun``."""
+    first = next(lines, None)
+    if first is None:
+        raise error("empty file", line=1)
+    head = first[1].split()
+    if len(head) != 1:
+        raise error(f"expected a single {noun}, got {first[1]!r}", line=1)
+    try:
+        n = int(head[0])
+    except ValueError:
+        raise error(f"bad {noun} {head[0]!r}", line=1) from None
+    if n < 1:
+        raise error(f"{noun} must be >= 1, got {n}", line=1)
+    return n
+
+
 # Matrix text format: first line "n", then n rows of n finite decimal reals,
 # separated by any whitespace; blank lines are skipped.  Every line must be
 # ASCII without "_".  The file must be symmetric to 1e-9 relative skew, and
-# a nearly symmetric one is averaged with its transpose.  Mirrored entries are usually spelled alike (save_matrix
-# spells both with .17g), so an entry below the diagonal is parsed only when
-# its text differs from its mirror's: a file of identical spellings costs
-# n(n+1)/2 decimal parses, not n^2.
+# a nearly symmetric one is averaged with its transpose.  Mirrored entries
+# are usually spelled alike (save_matrix spells both with .17g), so an entry
+# below the diagonal is parsed only when its text differs from its mirror's:
+# a file of identical spellings costs n(n+1)/2 decimal parses, not n^2.
 
 def load_matrix(path) -> SymMatrix:
     """Read a matrix text file (format above) as a :class:`SymMatrix`.
 
-    One pass over the rows, in file order.  Each row's entries on and above
-    the diagonal are parsed.  An entry below it whose text equals its mirror's
-    takes the mirror's parsed value; any other, such as ``1.0`` mirroring
-    ``1``, is parsed itself.  So the entries are bitwise those of parsing
-    every token.  Only the column tokens not yet mirrored are kept, about
-    n^2/4 strings at most.
+    One pass over the lines, read one at a time, filling the n x n array
+    as each row arrives.  Each row's entries on and above the diagonal are
+    parsed.  An entry below it whose text equals its mirror's takes the
+    mirror's parsed value; any other, such as ``1.0`` mirroring ``1``, is
+    parsed itself.  So the entries are bitwise those of parsing every token.
+    Besides the array, only the column tokens not yet mirrored are kept,
+    about n^2/4 strings at most.
 
     Raises :class:`MatrixFormatError` with the 1-based ``line`` of the first
     bad line: a line that is not ASCII or holds a ``_``, content after n
@@ -423,77 +459,60 @@ def load_matrix(path) -> SymMatrix:
     :class:`AsymmetricMatrixError` past the skew tolerance.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise MatrixFormatError("empty file", line=1)
-    _require_plain_text(lines[0], 1, MatrixFormatError)
-    head = lines[0].split()
-    if len(head) != 1:
-        raise MatrixFormatError(f"expected a single dimension, got {lines[0]!r}", line=1)
-    try:
-        n = int(head[0])
-    except ValueError:
-        raise MatrixFormatError(f"bad dimension {head[0]!r}", line=1) from None
-    if n < 1:
-        raise MatrixFormatError(f"dimension must be >= 1, got {n}", line=1)
-    uppers = []  # row i's entries i..n-1
-    fixes = []   # (i, j, value) of each entry below the diagonal spelled
-                 # unlike its mirror
-    cols = []    # cols[k]: the tokens (j, k) of the rows j < k read so far
-    lineno = 1
-    for raw in lines[1:]:
-        lineno += 1
-        _require_plain_text(raw, lineno, MatrixFormatError)
-        if not raw.strip():
-            continue
-        i = len(uppers)
-        if i == n:
-            raise MatrixFormatError(f"unexpected content after {n} rows", line=lineno)
-        mirror = cols[i] if i else []
-        # A line that starts with the mirror's tokens, as save_matrix writes
-        # them, needs only its remainder split.
-        prefix = " ".join(mirror)
-        if i and raw.startswith(prefix) and raw[len(prefix):len(prefix) + 1] in (" ", "\t"):
-            lower, upper = mirror, raw[len(prefix) + 1:].split()
-        else:
-            parts = raw.split()
-            lower, upper = parts[:i], parts[i:]
-        if len(lower) + len(upper) != n:
-            raise MatrixFormatError(f"expected {n} entries, got {len(lower) + len(upper)}",
-                                    line=lineno)
-        diff = [j for j in range(i) if lower[j] != mirror[j]] if lower != mirror else []
-        try:
-            values = list(map(float, upper))
-            fixed = [float(lower[j]) for j in diff]
-        except ValueError:
-            raise MatrixFormatError(f"bad number in row {raw!r}", line=lineno) from None
-        # A finite sum rules out inf and nan; finite entries can still sum
-        # past the largest float, so an infinite sum is checked entry-wise.
-        # Mirrored entries were checked with their own row.
-        if not math.isfinite(sum(values) + sum(fixed)) \
-                and not all(map(math.isfinite, values + fixed)):
-            raise MatrixFormatError(f"non-finite entry in row {raw!r}", line=lineno)
-        if not i:
-            # Allocated once the first row holds n entries, so a dimension
-            # line the file does not back claims no memory.
-            cols = [[] for _ in range(n)]
-        for col, token in zip(cols[i + 1:], upper[1:]):
-            col.append(token)
-        cols[i] = None
-        uppers.append(np.array(values))
-        fixes += zip([i] * len(diff), diff, fixed)
-    if len(uppers) != n:
-        raise MatrixFormatError(f"expected {n} rows, found {len(uppers)}", line=lineno)
-    a = np.empty((n, n))
-    for i, row in enumerate(uppers):
-        a[i, i:] = row
-        a[i, :i] = a[:i, i]
-    del uppers
-    if not fixes:
+        lines = _numbered_lines(fh, MatrixFormatError)
+        n = _read_count(lines, MatrixFormatError, "dimension")
+        cols = []          # cols[k]: the tokens (j, k) of the rows j < k read so far
+        i = 0              # rows read
+        lineno = 1
+        respelled = False  # some entry below the diagonal is spelled unlike its mirror
+        for lineno, raw in lines:
+            if not raw.strip():
+                continue
+            if i == n:
+                raise MatrixFormatError(f"unexpected content after {n} rows", line=lineno)
+            mirror = cols[i] if i else []
+            # A line that starts with the mirror's tokens, as save_matrix writes
+            # them, needs only its remainder split.
+            prefix = " ".join(mirror)
+            if i and raw.startswith(prefix) and raw[len(prefix):len(prefix) + 1] in (" ", "\t"):
+                lower, upper = mirror, raw[len(prefix) + 1:].split()
+            else:
+                parts = raw.split()
+                lower, upper = parts[:i], parts[i:]
+            if len(lower) + len(upper) != n:
+                raise MatrixFormatError(f"expected {n} entries, got {len(lower) + len(upper)}",
+                                        line=lineno)
+            diff = [j for j in range(i) if lower[j] != mirror[j]] if lower != mirror else []
+            try:
+                values = list(map(float, upper))
+                fixed = [float(lower[j]) for j in diff]
+            except ValueError:
+                raise MatrixFormatError(f"bad number in row {raw!r}", line=lineno) from None
+            # A finite sum rules out inf and nan; finite entries can still sum
+            # past the largest float, so an infinite sum is checked entry-wise.
+            # Mirrored entries were checked with their own row.
+            if not math.isfinite(sum(values) + sum(fixed)) \
+                    and not all(map(math.isfinite, values + fixed)):
+                raise MatrixFormatError(f"non-finite entry in row {raw!r}", line=lineno)
+            if not i:
+                # Allocated once the first row holds n entries, so a dimension
+                # line the file does not back claims no memory.
+                a = np.empty((n, n))
+                cols = [[] for _ in range(n)]
+            for col, token in zip(cols[i + 1:], upper[1:]):
+                col.append(token)
+            cols[i] = None
+            a[i, i:] = values
+            a[i, :i] = a[:i, i]
+            if diff:
+                a[i, diff] = fixed
+                respelled = True
+            i += 1
+    if i != n:
+        raise MatrixFormatError(f"expected {n} rows, found {i}", line=lineno)
+    if not respelled:
         # Every entry below the diagonal holds its mirror's bits.
         return _adopt(a)
-    fix_rows, fix_cols, fix_values = zip(*fixes)
-    a[fix_rows, fix_cols] = fix_values
     skew = float(np.abs(a - a.T).max())
     scale = max(float(np.abs(a).max()), np.finfo(np.float64).tiny)
     if skew > 1e-9 * scale:

@@ -31,7 +31,7 @@ from sddkit import (
     verify_suite,
     xi_functional,
 )
-from sddkit import matcore
+from sddkit import bounds, matcore
 from sddkit.bounds import CONJECTURES, SUITES
 from sddkit.randmat import random_balanced, random_dominant, trial_rng
 
@@ -384,6 +384,19 @@ class TestPanelElimination:
         assert block_det_ratio(J) is first
         assert calls == [7]
 
+    def test_determinant_bounds_read_block_det_ratio(self, monkeypatch):
+        # The per-layer trace counts the eliminations behind the bounds
+        # where they are read, at block_det_ratio.
+        calls = []
+        layer = bounds.block_det_ratio
+        monkeypatch.setattr(bounds, "block_det_ratio",
+                            lambda J: calls.append(J.n) or layer(J))
+        J = random_balanced(trial_rng(173), 7)
+        for bound in (det_lower_bound, det_upper_bound_balanced,
+                      adjugate_bound, hadamard_sanity):
+            assert bound(J).applicable
+        assert calls == [7] * 4
+
     def test_matrix_is_collected_after_its_analysis(self):
         J = random_dominant(trial_rng(179), 6)
         block_det_ratio(J)
@@ -601,6 +614,15 @@ class TestConjectureSearch:
         a = conjecture_search("det_upper", 25, seed=9)
         b = conjecture_search("det_upper", 25, seed=9)
         assert [r.report.slack for r in a] == [r.report.slack for r in b]
+
+    def test_det_upper_search_reads_block_det_ratio(self, monkeypatch):
+        expected = conjecture_search("det_upper", 20, 0)
+        calls = []
+        layer = bounds.block_det_ratio
+        monkeypatch.setattr(bounds, "block_det_ratio",
+                            lambda J: calls.append(J.n) or layer(J))
+        assert conjecture_search("det_upper", 20, 0) == expected
+        assert len(calls) == 20
 
     def test_records_shape(self):
         records = conjecture_search("lower_norm", 50, seed=1)

@@ -91,6 +91,23 @@ class TestLimit:
         out = capsys.readouterr().out
         assert "0.275" in out and "-0.1" in out and "0.025" in out
 
+    @pytest.mark.parametrize("mode", [["--closed-form"], ["--u-route"], ["--t", "1"]])
+    def test_graph_size_checked_before_analysis(self, mode, tmp_path, capsys, monkeypatch):
+        # Analysing a graph allocates per vertex, so a header claiming 10^9
+        # vertices must be rejected first; the sentinel fails the test
+        # before anything is allocated.
+        path = tmp_path / "huge.edges"
+        path.write_text(f"{10**9}\n1 2\n")
+
+        def sentinel(G):
+            raise AssertionError("graph analysed before its size was checked")
+
+        monkeypatch.setattr(cli, "analyze_bipartition", sentinel)
+        assert main(["limit", "--sform", "4,2,1", "--graph", str(path), *mode]) == 2
+        captured = capsys.readouterr()
+        assert "dimension mismatch: sform n=4, graph n=1000000000" in captured.err
+        assert captured.out == ""
+
 
 def _print_cases():
     rng = np.random.default_rng(17)

@@ -15,6 +15,7 @@ from helpers import (H4_BALANCED, J3, H3, J4_BALANCED, SingularUpdateError, bits
 from sddkit import (
     AsymmetricMatrixError,
     EigenConvergenceError,
+    GraphFormatError,
     MatrixError,
     MatrixFormatError,
     SingularBlockError,
@@ -25,6 +26,7 @@ from sddkit import (
     eigen_sym,
     inf_norm,
     inverse_dense,
+    load_graph,
     load_matrix,
     save_matrix,
 )
@@ -461,6 +463,9 @@ class TestMatrixIO:
             load_matrix(path)
 
 
+# Line boundaries of str.splitlines besides "\n" and "\r\n".
+LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
 # Spellings of one value; mirrored entries may use different ones.
 SPELLINGS = (lambda v: format(v, ".17g"), repr, lambda v: format(v, ".20e"))
 BAD_TOKENS = ("x", "1.2.3", "--1", "1e", "0x10", "1,5")
@@ -558,6 +563,10 @@ class TestLoadMatrixOracle:
         "2\n1 2\n2 1\n2 1\n",
         "3\n1 2 3\n2 1 4\n",
         "2\r\n1 2\r\n\r\n  2\t1  \r\n",
+        # str.splitlines breaks lines at each of these, also inside a row.
+        *(text.format(brk) for brk in LINE_BREAKS for text in (
+            "2{}1 2\n2 1\n", "2\n1 2{}2 1\n", "2\n1 2\n2 1{}", "2\n1{}2\n2 1\n",
+            "2\n1 2{0}{0}2 1\n")),
     ])
     def test_examples(self, text, tmp_path):
         path = tmp_path / "m.txt"
@@ -585,6 +594,28 @@ class TestLoadMatrixRejectsNonDecimal:
             load_matrix(path)
         assert err.value.line == line
         assert "not a plain ASCII decimal line" in str(err.value)
+
+
+class TestCountHeader:
+    @pytest.mark.parametrize("loader, error, noun", [
+        (load_matrix, MatrixFormatError, "dimension"),
+        (load_graph, GraphFormatError, "vertex count"),
+    ], ids=["matrix", "graph"])
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("2 3\n1 2\n", "expected a single {noun}, got '2 3'"),
+        ("x\n1 2\n", "bad {noun} 'x'"),
+        ("0\n", "{noun} must be >= 1, got 0"),
+        ("\u0662\n1 2\n", "not a plain ASCII decimal line: " + repr("\u0662")),
+    ], ids=["empty", "two_tokens", "not_a_number", "zero", "non_ascii_digit"])
+    def test_both_loaders_reject_with_their_own_class(self, loader, error, noun,
+                                                      text, message, tmp_path):
+        path = tmp_path / "head.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(error) as err:
+            loader(path)
+        assert err.value.line == 1
+        assert str(err.value) == "line 1: " + message.format(noun=noun)
 
 
 class TestLoadMatrixCost:
@@ -633,4 +664,4 @@ class TestLoadMatrixCost:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 60 * n * n
+        assert peak < 32 * n * n
