@@ -290,6 +290,13 @@ def block_det_ratio(J: SymMatrix) -> tuple[np.ndarray, float]:
     row 1 is only a factor: a singular J whose trailing blocks are
     nonsingular gives ratio 0.
 
+    The elimination runs on Python floats up to 16 rows
+    (``matcore._SCALAR_MAX``, the measured crossover) and in numpy panels
+    of 32 rows above it (:func:`sddkit.matcore._eliminate`).  Both kernels
+    give the same bits.  The scalar one computes the exact floors only for
+    a pivot that falls under a cheap over-estimate of them, because at
+    small n they cost as much as the elimination itself.
+
     Returns ``J.elimination``, so each matrix is eliminated once and every
     determinant bound reads the same pair, with ``factors`` read-only.
     """

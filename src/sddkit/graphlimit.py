@@ -414,7 +414,7 @@ def limit_inf_norm(S: SForm, B: BipartitionSummary) -> float:
 # (1-based; i == j denotes a self-loop).  Every line must be ASCII without "_".
 
 def load_graph(path) -> LoopGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lines = _numbered_lines(fh, GraphFormatError)
         n = _read_count(lines, GraphFormatError, "vertex count")
         edges = []

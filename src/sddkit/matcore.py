@@ -23,6 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter, mul, sub
 
 import numpy as np
 import scipy.linalg
@@ -323,41 +324,122 @@ def _trailing_block_norms(a: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(suffix[::-1], axis=0)[::-1].diagonal()
 
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _pivot_floors(a: np.ndarray) -> np.ndarray:
+    """The singular floor of every pivot: (n - k) * eps * inf_norm(a[k:, k:]),
+    :func:`inverse_dense`'s floor for the trailing block from row k."""
+    n = a.shape[0]
+    return (n - np.arange(n)) * _EPS * np.maximum(_trailing_block_norms(a), _TINY)
+
+
+def _singular_block(k: int, pivot: float) -> SingularBlockError:
+    return SingularBlockError(
+        f"trailing block starting at row {k + 1} is singular "
+        f"(pivot {abs(pivot):.3e})",
+        block_index=k + 1,
+    )
+
+
 # Rows per elimination panel: the pivots of a panel update only its own
 # columns one by one, and the block to its left once, by one matrix product.
 _PANEL = 32
 
 
-def _eliminate(J: SymMatrix) -> tuple[np.ndarray, float]:
-    """The bottom-up elimination of :func:`sddkit.bounds.block_det_ratio`.
+def _pivots_panel(a: np.ndarray) -> np.ndarray:
+    """The pivots of the elimination of ``a``, in panels of ``_PANEL`` rows
+    from the bottom.
 
-    It runs in panels of ``_PANEL`` rows from the bottom.  Within a panel
-    each pivot updates only the panel's columns; the block to the panel's
-    left then takes the panel's whole Schur update, C D^{-1} C', as one
-    matrix product.  For n <= ``_PANEL`` there is one panel and the steps
-    are the plain rank-one updates.
+    Within a panel each pivot updates only the panel's columns; the block to
+    the panel's left then takes the panel's whole Schur update, C D^{-1} C',
+    as one matrix product.  For n <= ``_PANEL`` there is one panel and the
+    steps are the plain rank-one updates.
     """
-    a = J.entries
-    n = J.n
-    floors = (n - np.arange(n)) * np.finfo(float).eps * np.maximum(
-        _trailing_block_norms(a), np.finfo(float).tiny)
+    n = a.shape[0]
+    floors = _pivot_floors(a)
     w = a.copy()
     for e in range(n, 0, -_PANEL):
         s = max(e - _PANEL, 0)
         for k in range(e - 1, max(s, 1) - 1, -1):
             pivot = w[k, k]
             if abs(pivot) <= floors[k]:
-                raise SingularBlockError(
-                    f"trailing block starting at row {k + 1} is singular "
-                    f"(pivot {abs(pivot):.3e})",
-                    block_index=k + 1,
-                )
+                raise _singular_block(k, pivot)
             col = w[:k, k]
             w[:k, s:k] -= np.outer(col / pivot, col[s:k])
         if s:
             C = w[:s, s:e]
             w[:s, :s] -= (C / w.diagonal()[s:e]) @ C.T
-    factors = w.diagonal()[:-1] / a.diagonal()[:-1]
+    return w.diagonal()
+
+
+# Largest n eliminated on Python floats.  Below it numpy's fixed cost per
+# pivot (slicing, np.outer, the in-place update: about 8 us) outweighs the
+# n^3/3 flops; the kernels' times per n are in BENCH_15.json.
+_SCALAR_MAX = 16
+
+
+def _gather(idx: list[int]) -> itemgetter:
+    """An itemgetter that returns a sequence also for a single index."""
+    return itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1))
+
+
+# The scalar kernel keeps the upper triangle column by column: entry (i, j),
+# i <= j, at j(j+1)/2 + i, so the leading k x k block is the first k(k+1)/2
+# entries.  _UPPER[n] picks them from an n x n array in that order; _STEP[k]
+# gathers the row index and the column index of each entry of the k x k block.
+_UPPER = [np.array([i * n + j for j in range(n) for i in range(j + 1)], dtype=np.intp)
+          for n in range(_SCALAR_MAX + 1)]
+_STEP = [None] + [(_gather([i for j in range(k) for i in range(j + 1)]),
+                   _gather([j for j in range(k) for i in range(j + 1)]))
+                  for k in range(1, _SCALAR_MAX)]
+
+
+def _pivots_scalar(a: np.ndarray) -> list[float]:
+    """The pivots of :func:`_pivots_panel`, bitwise, on Python floats.
+
+    The same rank-one updates, w_ij -= (w_ik / w_kk) * w_jk, in the same
+    order, but only on or above the diagonal, the only entries read again;
+    Python floats and numpy's element-wise float64 ops round alike.  Each
+    pivot is first tested against (n - k) * eps * 2 n max|a_ij|, which is
+    above every floor (and infinite before a trailing norm can overflow);
+    only a pivot under it needs the exact floors, which cost more than the
+    elimination at small n.
+    """
+    n = a.shape[0]
+    w = a.take(_UPPER[n]).tolist()
+    cheap = _EPS * (2.0 * n * max(max(map(abs, w)), _TINY))
+    floors = None
+    for k in range(n - 1, 0, -1):
+        top = k * (k + 1) // 2
+        pivot = w[top + k]
+        if abs(pivot) <= (n - k) * cheap:
+            if floors is None:
+                floors = _pivot_floors(a)
+            if abs(pivot) <= floors[k]:
+                raise _singular_block(k, pivot)
+        col = w[top:top + k]
+        rows, cols = _STEP[k]
+        w[:top] = map(sub, w, map(mul, rows([c / pivot for c in col]), cols(col)))
+    return [w[j * (j + 3) // 2] for j in range(n)]
+
+
+def _eliminate(J: SymMatrix) -> tuple[np.ndarray, float]:
+    """The bottom-up elimination of :func:`sddkit.bounds.block_det_ratio`.
+
+    Two kernels, chosen by size.  Up to ``_SCALAR_MAX`` rows, the measured
+    crossover, :func:`_pivots_scalar` runs on Python floats: there numpy's
+    fixed cost per pivot, not the flops, sets the time.  Above it
+    :func:`_pivots_panel` runs in numpy panels.  At every n the scalar
+    kernel takes, the panel kernel would give the same bits, and the same
+    error at the same pivot.  The scalar kernel computes the exact singular
+    floors only when a pivot falls under a cheap over-estimate of them,
+    because at small n the floors cost as much as the elimination.
+    """
+    a = J.entries
+    kernel = _pivots_scalar if J.n <= _SCALAR_MAX else _pivots_panel
+    factors = np.divide(kernel(a)[:-1], a.diagonal()[:-1])
     factors.setflags(write=False)
     return factors, float(np.prod(factors))
 
@@ -406,6 +488,10 @@ def _numbered_lines(fh, error):
     A physical line can hold several logical ones: besides ``\\n``,
     splitlines also breaks at ``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``,
     ``\\u2028`` and ``\\u2029``.
+
+    The loaders open ``fh`` with ``errors="surrogateescape"``: a byte that is
+    not UTF-8 then reads as a lone surrogate, which is not ASCII, so the
+    line holding it is rejected with its number.
     """
     lineno = 0
     for physical in fh:
@@ -458,7 +544,7 @@ def load_matrix(path) -> SymMatrix:
     missing rows (reported at the last line).  Raises
     :class:`AsymmetricMatrixError` past the skew tolerance.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lines = _numbered_lines(fh, MatrixFormatError)
         n = _read_count(lines, MatrixFormatError, "dimension")
         cols = []          # cols[k]: the tokens (j, k) of the rows j < k read so far

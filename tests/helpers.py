@@ -57,7 +57,7 @@ def symmetrize(entries: np.ndarray) -> SymMatrix:
 def load_matrix_by_rows(path) -> SymMatrix:
     """``matcore.load_matrix`` parsing every token of every row (test-side
     oracle): the same entries, and the same errors with the same ``line``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise MatrixFormatError("empty file", line=1)

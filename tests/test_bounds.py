@@ -320,7 +320,8 @@ def singular_trailing_block(n, start, seed):
 
 
 class TestPanelElimination:
-    @pytest.mark.parametrize("n", [3, 4, 12, 31, 32])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 12, matcore._SCALAR_MAX,
+                                   matcore._SCALAR_MAX + 1, 31, 32])
     @pytest.mark.parametrize("make", [random_dominant, random_balanced])
     def test_single_panel_is_bitwise_the_unblocked_loop(self, make, n):
         J = make(trial_rng(161, n), n)
@@ -328,6 +329,47 @@ class TestPanelElimination:
         ref_factors, ref_ratio = block_det_ratio_unblocked(J)
         np.testing.assert_array_equal(bits(factors), bits(ref_factors))
         assert bits(np.array(ratio)) == bits(np.array(ref_ratio))
+
+    def test_kernel_by_size(self, monkeypatch):
+        ran = []
+        for name in ("_pivots_scalar", "_pivots_panel"):
+            kernel = getattr(matcore, name)
+            monkeypatch.setattr(matcore, name,
+                                lambda a, name=name, kernel=kernel:
+                                ran.append((name, len(a))) or kernel(a))
+        for n in (matcore._SCALAR_MAX, matcore._SCALAR_MAX + 1):
+            block_det_ratio(random_dominant(trial_rng(179, n), n))
+        assert ran == [("_pivots_scalar", matcore._SCALAR_MAX),
+                       ("_pivots_panel", matcore._SCALAR_MAX + 1)]
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -1030], ids=["unit", "subnormal"])
+    def test_near_singular_pivots_same_in_both_kernels(self, scale):
+        # For every n up to the crossover and every row k >= 1, shift J_kk so
+        # that the Schur pivot at k lands near c times its floor; rounding
+        # puts it on either side of the floor.  Both kernels must agree on
+        # every pivot's bits, or raise the same error at the same block.
+        def outcome(kernel, a):
+            try:
+                return bits(np.asarray(kernel(a))).tolist()
+            except SingularBlockError as err:
+                return type(err), str(err), err.block_index
+
+        raised = 0
+        cases = 0
+        for n in range(2, matcore._SCALAR_MAX + 1):
+            base = random_dominant(trial_rng(181, n), n).entries * scale
+            floors = matcore._pivot_floors(base)
+            for k in range(1, n):
+                # The elimination of a[k:, k:] ends at the pivot of row k.
+                schur = matcore._pivots_panel(base[k:, k:])[0]
+                for c in (0.0, 0.5, -0.5, 1.0, 2.0):
+                    a = base.copy()
+                    a[k, k] += c * floors[k] - schur
+                    panel = outcome(matcore._pivots_panel, a)
+                    assert outcome(matcore._pivots_scalar, a) == panel, (n, k, c)
+                    raised += isinstance(panel, tuple)
+                    cases += 1
+        assert 0 < raised < cases
 
     def test_indefinite_is_bitwise_the_unblocked_loop(self):
         factors, ratio = block_det_ratio(INDEFINITE4)

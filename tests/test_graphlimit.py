@@ -509,6 +509,13 @@ class TestGraphIO:
         assert err.value.line == line
         assert "not a plain ASCII decimal line" in str(err.value)
 
+    def test_non_utf8_byte_rejected_with_line(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"3\n1 2\n2 \xff\n")
+        with pytest.raises(GraphFormatError) as err:
+            load_graph(path)
+        assert str(err.value) == "line 3: not a plain ASCII decimal line: '2 \\udcff'"
+
     def test_bad_edge_line(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("3\n1 2\n2 9\n")

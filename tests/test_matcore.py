@@ -595,6 +595,13 @@ class TestLoadMatrixRejectsNonDecimal:
         assert err.value.line == line
         assert "not a plain ASCII decimal line" in str(err.value)
 
+    def test_non_utf8_byte_rejected_with_line(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"2\n1 2\n2 \xff\n")
+        with pytest.raises(MatrixFormatError) as err:
+            load_matrix(path)
+        assert str(err.value) == "line 3: not a plain ASCII decimal line: '2 \\udcff'"
+
 
 class TestCountHeader:
     @pytest.mark.parametrize("loader, error, noun", [
