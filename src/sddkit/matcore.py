@@ -4,7 +4,8 @@ Construction and validation of symmetric matrices, diagonal-dominance
 diagnostics, an LU-based inversion oracle and a Cholesky inverse for
 positive definite input, infinity norms, the LAPACK
 symmetric eigensolver with a per-pair residual certificate, and matrix
-text I/O.
+text I/O.  The eigensolver and the SDD elimination run on stacks of
+same-size matrices; one matrix is a stack of one.
 
 A :class:`SymMatrix` never changes, so it carries its own analysis, each
 part computed on first use and kept for the matrix's lifetime: the
@@ -23,7 +24,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter, mul, sub
 
 import numpy as np
 import scipy.linalg
@@ -319,9 +319,14 @@ def _inverse_cholesky(a: np.ndarray) -> SymMatrix:
 
 
 def _trailing_block_norms(a: np.ndarray) -> np.ndarray:
-    """inf_norm(a[k:, k:]) for every k, from row-suffix sums in O(n^2)."""
-    suffix = np.cumsum(np.abs(a)[:, ::-1], axis=1)[:, ::-1]
-    return np.maximum.accumulate(suffix[::-1], axis=0)[::-1].diagonal()
+    """inf_norm(a[k:, k:]) for every k, from row-suffix sums in O(n^2), for
+    one matrix or for each matrix of a stack, in one scratch array."""
+    w = np.abs(a)
+    suffix = w[..., ::-1]
+    np.cumsum(suffix, axis=-1, out=suffix)  # w_ij: the sum of |a_il| over l >= j
+    below = w[..., ::-1, :]
+    np.maximum.accumulate(below, axis=-2, out=below)  # then the max of those over rows >= i
+    return np.diagonal(w, axis1=-2, axis2=-1)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -331,8 +336,21 @@ _TINY = float(np.finfo(float).tiny)
 def _pivot_floors(a: np.ndarray) -> np.ndarray:
     """The singular floor of every pivot: (n - k) * eps * inf_norm(a[k:, k:]),
     :func:`inverse_dense`'s floor for the trailing block from row k."""
-    n = a.shape[0]
+    n = a.shape[-1]
     return (n - np.arange(n)) * _EPS * np.maximum(_trailing_block_norms(a), _TINY)
+
+
+def _prescaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix of the stack ``a`` times 2^-e, and e, the exponent
+    (``frexp``'s) of the matrix's largest |a_ij|.
+
+    A power of two scales every product, quotient and sum of the
+    elimination, and its floors, exactly while they stay normal, so the
+    pivots' ratios to the diagonal keep their bits; and entries near the
+    largest float no longer overflow in the updates.
+    """
+    _, e = np.frexp(np.abs(a).max(axis=(-2, -1)))
+    return np.ldexp(a, -e[..., None, None]), e
 
 
 def _singular_block(k: int, pivot: float) -> SingularBlockError:
@@ -348,100 +366,125 @@ def _singular_block(k: int, pivot: float) -> SingularBlockError:
 _PANEL = 32
 
 
-def _pivots_panel(a: np.ndarray) -> np.ndarray:
+def _pivots_panel(a: np.ndarray) -> tuple[np.ndarray, int]:
     """The pivots of the elimination of ``a``, in panels of ``_PANEL`` rows
-    from the bottom.
+    from the bottom, and the row of its first singular pivot, -1 for none.
+    The elimination runs in ``a``'s own memory, which the caller hands over;
+    the pivots are a view of its diagonal.
 
     Within a panel each pivot updates only the panel's columns; the block to
     the panel's left then takes the panel's whole Schur update, C D^{-1} C',
-    as one matrix product.  For n <= ``_PANEL`` there is one panel and the
-    steps are the plain rank-one updates.
+    as one matrix product.  A pivot is singular unless its magnitude exceeds
+    its floor, so a NaN pivot is singular too.  The elimination stops at the
+    first singular pivot; the pivots above it are not computed.
     """
     n = a.shape[0]
     floors = _pivot_floors(a)
-    w = a.copy()
+    w = a
     for e in range(n, 0, -_PANEL):
         s = max(e - _PANEL, 0)
         for k in range(e - 1, max(s, 1) - 1, -1):
             pivot = w[k, k]
-            if abs(pivot) <= floors[k]:
-                raise _singular_block(k, pivot)
+            if not abs(pivot) > floors[k]:
+                return w.diagonal(), k
             col = w[:k, k]
             w[:k, s:k] -= np.outer(col / pivot, col[s:k])
         if s:
             C = w[:s, s:e]
             w[:s, :s] -= (C / w.diagonal()[s:e]) @ C.T
-    return w.diagonal()
+    return w.diagonal(), -1
 
 
-# Largest n eliminated on Python floats.  Below it numpy's fixed cost per
-# pivot (slicing, np.outer, the in-place update: about 8 us) outweighs the
-# n^3/3 flops; the kernels' times per n are in BENCH_15.json.
-_SCALAR_MAX = 16
+def _pivots_stacked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pivots of each matrix of the (k, n, n) stack ``a``, n <=
+    ``_PANEL``, and the row of each one's first singular pivot, -1 for none.
+    The elimination runs in ``a``'s own memory, as in :func:`_pivots_panel`.
 
-
-def _gather(idx: list[int]) -> itemgetter:
-    """An itemgetter that returns a sequence also for a single index."""
-    return itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1))
-
-
-# The scalar kernel keeps the upper triangle column by column: entry (i, j),
-# i <= j, at j(j+1)/2 + i, so the leading k x k block is the first k(k+1)/2
-# entries.  _UPPER[n] picks them from an n x n array in that order; _STEP[k]
-# gathers the row index and the column index of each entry of the k x k block.
-_UPPER = [np.array([i * n + j for j in range(n) for i in range(j + 1)], dtype=np.intp)
-          for n in range(_SCALAR_MAX + 1)]
-_STEP = [None] + [(_gather([i for j in range(k) for i in range(j + 1)]),
-                   _gather([j for j in range(k) for i in range(j + 1)]))
-                  for k in range(1, _SCALAR_MAX)]
-
-
-def _pivots_scalar(a: np.ndarray) -> list[float]:
-    """The pivots of :func:`_pivots_panel`, bitwise, on Python floats.
-
-    The same rank-one updates, w_ij -= (w_ik / w_kk) * w_jk, in the same
-    order, but only on or above the diagonal, the only entries read again;
-    Python floats and numpy's element-wise float64 ops round alike.  Each
-    pivot is first tested against (n - k) * eps * 2 n max|a_ij|, which is
-    above every floor (and infinite before a trailing norm can overflow);
-    only a pivot under it needs the exact floors, which cost more than the
-    elimination at small n.
+    The steps of :func:`_pivots_panel`'s single panel, run on the whole
+    stack: the rank-one updates are element-wise, so each matrix's pivots
+    are bitwise those of its own elimination.  A matrix whose pivot is
+    singular keeps that pivot, and its rows above it become identity rows,
+    so it takes no further update and divides nothing by zero; its later
+    pivots are 1, above every floor of a matrix whose entries are at most
+    1, as prescaled ones are (:func:`_prescaled`).
     """
-    n = a.shape[0]
-    w = a.take(_UPPER[n]).tolist()
-    cheap = _EPS * (2.0 * n * max(max(map(abs, w)), _TINY))
-    floors = None
+    n = a.shape[-1]
+    floors = _pivot_floors(a)
+    w = a
+    singular = np.full(len(a), -1)
     for k in range(n - 1, 0, -1):
-        top = k * (k + 1) // 2
-        pivot = w[top + k]
-        if abs(pivot) <= (n - k) * cheap:
-            if floors is None:
-                floors = _pivot_floors(a)
-            if abs(pivot) <= floors[k]:
-                raise _singular_block(k, pivot)
-        col = w[top:top + k]
-        rows, cols = _STEP[k]
-        w[:top] = map(sub, w, map(mul, rows([c / pivot for c in col]), cols(col)))
-    return [w[j * (j + 3) // 2] for j in range(n)]
+        pivot = w[:, k, k]
+        regular = np.abs(pivot) > floors[:, k]
+        if not regular.all():
+            bad = ~regular
+            singular[bad] = k
+            w[bad, :k] = np.eye(n)[:k]
+            pivot = np.where(bad, 1.0, pivot)
+        col = w[:, :k, k]
+        w[:, :k, :k] -= (col / pivot[:, None])[:, :, None] * col[:, None, :]
+    return np.diagonal(w, axis1=1, axis2=2), singular
+
+
+def _eliminate_stack(a: np.ndarray) -> list:
+    """The bottom-up elimination of :func:`sddkit.bounds.block_det_ratio`
+    for each matrix of the (k, n, n) stack ``a``: per matrix, the pair
+    (factors, ratio) with ``factors`` read-only, or the
+    :class:`SingularBlockError` of its first singular pivot.
+
+    Each matrix is prescaled by a power of two (:func:`_prescaled`), which
+    leaves the factors' bits as they are unscaled and keeps the updates of
+    entries near the largest float finite; an error names the pivot in the
+    matrix's own units.  Up to ``_PANEL`` rows the whole stack runs through
+    :func:`_pivots_stacked`, which spreads numpy's fixed cost per step over
+    the stack; larger matrices go one by one through :func:`_pivots_panel`.
+    """
+    scaled, e = _prescaled(a)
+    diag = np.diagonal(scaled, axis1=1, axis2=2).copy()
+    if a.shape[-1] <= _PANEL:
+        pivots, singular = _pivots_stacked(scaled)
+    else:
+        runs = [_pivots_panel(m) for m in scaled]
+        pivots = np.array([p for p, _ in runs])
+        singular = np.array([k for _, k in runs])
+    ok = singular < 0
+    factors = pivots[ok, :-1] / diag[ok, :-1]
+    factors.setflags(write=False)
+    done = zip(factors, np.prod(factors, axis=1).tolist())
+    return [next(done) if k < 0 else _singular_block(k, math.ldexp(float(pivots[j, k]), int(e[j])))
+            for j, k in enumerate(singular.tolist())]
 
 
 def _eliminate(J: SymMatrix) -> tuple[np.ndarray, float]:
-    """The bottom-up elimination of :func:`sddkit.bounds.block_det_ratio`.
+    """The elimination of :func:`_eliminate_stack` for one matrix, a stack
+    of one; raises its :class:`SingularBlockError`."""
+    out, = _eliminate_stack(J.entries[None])
+    if isinstance(out, SingularBlockError):
+        raise out
+    return out
 
-    Two kernels, chosen by size.  Up to ``_SCALAR_MAX`` rows, the measured
-    crossover, :func:`_pivots_scalar` runs on Python floats: there numpy's
-    fixed cost per pivot, not the flops, sets the time.  Above it
-    :func:`_pivots_panel` runs in numpy panels.  At every n the scalar
-    kernel takes, the panel kernel would give the same bits, and the same
-    error at the same pivot.  The scalar kernel computes the exact singular
-    floors only when a pivot falls under a cheap over-estimate of them,
-    because at small n the floors cost as much as the elimination.
+
+def _eigen_stack(a: np.ndarray) -> tuple[np.ndarray, list]:
+    """The eigenvalues, ascending, of each matrix of the (k, n, n) stack
+    ``a`` by one ``numpy.linalg.eigh`` call, and per matrix None or the
+    :class:`EigenConvergenceError` of its residual certificate (see
+    :func:`eigen_sym`).
+
+    LAPACK runs on the matrices one by one, and the residuals are
+    element-wise or per matrix, so each matrix's eigenvalues and residual
+    are bitwise those of its own call.  A LAPACK failure raises for the
+    whole stack.
     """
-    a = J.entries
-    kernel = _pivots_scalar if J.n <= _SCALAR_MAX else _pivots_panel
-    factors = np.divide(kernel(a)[:-1], a.diagonal()[:-1])
-    factors.setflags(write=False)
-    return factors, float(np.prod(factors))
+    try:
+        lams, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"LAPACK eigensolver failed: {exc}",
+                                    residual=math.inf) from exc
+    resid_cols = a @ vecs - vecs * lams[:, None, :]
+    residuals = np.sqrt((resid_cols * resid_cols).sum(axis=1)).max(axis=1)
+    bounds = 1e-10 * np.abs(a).sum(axis=2).max(axis=1)
+    return lams, [EigenConvergenceError(f"eigenpair residual {r:.3e} exceeds {b:.3e}",
+                                        residual=r) if r > b else None
+                  for r, b in zip(residuals.tolist(), bounds.tolist())]
 
 
 def eigen_sym(M: SymMatrix) -> np.ndarray:
@@ -450,22 +493,12 @@ def eigen_sym(M: SymMatrix) -> np.ndarray:
 
     Each computed pair satisfies |M v - lam v|_2 <= 1e-10 * inf_norm(M);
     otherwise :class:`EigenConvergenceError` reports the attained residual.
+    One matrix is a stack of one for :func:`_eigen_stack`.
     """
-    a = M.entries
-    try:
-        lams, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"LAPACK eigensolver failed: {exc}",
-                                    residual=math.inf) from exc
-    resid_cols = a @ vecs - vecs * lams
-    residual = float(np.sqrt((resid_cols * resid_cols).sum(axis=0)).max())
-    bound = 1e-10 * inf_norm(M)
-    if residual > bound:
-        raise EigenConvergenceError(
-            f"eigenpair residual {residual:.3e} exceeds {bound:.3e}",
-            residual=residual,
-        )
-    return lams
+    lams, errors = _eigen_stack(M.entries[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return lams[0]
 
 
 def _require_plain_text(raw: str, line: int, error) -> None:

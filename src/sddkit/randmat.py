@@ -2,7 +2,10 @@
 
 Every generator takes a numpy Generator so suites can derive per-trial
 streams from (seed, trial-index) and stay deterministic regardless of
-execution order.
+execution order.  An SDD instance is drawn per trial (:func:`draw_sdd`) and
+built by one stacked assembly (:func:`assemble_sdd`): the seeded-trial
+engine assembles a whole group of trials at once, and each single-matrix
+generator assembles a stack of one.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from .graphlimit import LoopGraph
 
 __all__ = [
     "trial_rng",
+    "draw_sdd",
+    "assemble_sdd",
     "random_balanced",
     "random_dominant",
     "random_strictly_dominant",
@@ -28,36 +33,49 @@ def trial_rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(list(key))
 
 
-def _symmetric_off(rng, n: int, lo: float, hi: float) -> np.ndarray:
-    """Symmetric array with zero diagonal and off-diagonals uniform in [lo, hi]."""
-    off = np.triu(rng.uniform(lo, hi, size=(n, n)), 1)
-    return off + off.T
+def draw_sdd(rng, n: int, lo: float = 1.0, hi: float = 3.0, margin_lo: float = 0.0,
+             margin_hi: float = 2.0, balanced: bool = False) -> np.ndarray:
+    """One SDD instance's draws from ``rng``, as one (n, n) array: the
+    off-diagonal entries, uniform in [lo, hi], above the diagonal, and the
+    dominance margins, uniform in [margin_lo, margin_hi], on it (zero and
+    not drawn when ``balanced``).  The entries below the diagonal are drawn
+    but not used.  :func:`assemble_sdd` builds the matrices."""
+    draws = rng.uniform(lo, hi, size=(n, n))
+    np.fill_diagonal(draws, 0.0 if balanced else rng.uniform(margin_lo, margin_hi, size=n))
+    return draws
 
 
-def _with_diagonal(off: np.ndarray, margins: np.ndarray) -> SymMatrix:
-    """Row sums plus ``margins`` on the zero diagonal of a fresh ``off``."""
-    np.fill_diagonal(off, off.sum(axis=1) + margins)
-    return SymMatrix(off)
+def assemble_sdd(draws: np.ndarray) -> np.ndarray:
+    """The symmetric matrices of a (k, n, n) stack of :func:`draw_sdd`
+    draws: each draw's upper triangle mirrored, and each diagonal entry its
+    row's off-diagonal sum plus its margin."""
+    off = np.triu(draws, 1)
+    off = off + np.swapaxes(off, -1, -2)
+    i = np.arange(draws.shape[-1])
+    off[..., i, i] = off.sum(axis=-1) + draws[..., i, i]
+    return off
+
+
+def _one(draws: np.ndarray) -> SymMatrix:
+    """The matrix of one instance's draws, assembled as a stack of one."""
+    return SymMatrix(assemble_sdd(draws[None])[0])
 
 
 def random_balanced(rng, n: int, lo: float = 1.0, hi: float = 3.0) -> SymMatrix:
     """Positive symmetric matrix with every dominance margin exactly zero."""
-    off = _symmetric_off(rng, n, lo, hi)
-    return _with_diagonal(off, np.zeros(n))
+    return _one(draw_sdd(rng, n, lo, hi, balanced=True))
 
 
 def random_dominant(rng, n: int, lo: float = 1.0, hi: float = 3.0,
                     margin_hi: float = 2.0) -> SymMatrix:
     """Positive SDD matrix with margins uniform in [0, margin_hi]."""
-    off = _symmetric_off(rng, n, lo, hi)
-    return _with_diagonal(off, rng.uniform(0.0, margin_hi, size=n))
+    return _one(draw_sdd(rng, n, lo, hi, margin_hi=margin_hi))
 
 
 def random_strictly_dominant(rng, n: int) -> SymMatrix:
     """Positive SDD matrix with off-diagonals uniform in [1, 3] and margins
     uniform in [0.05, 2], so bounded away from zero."""
-    off = _symmetric_off(rng, n, 1.0, 3.0)
-    return _with_diagonal(off, rng.uniform(0.05, 2.0, size=n))
+    return _one(draw_sdd(rng, n, margin_lo=0.05))
 
 
 def random_geq_sform(rng, S: SForm, bump_hi: float = 2.0,
@@ -68,11 +86,8 @@ def random_geq_sform(rng, S: SForm, bump_hi: float = 2.0,
     extra margins in [0, 2]); with ``nonzero`` the increment is guaranteed
     to be nonzero so the result differs from S.
     """
-    n = S.n
     while True:
-        bump = _symmetric_off(rng, n, 0.0, bump_hi)
-        margins = rng.uniform(0.0, 2.0, size=n)
-        inc = _with_diagonal(bump, margins).entries
+        inc = assemble_sdd(draw_sdd(rng, S.n, 0.0, bump_hi)[None])[0]
         if not nonzero or inc.max() > 0:
             break
     return SymMatrix(sform_dense(S).entries + inc)

@@ -11,8 +11,14 @@ from sddkit import (AsymmetricMatrixError, BipartiteComponent, DomainError,
                     LoopGraph, MatrixError, MatrixFormatError, RetinaProblem,
                     RetinaSolution, SForm,
                     SingularBlockError, SingularMatrixError, SymMatrix,
-                    analyze_bipartition, eigen_sym, incidence, inverse_dense,
-                    randmat, sform_dense, sform_inverse, signless_laplacian)
+                    adjugate_bound, analyze_bipartition, block_det_ratio,
+                    condition_bound, det_lower_bound, det_upper_bound_balanced,
+                    eig_interval_check, eigen_sym, incidence, inverse_dense,
+                    lower_bound_trivial, main_bound, randmat, sform_dense,
+                    sform_inf_norm_inverse, sform_inverse, signless_laplacian,
+                    spectral_route_bound, varah_bound, xi_functional)
+from sddkit import bounds
+from sddkit.bounds import SuiteRecord
 from sddkit.graphlimit import _require_compatible
 from sddkit.matcore import _mean_with_transpose
 from sddkit.retina import DOMAIN_FLOOR, _finish
@@ -632,3 +638,78 @@ def conjecture_search_ledger(mode: str, trials: int, seed: int) -> ConjectureLed
     return ConjectureLedger(mode=mode, trials=trials, seed=seed,
                             records=records, min_slack=float(min_slack),
                             violations=violations)
+
+
+# The seeded-trial engine as a loop over trials, one matrix at a time
+# (test-side oracle for ``bounds._trials``, its former expression).
+
+def suite_records_one_by_one(suite: str, trial: int, rng, n: int) -> list:
+    """One trial's (params, report) pairs, drawing the instance from ``rng``."""
+    if suite == "lower_norm":
+        m = float(rng.uniform(0.5, 2.0))
+        margin_cap = float(rng.uniform(0.0, 2.0 * m))
+        alpha = (n - 2) * m + margin_cap
+        S = SForm(n, alpha, m)
+        J = sform_dense(S) if trial == 0 else randmat.random_dominant(
+            rng, n, lo=0.05 * m, hi=m, margin_hi=margin_cap)
+        return [({"alpha": alpha, "m": m},
+                 bounds._report("lower_norm_conjecture", sform_inf_norm_inverse(S),
+                                J.inv_inf_norm, n=n))]
+    if suite == "det_upper":
+        _, ratio = block_det_ratio(randmat.random_balanced(rng, n, lo=0.2, hi=3.0))
+        return [({}, bounds._report("det_upper_conjecture", ratio,
+                                    2.0 * (1.0 - 1.0 / (n - 1)) ** (n - 1), n=n))]
+    if suite == "varah":
+        return [({}, varah_bound(randmat.random_strictly_dominant(rng, n)))]
+    if suite == "main":
+        ell = float(rng.uniform(0.5, 2.0))
+        alpha = (n - 2) * ell + float(rng.uniform(0.0, 2.0 * ell))
+        S = SForm(n, alpha, ell)
+        J = randmat.random_geq_sform(rng, S, bump_hi=2.0 * ell)
+        return [({"alpha": alpha, "ell": ell}, main_bound(J, S))]
+    if suite == "lower":
+        return [({}, lower_bound_trivial(randmat.random_dominant(rng, n)))]
+    if suite == "spectral":
+        ell = float(rng.uniform(0.3, 1.5))
+        J = randmat.random_dominant(rng, n, lo=ell, hi=3.0 * ell)
+        return [({"ell": ell}, spectral_route_bound(J, ell))]
+    if suite == "cond":
+        return [({}, condition_bound(randmat.random_dominant(rng, n)))]
+    if suite == "eig":
+        balanced = trial % 2 == 0
+        J = (randmat.random_balanced(rng, n) if balanced
+             else randmat.random_dominant(rng, n))
+        return [({"i": i, "balanced": balanced}, eig_interval_check(J, i=i))
+                for i in range(1, n)]
+    if suite == "det":
+        if trial % 2 == 0:
+            J = randmat.random_balanced(rng, n)
+            return [({"balanced": True}, det_lower_bound(J)),
+                    ({"balanced": True}, det_upper_bound_balanced(J))]
+        J = randmat.random_dominant(rng, n)
+        return [({"balanced": False}, det_lower_bound(J))]
+    if suite == "adjugate":
+        return [({}, adjugate_bound(randmat.random_balanced(rng, n)))]
+    assert suite == "xi", suite
+    ell = float(rng.uniform(0.5, 2.0))
+    alpha = (n - 2) * ell * (1.0 + float(rng.uniform(0.0, 1.0)))
+    S = SForm(n, alpha, ell)
+    G = randmat.random_loop_graph(rng, n, p_edge=0.4, p_loop=0.15)
+    if G.num_edges == 0:
+        G = type(G)(n, [(1, 2)])
+    res = xi_functional(S, signless_laplacian(G))
+    agreement = float(np.abs(res.per_row - res.per_row_closed).max())
+    report = bounds._report("xi", -res.xi, 0.0, n=n, alpha=alpha, ell=ell,
+                            edges=G.num_edges, route_gap=agreement)
+    return [({"alpha": alpha, "ell": ell, "edges": G.num_edges}, report)]
+
+
+def trials_one_by_one(name: str, lo: int, hi: int, trials: int, seed: int) -> list:
+    """``bounds._trials`` drawing and analysing one trial after another."""
+    out = []
+    for t in range(trials):
+        rng = randmat.trial_rng(seed, bounds._TAG[name], t)
+        n = int(rng.integers(lo, hi + 1))
+        out.extend(SuiteRecord(name, t, n, params, report)
+                   for params, report in suite_records_one_by_one(name, t, rng, n))
+    return out

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from helpers import (J4_BALANCED, bits, block_det_ratio_by_inverses,
-                     block_det_ratio_unblocked, conjecture_search_ledger)
+                     block_det_ratio_unblocked, conjecture_search_ledger,
+                     trials_one_by_one)
 from sddkit import (
+    EigenConvergenceError,
     LoopGraph,
     SForm,
     SingularBlockError,
@@ -320,8 +322,7 @@ def singular_trailing_block(n, start, seed):
 
 
 class TestPanelElimination:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 12, matcore._SCALAR_MAX,
-                                   matcore._SCALAR_MAX + 1, 31, 32])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 16, 17, 31, 32])
     @pytest.mark.parametrize("make", [random_dominant, random_balanced])
     def test_single_panel_is_bitwise_the_unblocked_loop(self, make, n):
         J = make(trial_rng(161, n), n)
@@ -332,44 +333,93 @@ class TestPanelElimination:
 
     def test_kernel_by_size(self, monkeypatch):
         ran = []
-        for name in ("_pivots_scalar", "_pivots_panel"):
+        for name in ("_pivots_stacked", "_pivots_panel"):
             kernel = getattr(matcore, name)
             monkeypatch.setattr(matcore, name,
                                 lambda a, name=name, kernel=kernel:
-                                ran.append((name, len(a))) or kernel(a))
-        for n in (matcore._SCALAR_MAX, matcore._SCALAR_MAX + 1):
+                                ran.append((name, a.shape[-1])) or kernel(a))
+        for n in (matcore._PANEL, matcore._PANEL + 1):
             block_det_ratio(random_dominant(trial_rng(179, n), n))
-        assert ran == [("_pivots_scalar", matcore._SCALAR_MAX),
-                       ("_pivots_panel", matcore._SCALAR_MAX + 1)]
+        assert ran == [("_pivots_stacked", matcore._PANEL),
+                       ("_pivots_panel", matcore._PANEL + 1)]
 
     @pytest.mark.parametrize("scale", [1.0, 2.0 ** -1030], ids=["unit", "subnormal"])
     def test_near_singular_pivots_same_in_both_kernels(self, scale):
-        # For every n up to the crossover and every row k >= 1, shift J_kk so
-        # that the Schur pivot at k lands near c times its floor; rounding
-        # puts it on either side of the floor.  Both kernels must agree on
-        # every pivot's bits, or raise the same error at the same block.
-        def outcome(kernel, a):
-            try:
-                return bits(np.asarray(kernel(a))).tolist()
-            except SingularBlockError as err:
-                return type(err), str(err), err.block_index
+        # For every n up to the panel size and every row k >= 1, shift J_kk
+        # so that the Schur pivot at k lands near c times its floor; rounding
+        # puts it on either side of the floor.  Both kernels, the stacked one
+        # on a stack of one, must agree on every pivot's bits up to the first
+        # singular one, and on the row of that pivot.
+        def outcome(pivots, row):
+            return bits(np.asarray(pivots)[max(row, 0):]).tolist(), row
 
         raised = 0
         cases = 0
-        for n in range(2, matcore._SCALAR_MAX + 1):
+        for n in range(2, matcore._PANEL + 1):
             base = random_dominant(trial_rng(181, n), n).entries * scale
             floors = matcore._pivot_floors(base)
             for k in range(1, n):
                 # The elimination of a[k:, k:] ends at the pivot of row k.
-                schur = matcore._pivots_panel(base[k:, k:])[0]
+                schur = matcore._pivots_panel(base[k:, k:].copy())[0][0]
                 for c in (0.0, 0.5, -0.5, 1.0, 2.0):
                     a = base.copy()
                     a[k, k] += c * floors[k] - schur
-                    panel = outcome(matcore._pivots_panel, a)
-                    assert outcome(matcore._pivots_scalar, a) == panel, (n, k, c)
-                    raised += isinstance(panel, tuple)
+                    panel = outcome(*matcore._pivots_panel(a.copy()))
+                    pivots, rows = matcore._pivots_stacked(a[None].copy())
+                    assert outcome(pivots[0], int(rows[0])) == panel, (n, k, c)
+                    raised += panel[1] >= 0
                     cases += 1
         assert 0 < raised < cases
+
+    @staticmethod
+    def stacked_and_single_outcomes(mats):
+        """Each matrix's outcome in one stack, and on its own: the bits of
+        its factors and ratio, or its error's class, message and block."""
+        def outcome(result):
+            if isinstance(result, SingularBlockError):
+                return type(result), str(result), result.block_index
+            factors, ratio = result
+            return bits(factors).tolist(), bits(np.array(ratio)).tolist()
+
+        def single(a):
+            try:
+                return outcome(matcore._eliminate(SymMatrix(a)))
+            except SingularBlockError as err:
+                return outcome(err)
+
+        stacked = [outcome(r) for r in matcore._eliminate_stack(np.array(mats))]
+        return stacked, [single(a) for a in mats]
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 12, matcore._PANEL, matcore._PANEL + 1, 40])
+    def test_mixed_stack_gives_each_matrix_its_own_outcome(self, n):
+        rng = trial_rng(191, n)
+        mats = []
+        for start in range(1, n - 1):
+            mats.append(singular_trailing_block(n, start, seed=start).entries)
+            mats.append(random_dominant(rng, n).entries)
+        stacked, single = self.stacked_and_single_outcomes(mats)
+        assert stacked == single
+        assert [o[2] for o in stacked[::2]] == list(range(2, n))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -1030], ids=["unit", "subnormal"])
+    def test_near_singular_stack_gives_each_matrix_its_own_outcome(self, scale):
+        # The cases of test_near_singular_pivots_same_in_both_kernels, each
+        # n's cases in one stack with the unshifted matrix.
+        raised = 0
+        for n in range(2, matcore._PANEL + 1):
+            base = random_dominant(trial_rng(181, n), n).entries * scale
+            floors = matcore._pivot_floors(base)
+            mats = [base]
+            for k in range(1, n):
+                schur = matcore._pivots_panel(base[k:, k:].copy())[0][0]
+                for c in (0.0, 0.5, -0.5, 1.0, 2.0):
+                    a = base.copy()
+                    a[k, k] += c * floors[k] - schur
+                    mats.append(a)
+            stacked, single = self.stacked_and_single_outcomes(mats)
+            assert stacked == single, n
+            raised += sum(len(o) == 3 for o in stacked)
+        assert raised > 0
 
     def test_indefinite_is_bitwise_the_unblocked_loop(self):
         factors, ratio = block_det_ratio(INDEFINITE4)
@@ -657,14 +707,22 @@ class TestConjectureSearch:
         b = conjecture_search("det_upper", 25, seed=9)
         assert [r.report.slack for r in a] == [r.report.slack for r in b]
 
-    def test_det_upper_search_reads_block_det_ratio(self, monkeypatch):
+    def test_det_upper_search_eliminates_in_stacks(self, monkeypatch):
+        # The search eliminates each size's matrices as one stack, with no
+        # per-matrix block_det_ratio call.
         expected = conjecture_search("det_upper", 20, 0)
         calls = []
         layer = bounds.block_det_ratio
         monkeypatch.setattr(bounds, "block_det_ratio",
                             lambda J: calls.append(J.n) or layer(J))
+        stacks = []
+        kernel = bounds._eliminate_stack
+        monkeypatch.setattr(bounds, "_eliminate_stack",
+                            lambda a: stacks.append(a.shape) or kernel(a))
         assert conjecture_search("det_upper", 20, 0) == expected
-        assert len(calls) == 20
+        assert calls == []
+        assert sum(k for k, _, _ in stacks) == 20
+        assert len({n for _, n, _ in stacks}) == len(stacks)
 
     def test_records_shape(self):
         records = conjecture_search("lower_norm", 50, seed=1)
@@ -721,3 +779,71 @@ class TestVerifySuites:
         for mode in CONJECTURES:
             with pytest.raises(ValueError):
                 verify_suite(mode, (3, 5), 10, 0)
+
+
+def record_fields(rec):
+    """A record's fields, with lhs, rhs and slack as bits."""
+    r = rec.report
+    return (rec.suite, rec.trial, rec.n, rec.params, r.name,
+            bits(np.array([r.lhs, r.rhs, r.slack])).tolist(),
+            r.holds, r.vacuous, r.applicable, r.context)
+
+
+class TestTrialEngine:
+    """The stacked engine against the loop over trials it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 71])
+    @pytest.mark.parametrize("n_range, trials", [((3, 12), 41), ((30, 34), 9)],
+                             ids=["n3-12", "n30-34"])
+    @pytest.mark.parametrize("name", SUITES + CONJECTURES)
+    def test_records_equal_the_loop(self, name, n_range, trials, seed, monkeypatch):
+        # Chunks of 4 trials, so the trials cross several chunk boundaries
+        # and end in a partial chunk; the range 30..34 crosses _PANEL.
+        lo, hi = n_range
+        monkeypatch.setattr(bounds, "_CHUNK_ENTRIES", 4 * hi * hi)
+        engine = bounds._trials(name, lo, hi, trials, seed)
+        loop = trials_one_by_one(name, lo, hi, trials, seed)
+        assert len(engine) == len(loop) >= trials
+        assert [record_fields(r) for r in engine] == [record_fields(r) for r in loop]
+
+    @pytest.mark.parametrize("name", ["det", "adjugate", "det_upper"])
+    def test_first_singular_trial_raises_as_in_the_loop(self, name, monkeypatch):
+        # Every matrix whose last diagonal entry is within 1% of its largest
+        # entry gets an infinite floor for its last pivot.  Trials of several
+        # sizes fail, and at this seed a group analysed before the first
+        # failing trial's group holds a later failing trial: both must raise
+        # the first one's error.
+        floors = matcore._pivot_floors
+
+        def some_singular(a):
+            f = floors(a).copy()
+            f[..., -1] = np.where(a[..., -1, -1] >= 0.99 * np.abs(a).max(axis=(-2, -1)),
+                                  np.inf, f[..., -1])
+            return f
+
+        monkeypatch.setattr(matcore, "_pivot_floors", some_singular)
+        monkeypatch.setattr(bounds, "_CHUNK_ENTRIES", 40 * 12 * 12)
+        with pytest.raises(SingularBlockError) as loop:
+            trials_one_by_one(name, 3, 12, 300, 1)
+        with pytest.raises(SingularBlockError) as engine:
+            bounds._trials(name, 3, 12, 300, 1)
+        assert (str(engine.value), engine.value.block_index) == \
+            (str(loop.value), loop.value.block_index)
+
+    def test_first_uncertified_eigensolve_raises_as_in_the_loop(self, monkeypatch):
+        # Blocks whose (0, 1) entry is above 2.99 get eigenvalues that miss
+        # the residual certificate; at this seed, as above, a group analysed
+        # first holds a later failing trial.
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            lams, vecs = eigh(a)
+            return lams + 1e-3 * (a[..., :1, 1] > 2.99), vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        monkeypatch.setattr(bounds, "_CHUNK_ENTRIES", 40 * 12 * 12)
+        with pytest.raises(EigenConvergenceError) as loop:
+            trials_one_by_one("eig", 3, 12, 200, 4)
+        with pytest.raises(EigenConvergenceError) as engine:
+            bounds._trials("eig", 3, 12, 200, 4)
+        assert str(engine.value) == str(loop.value)

@@ -15,6 +15,7 @@ from sddkit import (SForm, analyze_bipartition, limit_closed_form,
                     SymMatrix)
 from sddkit import cli, matcore
 from sddkit.cli import _print_matrix, main
+from sddkit.randmat import random_dominant, trial_rng
 
 
 @pytest.fixture
@@ -259,6 +260,25 @@ class TestDetbounds:
         out = capsys.readouterr().out
         assert "hadamard: inapplicable (J not positive semidefinite)\n" in out
         assert "VIOLATED" not in out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ratio_near_the_largest_float_is_finite(self, tmp_path, capsys):
+        # Entries near 2^1000, and J_33 shifted so that the Schur pivot of
+        # row 3 (0-based) is twice its floor: the updates after that pivot
+        # used to overflow, and the ratio printed as nan.
+        base = random_dominant(trial_rng(181, 6), 6).entries * 2.0 ** 1000
+        floors = matcore._pivot_floors(base)
+        a = base.copy()
+        a[3, 3] += 2 * floors[3] - matcore._pivots_panel(base[3:, 3:].copy())[0][0]
+        path = tmp_path / "huge.txt"
+        save_matrix(SymMatrix(a), path)
+        assert main(["detbounds", "--matrix", str(path)]) == 0
+        values = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("det_ratio"))
+        ratio, lu = float(values["det_ratio"]), float(values["det_ratio_lu"])
+        assert np.isfinite(ratio)
+        assert ratio == pytest.approx(lu, rel=1e-3)
+        assert lu == pytest.approx(-0.31, abs=0.005)
 
     def test_one_elimination_per_file(self, j4_file, capsys, monkeypatch):
         calls = []
