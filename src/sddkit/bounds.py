@@ -301,12 +301,11 @@ def block_det_ratio(J: SymMatrix) -> tuple[np.ndarray, float]:
     pivot is singular too.  Each matrix is first scaled by a power of two
     that brings its largest entry into [0.5, 1): the factors keep their
     bits, and entries near the largest float no longer overflow to a NaN
-    ratio.  Up to 32 rows (``matcore._PANEL``) the elimination is one
-    panel of rank-one updates, which the seeded-trial engine runs on a
-    whole stack of matrices at once (:func:`sddkit.matcore._eliminate_stack`)
-    and a single matrix runs as a stack of one; above it the matrix goes
-    through the 32-row panel kernel.  Each matrix gets the same bits
-    either way.
+    ratio.  The elimination runs in panels of 32 rows
+    (``matcore._PANEL``) on a whole stack of same-size matrices at once
+    (:func:`sddkit.matcore._eliminate_stack`): the seeded-trial engine
+    passes its stacks, and a single matrix runs as a stack of one.  Each
+    matrix gets the same bits either way.
 
     Returns ``J.elimination``, so each matrix is eliminated once and every
     determinant bound reads the same pair, with ``factors`` read-only.
@@ -360,8 +359,18 @@ def det_upper_bound_balanced(J: SymMatrix, ell: float | None = None,
     return _det_upper_report(J, ell, m, ratio)
 
 
+def _balanced_decay(ell: float, m: float) -> float:
+    """exp(-ell^2 / (4 m^2)), with ell and m first scaled by 2^-e, where e is
+    the exponent (``frexp``'s) of m: the scaling is exact, so the value keeps
+    its bits at unit scale, and m^2 then lies in [1/4, 1), so the quotient
+    is finite at any scale of the entries."""
+    e = math.frexp(m)[1]
+    ell, m = math.ldexp(ell, -e), math.ldexp(m, -e)
+    return math.exp(-ell * ell / (4.0 * m * m))
+
+
 def _det_upper_report(J: SymMatrix, ell: float, m: float, ratio: float) -> BoundReport:
-    rhs = math.exp(-ell * ell / (4.0 * m * m))
+    rhs = _balanced_decay(ell, m)
     return _report("det_upper", ratio, rhs, n=J.n, ell=ell, m=m)
 
 
@@ -382,8 +391,7 @@ def adjugate_bound(J: SymMatrix, ell: float | None = None,
 def _adjugate_report(J: SymMatrix, ell: float, m: float, ratio: float) -> BoundReport:
     n = J.n
     lhs = abs(ratio) * J.inv_inf_norm
-    rhs = ((3 * n - 4) / (2.0 * ell * (n - 2) * (n - 1))) * math.exp(
-        -ell * ell / (4.0 * m * m))
+    rhs = ((3 * n - 4) / (2.0 * ell * (n - 2) * (n - 1))) * _balanced_decay(ell, m)
     return _report("adjugate", lhs, rhs, n=n, ell=ell, m=m)
 
 

@@ -4,8 +4,9 @@ Construction and validation of symmetric matrices, diagonal-dominance
 diagnostics, an LU-based inversion oracle and a Cholesky inverse for
 positive definite input, infinity norms, the LAPACK
 symmetric eigensolver with a per-pair residual certificate, and matrix
-text I/O.  The eigensolver and the SDD elimination run on stacks of
-same-size matrices; one matrix is a stack of one.
+text I/O.  The eigensolver and the SDD elimination each run as one kernel
+on stacks of same-size matrices, whatever the size; one matrix is a stack
+of one.
 
 A :class:`SymMatrix` never changes, so it carries its own analysis, each
 part computed on first use and kept for the matrix's lifetime: the
@@ -366,62 +367,50 @@ def _singular_block(k: int, pivot: float) -> SingularBlockError:
 _PANEL = 32
 
 
-def _pivots_panel(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """The pivots of the elimination of ``a``, in panels of ``_PANEL`` rows
-    from the bottom, and the row of its first singular pivot, -1 for none.
+def _pivots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pivots of the elimination of each matrix of the (k, n, n) stack
+    ``a``, and the row of each one's first singular pivot, -1 for none.
     The elimination runs in ``a``'s own memory, which the caller hands over;
-    the pivots are a view of its diagonal.
+    the pivots are a view of its diagonals.
 
-    Within a panel each pivot updates only the panel's columns; the block to
-    the panel's left then takes the panel's whole Schur update, C D^{-1} C',
-    as one matrix product.  A pivot is singular unless its magnitude exceeds
-    its floor, so a NaN pivot is singular too.  The elimination stops at the
-    first singular pivot; the pivots above it are not computed.
-    """
-    n = a.shape[0]
-    floors = _pivot_floors(a)
-    w = a
-    for e in range(n, 0, -_PANEL):
-        s = max(e - _PANEL, 0)
-        for k in range(e - 1, max(s, 1) - 1, -1):
-            pivot = w[k, k]
-            if not abs(pivot) > floors[k]:
-                return w.diagonal(), k
-            col = w[:k, k]
-            w[:k, s:k] -= np.outer(col / pivot, col[s:k])
-        if s:
-            C = w[:s, s:e]
-            w[:s, :s] -= (C / w.diagonal()[s:e]) @ C.T
-    return w.diagonal(), -1
+    The rows go in panels of ``_PANEL`` from the bottom.  Within a panel
+    each pivot updates only the panel's columns, element-wise on the whole
+    stack; the block to the panel's left then takes the panel's whole Schur
+    update, C D^{-1} C', as one stacked matrix product.  Each matrix's
+    pivots are bitwise those of its own elimination.
 
-
-def _pivots_stacked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pivots of each matrix of the (k, n, n) stack ``a``, n <=
-    ``_PANEL``, and the row of each one's first singular pivot, -1 for none.
-    The elimination runs in ``a``'s own memory, as in :func:`_pivots_panel`.
-
-    The steps of :func:`_pivots_panel`'s single panel, run on the whole
-    stack: the rank-one updates are element-wise, so each matrix's pivots
-    are bitwise those of its own elimination.  A matrix whose pivot is
-    singular keeps that pivot, and its rows above it become identity rows,
-    so it takes no further update and divides nothing by zero; its later
-    pivots are 1, above every floor of a matrix whose entries are at most
-    1, as prescaled ones are (:func:`_prescaled`).
+    A pivot is singular unless its magnitude exceeds its floor, so a NaN
+    pivot is singular too.  A matrix whose pivot is singular has its rows
+    above it turned into identity rows, so it takes no further update; its
+    later pivots are 1, above every floor of a matrix whose entries are at
+    most 1, as prescaled ones are (:func:`_prescaled`).  The singular pivot
+    itself is set aside and 1 stands in its place while the panel's product
+    divides by its pivots; it is put back at the end.
     """
     n = a.shape[-1]
     floors = _pivot_floors(a)
     w = a
     singular = np.full(len(a), -1)
-    for k in range(n - 1, 0, -1):
-        pivot = w[:, k, k]
-        regular = np.abs(pivot) > floors[:, k]
-        if not regular.all():
-            bad = ~regular
-            singular[bad] = k
-            w[bad, :k] = np.eye(n)[:k]
-            pivot = np.where(bad, 1.0, pivot)
-        col = w[:, :k, k]
-        w[:, :k, :k] -= (col / pivot[:, None])[:, :, None] * col[:, None, :]
+    held = np.zeros(len(a))
+    for e in range(n, 0, -_PANEL):
+        s = max(e - _PANEL, 0)
+        for k in range(e - 1, max(s, 1) - 1, -1):
+            pivot = w[:, k, k]
+            regular = np.abs(pivot) > floors[:, k]
+            if not regular.all():
+                bad = ~regular
+                singular[bad] = k
+                held[bad] = pivot[bad]
+                w[bad, :k] = np.eye(n)[:k]
+                w[bad, k, k] = 1.0
+            col = w[:, :k, k]
+            w[:, :k, s:k] -= (col / pivot[:, None])[:, :, None] * col[:, None, s:k]
+        if s:
+            C = w[:, :s, s:e]
+            D = np.diagonal(w, axis1=1, axis2=2)[:, None, s:e]
+            w[:, :s, :s] -= (C / D) @ np.swapaxes(C, 1, 2)
+    rows = np.flatnonzero(singular >= 0)
+    w[rows, singular[rows], singular[rows]] = held[rows]
     return np.diagonal(w, axis1=1, axis2=2), singular
 
 
@@ -434,18 +423,12 @@ def _eliminate_stack(a: np.ndarray) -> list:
     Each matrix is prescaled by a power of two (:func:`_prescaled`), which
     leaves the factors' bits as they are unscaled and keeps the updates of
     entries near the largest float finite; an error names the pivot in the
-    matrix's own units.  Up to ``_PANEL`` rows the whole stack runs through
-    :func:`_pivots_stacked`, which spreads numpy's fixed cost per step over
-    the stack; larger matrices go one by one through :func:`_pivots_panel`.
+    matrix's own units.  The whole stack runs through :func:`_pivots`,
+    which spreads numpy's fixed cost per step over the stack.
     """
     scaled, e = _prescaled(a)
     diag = np.diagonal(scaled, axis1=1, axis2=2).copy()
-    if a.shape[-1] <= _PANEL:
-        pivots, singular = _pivots_stacked(scaled)
-    else:
-        runs = [_pivots_panel(m) for m in scaled]
-        pivots = np.array([p for p, _ in runs])
-        singular = np.array([k for _, k in runs])
+    pivots, singular = _pivots(scaled)
     ok = singular < 0
     factors = pivots[ok, :-1] / diag[ok, :-1]
     factors.setflags(write=False)
@@ -479,9 +462,16 @@ def _eigen_stack(a: np.ndarray) -> tuple[np.ndarray, list]:
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"LAPACK eigensolver failed: {exc}",
                                     residual=math.inf) from exc
+    norms = np.abs(a).sum(axis=2).max(axis=1)
+    # Each matrix's residual columns are scaled by 2^-e, e the exponent of
+    # its infinity norm, before they are squared, and the residual by 2^e
+    # after: exact, so the residual keeps its bits at unit scale, and the
+    # squares of entries near the largest float stay finite.
+    _, e = np.frexp(norms)
     resid_cols = a @ vecs - vecs * lams[:, None, :]
-    residuals = np.sqrt((resid_cols * resid_cols).sum(axis=1)).max(axis=1)
-    bounds = 1e-10 * np.abs(a).sum(axis=2).max(axis=1)
+    np.ldexp(resid_cols, -e[:, None, None], out=resid_cols)
+    residuals = np.ldexp(np.sqrt((resid_cols * resid_cols).sum(axis=1)).max(axis=1), e)
+    bounds = 1e-10 * norms
     return lams, [EigenConvergenceError(f"eigenpair residual {r:.3e} exceeds {b:.3e}",
                                         residual=r) if r > b else None
                   for r, b in zip(residuals.tolist(), bounds.tolist())]

@@ -236,6 +236,33 @@ def test_gate_reports_first_failed_precondition(name, bound, need, case):
     assert r.context == dict(context, reason=reason)
 
 
+SINGLE_MATRIX_BOUNDS = (varah_bound, lower_bound_trivial, spectral_route_bound,
+                        condition_bound, eig_interval_check, det_lower_bound,
+                        det_upper_bound_balanced, adjugate_bound, hadamard_sanity)
+
+
+def test_verdicts_keep_under_power_of_two_scaling():
+    # Every inequality is homogeneous in J, and 2^k J is exact in floating
+    # point, so each report on 2^k J must give the verdict of the report on
+    # J, at scales near the largest and the smallest normal floats too, and
+    # no bound may raise.
+    def verdicts(J):
+        return [(r.applicable, r.holds, r.vacuous)
+                for r in (bound(J) for bound in SINGLE_MATRIX_BOUNDS)]
+
+    rng = trial_rng(199)
+    mismatches = []
+    for t in range(200):
+        n = int(rng.integers(3, 12))
+        a = (random_balanced if t % 2 else random_dominant)(rng, n).entries
+        ref = verdicts(SymMatrix(a))
+        for k in (-1000, -60, -30, 30, 60, 1000):
+            got = verdicts(SymMatrix(np.ldexp(a, k)))
+            mismatches += [(t, k, bound.__name__, r, g)
+                           for bound, r, g in zip(SINGLE_MATRIX_BOUNDS, ref, got) if r != g]
+    assert mismatches == []
+
+
 class TestBlockDetRatio:
     def test_diagonal(self):
         factors, ratio = block_det_ratio(SymMatrix(np.diag([2.0, 3.0, 4.0])))
@@ -331,43 +358,35 @@ class TestPanelElimination:
         np.testing.assert_array_equal(bits(factors), bits(ref_factors))
         assert bits(np.array(ratio)) == bits(np.array(ref_ratio))
 
-    def test_kernel_by_size(self, monkeypatch):
-        ran = []
-        for name in ("_pivots_stacked", "_pivots_panel"):
-            kernel = getattr(matcore, name)
-            monkeypatch.setattr(matcore, name,
-                                lambda a, name=name, kernel=kernel:
-                                ran.append((name, a.shape[-1])) or kernel(a))
-        for n in (matcore._PANEL, matcore._PANEL + 1):
-            block_det_ratio(random_dominant(trial_rng(179, n), n))
-        assert ran == [("_pivots_stacked", matcore._PANEL),
-                       ("_pivots_panel", matcore._PANEL + 1)]
-
-    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -1030], ids=["unit", "subnormal"])
-    def test_near_singular_pivots_same_in_both_kernels(self, scale):
-        # For every n up to the panel size and every row k >= 1, shift J_kk
-        # so that the Schur pivot at k lands near c times its floor; rounding
-        # puts it on either side of the floor.  Both kernels, the stacked one
-        # on a stack of one, must agree on every pivot's bits up to the first
-        # singular one, and on the row of that pivot.
-        def outcome(pivots, row):
-            return bits(np.asarray(pivots)[max(row, 0):]).tolist(), row
+    def test_near_singular_pivots_match_the_unblocked_loop(self):
+        # For every n up to the panel size, and a few sizes of two and
+        # three panels, and every row k >= 1, shift J_kk so that the Schur
+        # pivot at k lands near c times its floor.  The kernel must find
+        # the oracle's singular block, or none where the oracle finds none.
+        # c = 1 is left out: there the pivot sits on its floor, and the two
+        # ways of summing the block norms may round it to either side.
+        def singular_block(eliminate, J):
+            try:
+                eliminate(J)
+            except SingularBlockError as err:
+                return err.block_index
+            return None
 
         raised = 0
         cases = 0
-        for n in range(2, matcore._PANEL + 1):
-            base = random_dominant(trial_rng(181, n), n).entries * scale
+        for n in [*range(2, matcore._PANEL + 1), 33, 40, 65, 70]:
+            base = random_dominant(trial_rng(181, n), n).entries
             floors = matcore._pivot_floors(base)
             for k in range(1, n):
                 # The elimination of a[k:, k:] ends at the pivot of row k.
-                schur = matcore._pivots_panel(base[k:, k:].copy())[0][0]
-                for c in (0.0, 0.5, -0.5, 1.0, 2.0):
+                schur = matcore._pivots(base[None, k:, k:].copy())[0][0, 0]
+                for c in (0.0, 0.5, -0.5, 2.0):
                     a = base.copy()
                     a[k, k] += c * floors[k] - schur
-                    panel = outcome(*matcore._pivots_panel(a.copy()))
-                    pivots, rows = matcore._pivots_stacked(a[None].copy())
-                    assert outcome(pivots[0], int(rows[0])) == panel, (n, k, c)
-                    raised += panel[1] >= 0
+                    J = SymMatrix(a)
+                    block = singular_block(block_det_ratio, J)
+                    assert block == singular_block(block_det_ratio_unblocked, J), (n, k, c)
+                    raised += block is not None
                     cases += 1
         assert 0 < raised < cases
 
@@ -390,7 +409,7 @@ class TestPanelElimination:
         stacked = [outcome(r) for r in matcore._eliminate_stack(np.array(mats))]
         return stacked, [single(a) for a in mats]
 
-    @pytest.mark.parametrize("n", [3, 4, 7, 12, matcore._PANEL, matcore._PANEL + 1, 40])
+    @pytest.mark.parametrize("n", [3, 4, 7, 12, matcore._PANEL, matcore._PANEL + 1, 40, 65, 70])
     def test_mixed_stack_gives_each_matrix_its_own_outcome(self, n):
         rng = trial_rng(191, n)
         mats = []
@@ -403,15 +422,16 @@ class TestPanelElimination:
 
     @pytest.mark.parametrize("scale", [1.0, 2.0 ** -1030], ids=["unit", "subnormal"])
     def test_near_singular_stack_gives_each_matrix_its_own_outcome(self, scale):
-        # The cases of test_near_singular_pivots_same_in_both_kernels, each
-        # n's cases in one stack with the unshifted matrix.
+        # The cases of test_near_singular_pivots_match_the_unblocked_loop up
+        # to the panel size, c = 1 among them, each n's cases in one stack
+        # with the unshifted matrix.
         raised = 0
         for n in range(2, matcore._PANEL + 1):
             base = random_dominant(trial_rng(181, n), n).entries * scale
             floors = matcore._pivot_floors(base)
             mats = [base]
             for k in range(1, n):
-                schur = matcore._pivots_panel(base[k:, k:].copy())[0][0]
+                schur = matcore._pivots(base[None, k:, k:].copy())[0][0, 0]
                 for c in (0.0, 0.5, -0.5, 1.0, 2.0):
                     a = base.copy()
                     a[k, k] += c * floors[k] - schur

@@ -15,7 +15,7 @@ from sddkit import (SForm, analyze_bipartition, limit_closed_form,
                     SymMatrix)
 from sddkit import cli, matcore
 from sddkit.cli import _print_matrix, main
-from sddkit.randmat import random_dominant, trial_rng
+from sddkit.randmat import random_balanced, random_dominant, trial_rng
 
 
 @pytest.fixture
@@ -262,6 +262,21 @@ class TestDetbounds:
         assert "VIOLATED" not in out
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_balanced_file_at_extreme_scale_holds(self, tmp_path, capsys, k):
+        # exp(-ell^2/4m^2) used to form inf/inf (k = 1000: rhs=nan, VIOLATED)
+        # or 0/0 (k = -1000: a ZeroDivisionError traceback).
+        J = random_balanced(trial_rng(3), 8)
+        path = tmp_path / "scaled.txt"
+        save_matrix(SymMatrix(np.ldexp(J.entries, k)), path)
+        assert main(["detbounds", "--matrix", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "VIOLATED" not in out
+        upper = next(line for line in out.splitlines() if line.startswith("det_upper:"))
+        rhs = float(upper.split("rhs=")[1].split()[0])
+        assert np.isfinite(rhs) and upper.endswith(" holds")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_ratio_near_the_largest_float_is_finite(self, tmp_path, capsys):
         # Entries near 2^1000, and J_33 shifted so that the Schur pivot of
         # row 3 (0-based) is twice its floor: the updates after that pivot
@@ -269,7 +284,7 @@ class TestDetbounds:
         base = random_dominant(trial_rng(181, 6), 6).entries * 2.0 ** 1000
         floors = matcore._pivot_floors(base)
         a = base.copy()
-        a[3, 3] += 2 * floors[3] - matcore._pivots_panel(base[3:, 3:].copy())[0][0]
+        a[3, 3] += 2 * floors[3] - matcore._pivots(base[None, 3:, 3:].copy())[0][0, 0]
         path = tmp_path / "huge.txt"
         save_matrix(SymMatrix(a), path)
         assert main(["detbounds", "--matrix", str(path)]) == 0
