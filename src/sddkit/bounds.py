@@ -7,13 +7,19 @@ violated precondition yields an inapplicable report, and a vacuous bound
 (no information) is flagged rather than dropped.
 
 Comparisons use tol = 1e-9 * max(1, |rhs|), recorded in the report context.
+The hypotheses are checked with margins relative to the entries (1e-12
+times the largest off-diagonal entry or the infinity norm), so a report
+on 2^k J keeps the verdict of the report on J.
 
 One seeded-trial engine runs both the verification suites
 (:func:`verify_suite`) and the searches over the paper's two conjectured
 inequalities (:func:`conjecture_search`); each yields a list of
 :class:`SuiteRecord`, one per report.  The engine draws its trials in
 chunks and analyses each chunk's matrices of one size as one stack, with
-the same records, bit for bit, as running the trials one by one.
+the same records, bit for bit, as running the trials one by one.  The
+determinant suites eliminate each stack at once
+(:func:`sddkit.matcore._eliminated`) and then call the public bounds, which
+read each matrix's elimination: every bound has one implementation.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .matcore import (
     SymMatrix,
     _eigen_stack,
     _eliminate_stack,
+    _eliminated,
     delta,
     eigen_sym,
     inf_norm,
@@ -116,12 +123,12 @@ def _inapplicable(name: str, reason: str, **context) -> BoundReport:
 def _gate(name: str, J: SymMatrix, ell, m, need: str = "dominant", **context):
     """Check the hypotheses the interval-type bounds share.
 
-    In order: n >= 3, [ell, m] brackets the off-diagonal entries (a missing
-    end defaults to the observed extreme), J is diagonally ``need``
-    ("dominant" or "balanced"), and every J_ii > 0 (dominance is measured
-    with |J_ii|).  Returns (rep, ell, m, bad) where ``bad`` is
-    the inapplicable report for the first failed hypothesis, else None;
-    ``context`` goes into that report after ``n``.
+    In order: n >= 3, [ell, m] brackets the off-diagonal entries up to
+    1e-12 times the largest of them (a missing end defaults to the observed
+    extreme), J is diagonally ``need`` ("dominant" or "balanced"), and
+    every J_ii > 0 (dominance is measured with |J_ii|).  Returns (rep, ell,
+    m, bad) where ``bad`` is the inapplicable report for the first failed
+    hypothesis, else None; ``context`` goes into that report after ``n``.
     """
     rep = J.dominance
     n = J.n
@@ -131,7 +138,8 @@ def _gate(name: str, J: SymMatrix, ell, m, need: str = "dominant", **context):
         ell = rep.min_offdiag
     if m is None:
         m = rep.max_offdiag
-    if not (0 < ell <= rep.min_offdiag + 1e-12 and rep.max_offdiag <= m + 1e-12):
+    slack = 1e-12 * rep.max_offdiag
+    if not (0 < ell <= rep.min_offdiag + slack and rep.max_offdiag <= m + slack):
         return rep, ell, m, _inapplicable(
             name, "[ell, m] does not bracket the off-diagonals",
             n=n, **context, ell=float(ell), m=float(m))
@@ -162,8 +170,9 @@ def varah_bound(J: SymMatrix) -> BoundReport:
 def main_bound(J: SymMatrix, S: SForm) -> BoundReport:
     """inf_norm(J^{-1}) <= (alpha + 2 ell (n-1))/(alpha (alpha + ell n)).
 
-    Requires J symmetric diagonally dominant with J >= dense(S) entrywise
-    and S dominant; equality holds exactly when J equals dense(S).
+    Requires J symmetric diagonally dominant with J >= dense(S) entrywise,
+    up to 1e-12 inf_norm(J), and S dominant; equality holds exactly when J
+    equals dense(S).
     """
     if J.n != S.n:
         return _inapplicable("main", f"dimension mismatch {J.n} vs {S.n}")
@@ -174,7 +183,7 @@ def main_bound(J: SymMatrix, S: SForm) -> BoundReport:
     if not rep.is_dominant:
         return _inapplicable("main", "J not diagonally dominant", n=J.n)
     gap = float((J.entries - sform_dense(S).entries).min())
-    if gap < -1e-12 * max(1.0, inf_norm(J)):
+    if gap < -1e-12 * inf_norm(J):
         return _inapplicable("main", "J not entrywise >= reference matrix",
                              n=J.n, worst_gap=gap)
     lhs = J.inv_inf_norm
@@ -304,8 +313,9 @@ def block_det_ratio(J: SymMatrix) -> tuple[np.ndarray, float]:
     ratio.  The elimination runs in panels of 32 rows
     (``matcore._PANEL``) on a whole stack of same-size matrices at once
     (:func:`sddkit.matcore._eliminate_stack`): the seeded-trial engine
-    passes its stacks, and a single matrix runs as a stack of one.  Each
-    matrix gets the same bits either way.
+    passes its stacks (:func:`sddkit.matcore._eliminated` stores each
+    matrix's pair in its ``elimination`` member), and a single matrix runs
+    as a stack of one.  Each matrix gets the same bits either way.
 
     Returns ``J.elimination``, so each matrix is eliminated once and every
     determinant bound reads the same pair, with ``factors`` read-only.
@@ -336,10 +346,6 @@ def det_lower_bound(J: SymMatrix, ell: float | None = None,
     if bad is not None:
         return bad
     _, ratio = block_det_ratio(J)
-    return _det_lower_report(J, ell, m, ratio)
-
-
-def _det_lower_report(J: SymMatrix, ell: float, m: float, ratio: float) -> BoundReport:
     n = J.n
     base = 1.0 - math.sqrt(m / ell) * (1.0 + m / ell) / (2.0 * (n - 2))
     if base <= 0:
@@ -356,7 +362,7 @@ def det_upper_bound_balanced(J: SymMatrix, ell: float | None = None,
     if bad is not None:
         return bad
     _, ratio = block_det_ratio(J)
-    return _det_upper_report(J, ell, m, ratio)
+    return _report("det_upper", ratio, _balanced_decay(ell, m), n=J.n, ell=ell, m=m)
 
 
 def _balanced_decay(ell: float, m: float) -> float:
@@ -367,11 +373,6 @@ def _balanced_decay(ell: float, m: float) -> float:
     e = math.frexp(m)[1]
     ell, m = math.ldexp(ell, -e), math.ldexp(m, -e)
     return math.exp(-ell * ell / (4.0 * m * m))
-
-
-def _det_upper_report(J: SymMatrix, ell: float, m: float, ratio: float) -> BoundReport:
-    rhs = _balanced_decay(ell, m)
-    return _report("det_upper", ratio, rhs, n=J.n, ell=ell, m=m)
 
 
 def adjugate_bound(J: SymMatrix, ell: float | None = None,
@@ -385,10 +386,6 @@ def adjugate_bound(J: SymMatrix, ell: float | None = None,
     if bad is not None:
         return bad
     _, ratio = block_det_ratio(J)
-    return _adjugate_report(J, ell, m, ratio)
-
-
-def _adjugate_report(J: SymMatrix, ell: float, m: float, ratio: float) -> BoundReport:
     n = J.n
     lhs = abs(ratio) * J.inv_inf_norm
     rhs = ((3 * n - 4) / (2.0 * ell * (n - 2) * (n - 1))) * _balanced_decay(ell, m)
@@ -564,11 +561,18 @@ def _assembled(group: list, n: int) -> np.ndarray:
 _TRIAL_ERRORS = (MatrixError, EigenConvergenceError, ArithmeticError)
 
 
-def _one_by_one(records):
+def _one_by_one(records, matrices=None):
     """A group analysis that runs ``records(params, a, extra)`` on each
-    trial in turn, ``a`` the trial's assembled matrix or None."""
+    trial in turn, ``a`` the trial's assembled matrix or None.
+
+    With ``matrices``, ``a`` is instead the trial's item of
+    ``matrices(stack)``, ``stack`` the group's assembled matrices: the
+    determinant suites pass :func:`sddkit.matcore._eliminated`, so each
+    trial gets a :class:`SymMatrix` whose elimination ran in one stack with
+    the group's, and the public bounds read it from there."""
     def analyse(n: int, group: list) -> list:
-        mats = iter(_assembled(group, n))
+        stack = _assembled(group, n)
+        mats = iter(stack if matrices is None else matrices(stack))
         out = []
         for params, draws, extra in group:
             try:
@@ -583,6 +587,13 @@ def _lower_norm_records(params, a, S):
     J = sform_dense(S) if a is None else SymMatrix(a)
     return [(params, _report("lower_norm_conjecture", sform_inf_norm_inverse(S),
                              J.inv_inf_norm, n=S.n))]
+
+
+def _det_records(params, J, _):
+    out = [(params, det_lower_bound(J))]
+    if params["balanced"]:
+        out.append((params, det_upper_bound_balanced(J)))
+    return out
 
 
 def _xi_records(params, a, extra):
@@ -629,38 +640,6 @@ def _eig_suite(n: int, group: list) -> list:
     return out
 
 
-def _ratio_suite(bounds_of):
-    """A group analysis for determinant-ratio bounds: ``bounds_of(params)``
-    names each trial's (bound, hypothesis, report builder) triples.  The
-    matrices that pass some bound's gate are eliminated as one stack."""
-    def analyse(n: int, group: list) -> list:
-        mats = _assembled(group, n)
-        gates = []
-        for (params, _, _), a in zip(group, mats):
-            J = SymMatrix(a)
-            gates.append((J, [(_gate(name, J, None, None, need=need), build)
-                              for name, need, build in bounds_of(params)]))
-        rows = [j for j, (_, g) in enumerate(gates) if any(bad is None for (*_, bad), _ in g)]
-        ratios = dict(zip(rows, _eliminate_stack(mats[rows])))
-        out = []
-        for j, ((params, _, _), (J, g)) in enumerate(zip(group, gates)):
-            elim = ratios.get(j)
-            if isinstance(elim, SingularBlockError):
-                out.append(elim)
-                continue
-            try:
-                out.append([(params, bad if bad is not None else build(J, ell, m, elim[1]))
-                            for (_, ell, m, bad), build in g])
-            except _TRIAL_ERRORS as exc:
-                out.append(exc)
-        return out
-    return analyse
-
-
-_DET_LOWER = ("det_lower", "dominant", _det_lower_report)
-_DET_UPPER = ("det_upper", "balanced", _det_upper_report)
-
-
 # The analysis of each suite: a group of one chunk's trials with the same n,
 # (params, draws, extra) each, to one outcome per trial, its (params,
 # report) pairs or the error it raised.
@@ -675,9 +654,8 @@ _ANALYSES = {
         (params, spectral_route_bound(SymMatrix(a), params["ell"]))]),
     "cond": _one_by_one(lambda params, a, _: [(params, condition_bound(SymMatrix(a)))]),
     "eig": _eig_suite,
-    "det": _ratio_suite(lambda params: (_DET_LOWER, _DET_UPPER) if params["balanced"]
-                        else (_DET_LOWER,)),
-    "adjugate": _ratio_suite(lambda params: (("adjugate", "balanced", _adjugate_report),)),
+    "det": _one_by_one(_det_records, _eliminated),
+    "adjugate": _one_by_one(lambda params, J, _: [(params, adjugate_bound(J))], _eliminated),
     "xi": _one_by_one(_xi_records),
 }
 

@@ -164,7 +164,7 @@ def signless_laplacian(G: LoopGraph) -> SymMatrix:
             P[j - 1, i - 1] = 1.0
             P[i - 1, i - 1] += 1.0
             P[j - 1, j - 1] += 1.0
-    return SymMatrix(P)
+    return _adopt(P)
 
 
 def incidence(G: LoopGraph) -> np.ndarray:

@@ -446,6 +446,23 @@ def _eliminate(J: SymMatrix) -> tuple[np.ndarray, float]:
     return out
 
 
+def _eliminated(a: np.ndarray) -> list[SymMatrix]:
+    """A :class:`SymMatrix` of each matrix of the (k, n, n) stack ``a``, its
+    ``elimination`` member filled from one :func:`_eliminate_stack` call.
+
+    The pair goes in the instance ``__dict__``, where ``cached_property``
+    keeps it, so each member is bitwise :func:`_eliminate`'s.  A failed
+    elimination is not stored: reading that member eliminates the matrix
+    again, as a stack of one, and raises the same
+    :class:`SingularBlockError`.
+    """
+    mats = [SymMatrix(m) for m in a]
+    for J, out in zip(mats, _eliminate_stack(a)):
+        if not isinstance(out, SingularBlockError):
+            J.__dict__["elimination"] = out
+    return mats
+
+
 def _eigen_stack(a: np.ndarray) -> tuple[np.ndarray, list]:
     """The eigenvalues, ascending, of each matrix of the (k, n, n) stack
     ``a`` by one ``numpy.linalg.eigh`` call, and per matrix None or the

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import SymMatrix
+from .matcore import SymMatrix, _adopt
 
 __all__ = [
     "SForm",
@@ -62,7 +62,7 @@ def sform_dense(S: SForm) -> SymMatrix:
     """Dense realization: diagonal alpha + ell, off-diagonal ell."""
     a = np.full((S.n, S.n), S.ell)
     np.fill_diagonal(a, S.alpha + S.ell)
-    return SymMatrix(a)
+    return _adopt(a)
 
 
 def sform_inverse(S: SForm) -> SymMatrix:
@@ -71,7 +71,7 @@ def sform_inverse(S: SForm) -> SymMatrix:
     b = S.ell / (S.alpha * (S.alpha + S.ell * S.n))
     inv = np.full((S.n, S.n), -b)
     np.fill_diagonal(inv, a - b)
-    return SymMatrix(inv)
+    return _adopt(inv)
 
 
 def sform_inf_norm_inverse(S: SForm) -> float:

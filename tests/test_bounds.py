@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -236,30 +237,71 @@ def test_gate_reports_first_failed_precondition(name, bound, need, case):
     assert r.context == dict(context, reason=reason)
 
 
-SINGLE_MATRIX_BOUNDS = (varah_bound, lower_bound_trivial, spectral_route_bound,
-                        condition_bound, eig_interval_check, det_lower_bound,
-                        det_upper_bound_balanced, adjugate_bound, hadamard_sanity)
+# Each single-matrix bound and its degree in J: both sides of its report on
+# c J are c^degree times those on J.
+SINGLE_MATRIX_BOUNDS = ((varah_bound, -1), (lower_bound_trivial, -1),
+                        (spectral_route_bound, -1), (condition_bound, 0),
+                        (eig_interval_check, 1), (det_lower_bound, 0),
+                        (det_upper_bound_balanced, 0), (adjugate_bound, -1),
+                        (hadamard_sanity, 0))
+
+
+def same_float(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
 
 
 def test_verdicts_keep_under_power_of_two_scaling():
     # Every inequality is homogeneous in J, and 2^k J is exact in floating
     # point, so each report on 2^k J must give the verdict of the report on
     # J, at scales near the largest and the smallest normal floats too, and
-    # no bound may raise.
-    def verdicts(J):
-        return [(r.applicable, r.holds, r.vacuous)
-                for r in (bound(J) for bound in SINGLE_MATRIX_BOUNDS)]
+    # no bound may raise.  Away from those scales both sides scale exactly
+    # by the bound's degree.  A permutation P only relabels the rows, so
+    # P J P' gives J's verdicts too (not its bits: the elimination does not
+    # pivot).
+    def verdict(r):
+        return r.applicable, r.holds, r.vacuous
+
+    def reports(J):
+        return [bound(J) for bound, _ in SINGLE_MATRIX_BOUNDS]
+
+    def changed(case, ref, got):
+        return [(case, bound.__name__, verdict(r), verdict(g))
+                for (bound, _), r, g in zip(SINGLE_MATRIX_BOUNDS, ref, got)
+                if verdict(r) != verdict(g)]
+
+    # An explicit ell 100 times the smallest off-diagonal entry lies outside
+    # the bracket at every scale, and a J below S by 1e-3 I is never >= S.
+    explicit_ell = (spectral_route_bound, condition_bound, det_lower_bound)
+    below = sform_dense(SForm(6, 5.0, 1.0)).entries - 1e-3 * np.eye(6)
+
+    def below_sform(k):
+        return verdict(main_bound(SymMatrix(np.ldexp(below, k)),
+                                  SForm(6, math.ldexp(5.0, k), math.ldexp(1.0, k))))
 
     rng = trial_rng(199)
     mismatches = []
     for t in range(200):
         n = int(rng.integers(3, 12))
         a = (random_balanced if t % 2 else random_dominant)(rng, n).entries
-        ref = verdicts(SymMatrix(a))
+        J = SymMatrix(a)
+        ref = reports(J)
         for k in (-1000, -60, -30, 30, 60, 1000):
-            got = verdicts(SymMatrix(np.ldexp(a, k)))
-            mismatches += [(t, k, bound.__name__, r, g)
-                           for bound, r, g in zip(SINGLE_MATRIX_BOUNDS, ref, got) if r != g]
+            got = reports(SymMatrix(np.ldexp(a, k)))
+            mismatches += changed((t, k), ref, got)
+            if abs(k) < 1000:
+                mismatches += [(t, k, bound.__name__, side)
+                               for (bound, degree), r, g in zip(SINGLE_MATRIX_BOUNDS, ref, got)
+                               for side in ("lhs", "rhs")
+                               if not same_float(math.ldexp(getattr(r, side), k * degree),
+                                                 getattr(g, side))]
+        perm = trial_rng(211, t).permutation(n)
+        mismatches += changed((t, "permuted"), ref, reports(SymMatrix(a[np.ix_(perm, perm)])))
+        ell = 100.0 * J.dominance.min_offdiag
+        for k in (-50, -60):
+            Jk = SymMatrix(np.ldexp(a, k))
+            mismatches += [(t, k, bound.__name__, "explicit ell") for bound in explicit_ell
+                           if verdict(bound(Jk, math.ldexp(ell, k))) != verdict(bound(J, ell))]
+    mismatches += [("main below S", k) for k in (-50, -60) if below_sform(k) != below_sform(0)]
     assert mismatches == []
 
 
@@ -440,6 +482,36 @@ class TestPanelElimination:
             assert stacked == single, n
             raised += sum(len(o) == 3 for o in stacked)
         assert raised > 0
+
+    def test_eliminated_fills_each_member_from_one_stack(self, monkeypatch):
+        rng = trial_rng(193)
+        mats = np.array([random_balanced(rng, 9).entries,
+                         singular_trailing_block(9, 4, seed=5).entries,
+                         random_dominant(rng, 9).entries])
+        stacks = []
+        kernel = matcore._eliminate_stack
+        monkeypatch.setattr(matcore, "_eliminate_stack",
+                            lambda a: stacks.append(len(a)) or kernel(a))
+        primed = matcore._eliminated(mats)
+        assert stacks == [3]
+        for J, a in zip(primed, mats):
+            np.testing.assert_array_equal(bits(J.entries), bits(a))
+        for J in (primed[0], primed[2]):
+            factors, ratio = J.__dict__["elimination"]
+            ref_factors, ref_ratio = matcore._eliminate(SymMatrix(J.entries))
+            assert bits(factors).tolist() == bits(ref_factors).tolist()
+            assert bits(np.array(ratio)).tolist() == bits(np.array(ref_ratio)).tolist()
+            assert J.elimination[0] is factors
+        # The failed elimination is not kept: reading it runs again and
+        # raises the error the matrix raises on its own.
+        assert "elimination" not in primed[1].__dict__
+        for _ in range(2):
+            with pytest.raises(SingularBlockError) as err:
+                primed[1].elimination
+            with pytest.raises(SingularBlockError) as ref:
+                matcore._eliminate(SymMatrix(mats[1]))
+            assert str(err.value) == str(ref.value)
+            assert err.value.block_index == ref.value.block_index == 5
 
     def test_indefinite_is_bitwise_the_unblocked_loop(self):
         factors, ratio = block_det_ratio(INDEFINITE4)
@@ -785,6 +857,27 @@ class TestVerifySuites:
         for rec in records:
             if rec.report.applicable:
                 assert rec.report.holds, (suite, rec.trial, rec.report)
+
+    @pytest.mark.parametrize("suite", ["det", "adjugate"])
+    def test_det_suites_eliminate_in_stacks(self, suite, monkeypatch):
+        # Each chunk's matrices of one n are eliminated as one stack, and no
+        # bound eliminates a matrix on its own.
+        monkeypatch.setattr(bounds, "_CHUNK_ENTRIES", 8 * 12 * 12)  # 8 trials a chunk
+        expected = verify_suite(suite, (3, 12), 30, seed=5)
+        calls, stacks = [], []
+        single = matcore._eliminate
+        monkeypatch.setattr(matcore, "_eliminate",
+                            lambda J: calls.append(J.n) or single(J))
+        kernel = matcore._eliminate_stack
+        monkeypatch.setattr(matcore, "_eliminate_stack",
+                            lambda a: stacks.append(a.shape[:2]) or kernel(a))
+        records = verify_suite(suite, (3, 12), 30, seed=5)
+        assert [record_fields(r) for r in records] == [record_fields(r) for r in expected]
+        assert calls == []
+        n_of = {r.trial: r.n for r in records}
+        chunks = [range(first, min(first + 8, 30)) for first in range(0, 30, 8)]
+        assert stacks == [(k, n) for chunk in chunks
+                          for n, k in Counter(n_of[t] for t in chunk).items()]
 
     def test_deterministic(self):
         a = verify_suite("main", (3, 8), 10, seed=4)
