@@ -16,10 +16,14 @@ One seeded-trial engine runs both the verification suites
 inequalities (:func:`conjecture_search`); each yields a list of
 :class:`SuiteRecord`, one per report.  The engine draws its trials in
 chunks and analyses each chunk's matrices of one size as one stack, with
-the same records, bit for bit, as running the trials one by one.  The
-determinant suites eliminate each stack at once
+the same records, bit for bit, as running the trials one by one.  Every
+suite has one analysis shape: an optional kernel call that turns the
+stack into one item per trial, then a per-trial function of that item.
+The determinant suites eliminate each stack at once
 (:func:`sddkit.matcore._eliminated`) and then call the public bounds, which
-read each matrix's elimination: every bound has one implementation.
+read each matrix's elimination; the eig suite and
+:func:`eig_interval_check` share one stacked check, the latter as a stack
+of one.  Every bound has one implementation.
 """
 
 from __future__ import annotations
@@ -257,29 +261,60 @@ def eig_interval_check(J: SymMatrix, ell: float | None = None,
     The report compresses all interval constraints into one comparison:
     lhs is the largest violation across constraints and rhs is 0, so
     slack is the worst margin by which the eigenvalues clear the intervals.
+    J runs as a stack of one through the eig suite's implementation.
     """
     n = J.n
     if not 1 <= i <= n - 1:
         return _inapplicable("eig", f"block index {i} outside 1..{n - 1}", n=n, i=i)
-    rep, ell, m, bad = _gate("eig", J, ell, m, i=i)
-    if bad is not None:
-        return bad
-    lams = eigen_sym(SymMatrix(J.entries[i - 1:, i - 1:]))
-    return _eig_reports(n, i, [ell], [m], [rep.is_balanced], lams[None])[0]
+    out, = _eig_checks([J], [i], ell, m)
+    if isinstance(out, EigenConvergenceError):
+        raise out
+    return out[0]
 
 
-def _eig_reports(n: int, i: int, ell, m, balanced, lams: np.ndarray) -> list[BoundReport]:
-    """The :func:`eig_interval_check` reports of block ``i`` for a stack of
-    n x n matrices that passed the gate: ``ell``, ``m`` and ``balanced`` per
-    matrix, ``lams`` the (k, n - i + 1) eigenvalues of their blocks."""
-    coef = np.full(lams.shape[1], n - 2.0)
-    coef[-1] = 2 * n - i - 1
-    low = (coef * np.asarray(ell)[:, None] - lams).max(axis=1).tolist()
-    high = (lams - coef * np.asarray(m)[:, None]).max(axis=1).tolist()
-    return [_report("eig", max(lo, hi) if bal else lo, 0.0, n=n, i=i, ell=ell_j, m=m_j,
-                    balanced=bal, lambda_min=lmin, lambda_max=lmax)
-            for lo, hi, ell_j, m_j, bal, lmin, lmax
-            in zip(low, high, ell, m, balanced, lams[:, 0].tolist(), lams[:, -1].tolist())]
+def _eig_checks(mats: list[SymMatrix], blocks, ell=None, m=None) -> list:
+    """The :func:`eig_interval_check` reports of each block i in ``blocks``
+    (each in 1..n-1) for each of the n x n matrices ``mats``: per matrix,
+    its reports in block order, or the :class:`EigenConvergenceError` of
+    its first uncertified block.
+
+    Each matrix passes the gate once, and each block's eigenvalues come
+    from one stacked eigensolve over the matrices that passed
+    (:func:`sddkit.matcore._eigen_stack`), bitwise those of a stack of one.
+    """
+    n = mats[0].n
+    out = []
+    gated = []  # (row, ell, m, balanced) of each matrix past the gate
+    for j, J in enumerate(mats):
+        rep, ell_j, m_j, bad = _gate("eig", J, ell, m, i=blocks[0])
+        if bad is None:
+            gated.append((j, ell_j, m_j, rep.is_balanced))
+            out.append([])
+        else:
+            out.append([_gate("eig", J, ell, m, i=i)[3] for i in blocks])
+    if not gated:
+        return out
+    rows, ells, ms, balanced = map(list, zip(*gated))
+    stack = np.array([mats[j].entries for j in rows])
+    ell_col, m_col = np.array(ells)[:, None], np.array(ms)[:, None]
+    for i in blocks:
+        lams, errors = _eigen_stack(np.ascontiguousarray(stack[:, i - 1:, i - 1:]))
+        coef = np.full(n - i + 1, n - 2.0)
+        coef[-1] = 2 * n - i - 1
+        low = (coef * ell_col - lams).max(axis=1).tolist()
+        high = (lams - coef * m_col).max(axis=1).tolist()
+        for j, err, lo, hi, ell_j, m_j, bal, lmin, lmax in zip(
+                rows, errors, low, high, ells, ms, balanced,
+                lams[:, 0].tolist(), lams[:, -1].tolist()):
+            if isinstance(out[j], Exception):
+                continue
+            if err is not None:
+                out[j] = err  # the matrix stops at its first uncertified block
+            else:
+                out[j].append(_report("eig", max(lo, hi) if bal else lo, 0.0, n=n, i=i,
+                                      ell=ell_j, m=m_j, balanced=bal,
+                                      lambda_min=lmin, lambda_max=lmax))
+    return out
 
 
 def block_det_ratio(J: SymMatrix) -> tuple[np.ndarray, float]:
@@ -549,44 +584,17 @@ def _draw(suite: str, trial: int, rng, n: int) -> tuple[dict, np.ndarray | None,
     return {"alpha": alpha, "ell": ell, "edges": G.num_edges}, None, (SForm(n, alpha, ell), G)
 
 
-def _assembled(group: list, n: int) -> np.ndarray:
-    """The (k, n, n) stack of the matrices a group's trials drew, in trial
-    order, built by one assembly."""
-    return randmat.assemble_sdd(
-        np.array([d for _, d, _ in group if d is not None]).reshape(-1, n, n))
-
-
-# Errors of a trial's analysis that the engine keeps as the trial's outcome,
-# so that a run stops at the first failing trial, as a loop over trials would.
-_TRIAL_ERRORS = (MatrixError, EigenConvergenceError, ArithmeticError)
-
-
-def _one_by_one(records, matrices=None):
-    """A group analysis that runs ``records(params, a, extra)`` on each
-    trial in turn, ``a`` the trial's assembled matrix or None.
-
-    With ``matrices``, ``a`` is instead the trial's item of
-    ``matrices(stack)``, ``stack`` the group's assembled matrices: the
-    determinant suites pass :func:`sddkit.matcore._eliminated`, so each
-    trial gets a :class:`SymMatrix` whose elimination ran in one stack with
-    the group's, and the public bounds read it from there."""
-    def analyse(n: int, group: list) -> list:
-        stack = _assembled(group, n)
-        mats = iter(stack if matrices is None else matrices(stack))
-        out = []
-        for params, draws, extra in group:
-            try:
-                out.append(records(params, None if draws is None else next(mats), extra))
-            except _TRIAL_ERRORS as exc:
-                out.append(exc)
-        return out
-    return analyse
-
-
 def _lower_norm_records(params, a, S):
     J = sform_dense(S) if a is None else SymMatrix(a)
     return [(params, _report("lower_norm_conjecture", sform_inf_norm_inverse(S),
                              J.inv_inf_norm, n=S.n))]
+
+
+def _det_upper_records(params, elimination, _):
+    factors, ratio = elimination
+    n = factors.size + 1
+    return [(params, _report("det_upper_conjecture", ratio,
+                             2.0 * (1.0 - 1.0 / (n - 1)) ** (n - 1), n=n))]
 
 
 def _det_records(params, J, _):
@@ -604,59 +612,29 @@ def _xi_records(params, a, extra):
                              edges=G.num_edges, route_gap=agreement))]
 
 
-def _det_upper_conjecture(n: int, group: list) -> list:
-    rhs = 2.0 * (1.0 - 1.0 / (n - 1)) ** (n - 1)
-    return [out if isinstance(out, SingularBlockError)
-            else [(params, _report("det_upper_conjecture", out[1], rhs, n=n))]
-            for (params, _, _), out in zip(group, _eliminate_stack(_assembled(group, n)))]
-
-
-def _eig_suite(n: int, group: list) -> list:
-    """Every block's report for each matrix; the eigenvalues of one block
-    size come from one stacked eigensolve over the matrices past the gate."""
-    mats = _assembled(group, n)
-    out = []
-    gated = []  # (row, ell, m, balanced) of each matrix past the gate
-    for j, ((params, _, _), a) in enumerate(zip(group, mats)):
-        J = SymMatrix(a)
-        rep, ell, m, bad = _gate("eig", J, None, None, i=1)
-        if bad is None:
-            gated.append((j, ell, m, rep.is_balanced))
-            out.append([])
-        else:
-            out.append([({"i": i, **params}, eig_interval_check(J, i=i)) for i in range(1, n)])
-    if not gated:
-        return out
-    rows, ell, m, balanced = map(list, zip(*gated))
-    for i in range(1, n):
-        lams, errors = _eigen_stack(np.ascontiguousarray(mats[rows, i - 1:, i - 1:]))
-        for j, err, report in zip(rows, errors, _eig_reports(n, i, ell, m, balanced, lams)):
-            if isinstance(out[j], Exception):
-                continue
-            if err is not None:
-                out[j] = err  # the trial stops at its first uncertified block
-            else:
-                out[j].append(({"i": i, **group[j][0]}, report))
-    return out
-
-
-# The analysis of each suite: a group of one chunk's trials with the same n,
-# (params, draws, extra) each, to one outcome per trial, its (params,
-# report) pairs or the error it raised.
+# The analysis of each suite, one shape for all: a pair (records, prepare).
+# ``prepare``, or None, turns the (k, n, n) stack of the matrices that one
+# chunk's trials of one n drew into one item per trial by one kernel call;
+# ``records(params, item, extra)`` gives one trial's (params, report) pairs
+# from its item, else from its assembled matrix (None when it drew none).
+# An item that is an exception is raised as its trial's error.  det_upper
+# looks ``_eliminate_stack`` up when it runs, so a patched kernel is used.
 _ANALYSES = {
-    "lower_norm": _one_by_one(_lower_norm_records),
-    "det_upper": _det_upper_conjecture,
-    "varah": _one_by_one(lambda params, a, _: [(params, varah_bound(SymMatrix(a)))]),
-    "main": _one_by_one(lambda params, a, S: [
-        (params, main_bound(SymMatrix(sform_dense(S).entries + a), S))]),
-    "lower": _one_by_one(lambda params, a, _: [(params, lower_bound_trivial(SymMatrix(a)))]),
-    "spectral": _one_by_one(lambda params, a, _: [
-        (params, spectral_route_bound(SymMatrix(a), params["ell"]))]),
-    "cond": _one_by_one(lambda params, a, _: [(params, condition_bound(SymMatrix(a)))]),
-    "eig": _eig_suite,
-    "det": _one_by_one(_det_records, _eliminated),
-    "adjugate": _one_by_one(lambda params, J, _: [(params, adjugate_bound(J))], _eliminated),
-    "xi": _one_by_one(_xi_records),
+    "lower_norm": (_lower_norm_records, None),
+    "det_upper": (_det_upper_records, lambda a: _eliminate_stack(a)),
+    "varah": (lambda params, a, _: [(params, varah_bound(SymMatrix(a)))], None),
+    "main": (lambda params, a, S: [
+        (params, main_bound(SymMatrix(sform_dense(S).entries + a), S))], None),
+    "lower": (lambda params, a, _: [(params, lower_bound_trivial(SymMatrix(a)))], None),
+    "spectral": (lambda params, a, _: [
+        (params, spectral_route_bound(SymMatrix(a), params["ell"]))], None),
+    "cond": (lambda params, a, _: [(params, condition_bound(SymMatrix(a)))], None),
+    "eig": (lambda params, reports, _: [({"i": i, **params}, r)
+                                        for i, r in enumerate(reports, 1)],
+            lambda a: _eig_checks([SymMatrix(x) for x in a], range(1, a.shape[1]))),
+    "det": (_det_records, _eliminated),
+    "adjugate": (lambda params, J, _: [(params, adjugate_bound(J))], _eliminated),
+    "xi": (_xi_records, None),
 }
 
 # Matrix entries per chunk: a run draws and analyses as many trials at once
@@ -673,33 +651,39 @@ def _trials(name: str, lo: int, hi: int, trials: int, seed: int) -> list[SuiteRe
     from a per-trial generator keyed by (seed, name, trial), so results do
     not depend on scheduling or on other suites.
 
-    Trials are drawn in order, in chunks of ``_CHUNK_ENTRIES / hi^2``; each
-    chunk's trials are grouped by n, and each group is analysed as one
-    stack.  Records come out in trial order, and the first trial whose
-    analysis failed raises its error, as if the trials ran one by one.
+    Trials are drawn in order, in chunks of ``_CHUNK_ENTRIES / hi^2``.  Each
+    chunk's matrices of one n are assembled as one stack, which the suite's
+    ``prepare`` turns into one item per trial (see ``_ANALYSES``); then each
+    trial's ``records`` run in trial order.  So records come out in trial
+    order, and the first failing trial raises its error, as if the trials
+    ran one by one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    analyse = _ANALYSES[name]
+    records, prepare = _ANALYSES[name]
     size = max(1, _CHUNK_ENTRIES // (hi * hi))
     out = []
     for first in range(0, trials, size):
         chunk = range(first, min(first + size, trials))
         drawn = []
-        groups = {}
+        groups = {}  # n: (position in the chunk, draws) of each trial that drew a matrix
         for t in chunk:
             rng = randmat.trial_rng(seed, _TAG[name], t)
             n = int(rng.integers(lo, hi + 1))
-            groups.setdefault(n, []).append(len(drawn))
-            drawn.append((n, _draw(name, t, rng, n)))
-        outcomes = [None] * len(drawn)
-        for n, rows in groups.items():
-            for j, outcome in zip(rows, analyse(n, [drawn[j][1] for j in rows])):
-                outcomes[j] = outcome
-        for t, (n, _), outcome in zip(chunk, drawn, outcomes):
-            if isinstance(outcome, Exception):
-                raise outcome
-            out.extend(SuiteRecord(name, t, n, params, report) for params, report in outcome)
+            params, draws, extra = _draw(name, t, rng, n)
+            if draws is not None:
+                groups.setdefault(n, []).append((len(drawn), draws))
+            drawn.append((n, params, extra))
+        items = [None] * len(drawn)
+        for members in groups.values():
+            stack = randmat.assemble_sdd(np.array([d for _, d in members]))
+            for (j, _), item in zip(members, stack if prepare is None else prepare(stack)):
+                items[j] = item
+        for t, (n, params, extra), item in zip(chunk, drawn, items):
+            if isinstance(item, Exception):
+                raise item
+            out.extend(SuiteRecord(name, t, n, p, report)
+                       for p, report in records(params, item, extra))
     return out
 
 

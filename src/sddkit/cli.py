@@ -213,6 +213,10 @@ def cmd_limit(args) -> int:
 
 
 def cmd_detbounds(args) -> int:
+    for name in ("ell", "m"):
+        value = getattr(args, name)
+        if value is not None and not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     J = load_matrix(args.matrix)
     factors, ratio = bnd.block_det_ratio(J)
     print(f"matrix: {args.matrix} (n={J.n})")

@@ -879,6 +879,28 @@ class TestVerifySuites:
         assert stacks == [(k, n) for chunk in chunks
                           for n, k in Counter(n_of[t] for t in chunk).items()]
 
+    def test_eig_suite_solves_in_stacks(self, monkeypatch):
+        # Each chunk's matrices of one n get one eigensolve per block, over
+        # the whole group, and no matrix goes through eig_interval_check.
+        expected = verify_suite("eig", (3, 12), 30, seed=5)
+        monkeypatch.setattr(bounds, "_CHUNK_ENTRIES", 8 * 12 * 12)  # 8 trials a chunk
+        calls, stacks = [], []
+        single = bounds.eig_interval_check
+        monkeypatch.setattr(bounds, "eig_interval_check",
+                            lambda J, *args, **kw: calls.append(J.n) or single(J, *args, **kw))
+        kernel = bounds._eigen_stack
+        monkeypatch.setattr(bounds, "_eigen_stack",
+                            lambda a: stacks.append(a.shape) or kernel(a))
+        records = verify_suite("eig", (3, 12), 30, seed=5)
+        assert [record_fields(r) for r in records] == [record_fields(r) for r in expected]
+        assert all(r.report.applicable for r in records)
+        assert calls == []
+        n_of = {r.trial: r.n for r in records}
+        chunks = [range(first, min(first + 8, 30)) for first in range(0, 30, 8)]
+        assert stacks == [(k, n - i + 1, n - i + 1) for chunk in chunks
+                          for n, k in Counter(n_of[t] for t in chunk).items()
+                          for i in range(1, n)]
+
     def test_deterministic(self):
         a = verify_suite("main", (3, 8), 10, seed=4)
         b = verify_suite("main", (3, 8), 10, seed=4)

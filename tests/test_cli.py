@@ -447,12 +447,21 @@ class TestFailureCorpus:
         (["limit", "--sform", "4,2,1", "--graph", "CYCLE4", "--t", "1e308"], "t=1e+308"),
         (["mle", "--n", "10", "--trials", "1", "--k", "nan"], "k must be finite and > 1, got nan"),
         (["mle", "--n", "10", "--trials", "1", "--k", "inf"], "k must be finite and > 1, got inf"),
+        (["detbounds", "--matrix", "J4", "--ell", "nan"], "ell must be finite and > 0, got nan"),
+        (["detbounds", "--matrix", "J4", "--m", "nan"], "m must be finite and > 0, got nan"),
+        (["detbounds", "--matrix", "J4", "--ell", "inf"], "ell must be finite and > 0, got inf"),
+        (["detbounds", "--matrix", "J4", "--m", "inf"], "m must be finite and > 0, got inf"),
+        (["detbounds", "--matrix", "J4", "--ell", "0"], "ell must be finite and > 0, got 0.0"),
+        (["detbounds", "--matrix", "J4", "--ell", "-1"], "ell must be finite and > 0, got -1.0"),
     ], ids=["sform_inf_u_route", "sform_inf_closed_form", "sform_ell_inf",
             "theta_range_inf", "mle_negative_n", "n_range_not_integer",
-            "limit_t_inf", "limit_t_overflows", "mle_k_nan", "mle_k_inf"])
+            "limit_t_inf", "limit_t_overflows", "mle_k_nan", "mle_k_inf",
+            "detbounds_ell_nan", "detbounds_m_nan", "detbounds_ell_inf",
+            "detbounds_m_inf", "detbounds_ell_zero", "detbounds_ell_negative"])
     @pytest.mark.filterwarnings("error")
-    def test_excluded_input_rejected(self, argv, value, cycle4_file, capsys):
-        argv = [cycle4_file if a == "CYCLE4" else a for a in argv]
+    def test_excluded_input_rejected(self, argv, value, cycle4_file, j4_file, capsys):
+        files = {"CYCLE4": cycle4_file, "J4": j4_file}
+        argv = [files.get(a, a) for a in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
