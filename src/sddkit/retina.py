@@ -19,6 +19,11 @@ a local, heuristic certificate, not a rigorous domain-wide one.
 
 The solver keeps every theta_i + theta_j at or above ``DOMAIN_FLOOR``; f_map,
 jacobian and residual raise DomainError for a pair sum within it of zero.
+
+A solve holds one n x n array.  f_map and residual form the reciprocals of
+the pair sums in blocks of ``_ROWS`` rows and can leave the pair sums in a
+buffer of the caller's (``out``); the solver builds each Jacobian in place
+from the pair sums its accepted residual left there.
 """
 
 from __future__ import annotations
@@ -46,6 +51,10 @@ __all__ = [
 ]
 
 DOMAIN_FLOOR = 1e-10
+# Rows per block of reciprocals in f_map, whose (_ROWS, n) scratch is small
+# beside the n x n pair sums; blocks of 32, 64 and 128 rows solve in the same
+# time at n = 400 and n = 2000.
+_ROWS = 64
 
 
 class DomainError(ValueError):
@@ -97,20 +106,33 @@ def _pair_sums(x: np.ndarray, floor: float, out: np.ndarray | None = None) -> np
     return z
 
 
-def f_map(x: np.ndarray) -> np.ndarray:
-    """F_i(x) = -sum_{j != i} 1/(x_i + x_j).
+def _reciprocal_row_sums(z: np.ndarray) -> np.ndarray:
+    """sum_j 1/z_ij for each row i of the n x n array z, which is left as it
+    is: the reciprocals are formed ``_ROWS`` rows at a time in one (_ROWS, n)
+    scratch array.  A C-ordered block's rows reduce exactly as z's own rows
+    do, so each sum has the bits of ``(1.0 / z).sum(axis=1)``."""
+    n = len(z)
+    sums = np.empty(n)
+    scratch = np.empty((min(_ROWS, n), n))
+    for a in range(0, n, _ROWS):
+        block = np.divide(1.0, z[a:a + _ROWS], out=scratch[:min(_ROWS, n - a)])
+        block.sum(axis=1, out=sums[a:a + _ROWS])
+    return sums
+
+
+def f_map(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """F_i(x) = -sum_{j != i} 1/(x_i + x_j); the pair sums x_i + x_j (inf on
+    the diagonal) are left in ``out`` when given.
 
     With x = -theta and all theta_i + theta_j > 0 this returns the expected
     degree sequence: d = F(-theta) means d_i = sum_{j != i} 1/(theta_i + theta_j).
     """
-    z = _pair_sums(np.asarray(x, dtype=float), DOMAIN_FLOOR)
-    return -np.divide(1.0, z, out=z).sum(axis=1)
+    return -_reciprocal_row_sums(_pair_sums(np.asarray(x, dtype=float), DOMAIN_FLOOR, out))
 
 
-def _jacobian_entries(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Entries of the Jacobian of f_map at x, written into ``out`` when given:
-    pair sums, squared, reciprocal, then the row sums on the diagonal."""
-    w = _pair_sums(x, DOMAIN_FLOOR, out)
+def _jacobian_from_pair_sums(w: np.ndarray) -> np.ndarray:
+    """The Jacobian of f_map built in place from its pair sums ``w`` (inf on
+    the diagonal): squared, reciprocal, then the row sums on the diagonal."""
     np.multiply(w, w, out=w)
     np.divide(1.0, w, out=w)
     np.fill_diagonal(w, w.sum(axis=1))
@@ -123,12 +145,14 @@ def jacobian(x: np.ndarray) -> SymMatrix:
     Diagonally balanced by construction, and positive definite whenever all
     pairwise sums are nonzero and n >= 3.
     """
-    return SymMatrix(_jacobian_entries(np.asarray(x, dtype=float)))
+    return SymMatrix(_jacobian_from_pair_sums(
+        _pair_sums(np.asarray(x, dtype=float), DOMAIN_FLOOR)))
 
 
-def residual(theta: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Moment-matching residual F(-theta) - d."""
-    return f_map(-np.asarray(theta, dtype=float)) - np.asarray(d, dtype=float)
+def residual(theta: np.ndarray, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Moment-matching residual F(-theta) - d; the pair sums of -theta are
+    left in ``out`` when given, as by :func:`f_map`."""
+    return f_map(-np.asarray(theta, dtype=float), out) - np.asarray(d, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -182,6 +206,9 @@ class RetinaSolution:
     ``error_certificate`` that constant times the residual norm.  The
     constant is evaluated locally (``certificate_is_local``), so the
     certificate is heuristic rather than a rigorous domain-wide bound.
+    Each of the three is computed at unit scale and scaled back once, so it
+    is inf or 0 only where its value is past the float range: at theta
+    near 1e160 the constant is inf while the certificate is finite.
     """
 
     theta: np.ndarray
@@ -194,26 +221,36 @@ class RetinaSolution:
     certificate_is_local: bool = True
 
 
-def _local_ell(theta: np.ndarray) -> float:
-    # Every pair sum is positive on the solver's domain, so the smallest
-    # 1/(theta_i + theta_j)^2 belongs to the largest pair sum, which is minus
-    # the smallest pair sum of -theta (negation commutes with rounding); so
-    # this equals the minimum over all pairs exactly.
-    z = _low_pair_sum(-theta)
-    return float(1.0 / (z * z))
+def _scaled(x: float, e: int) -> float:
+    """x * 2^e rounded once; inf where that is past the largest float."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
 
 
 def _finish(theta, r_inf, iters, converged, n) -> RetinaSolution:
-    ell = _local_ell(theta)
+    # Every pair sum is positive on the solver's domain, so the smallest
+    # 1/(theta_i + theta_j)^2 belongs to the largest pair sum, which is minus
+    # the smallest pair sum of -theta (negation commutes with rounding); so
+    # ell equals the minimum over all pairs exactly.  That sum is first
+    # scaled by 2^-e, with e its exponent (frexp's), into [1/2, 1), as in
+    # bounds._balanced_decay: the scaling is exact, so ell, the constant and
+    # the certificate keep their bits wherever nothing over- or underflows,
+    # and none of them over- or underflows before it is scaled back.
+    z = _low_pair_sum(-theta)
+    e = math.frexp(z)[1]
+    z = math.ldexp(z, -e)
+    ell = 1.0 / (z * z)
     lip = (3 * n - 4) / (2.0 * ell * (n - 1) * (n - 2))
     return RetinaSolution(
         theta=theta,
         residual_inf=float(r_inf),
         iterations=iters,
-        lipschitz_const=float(lip),
-        error_certificate=float(lip * r_inf),
+        lipschitz_const=_scaled(lip, 2 * e),
+        error_certificate=_scaled(lip * r_inf, 2 * e),
         converged=converged,
-        ell_used=ell,
+        ell_used=_scaled(ell, -2 * e),
     )
 
 
@@ -230,34 +267,37 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10,
     rather than raising: a solution is only guaranteed to exist almost
     surely.
 
-    One n x n buffer serves every step: the step's Jacobian is built into
-    it (pair sums, squared, reciprocal, row sums on the diagonal) and
-    Cholesky factors it in place.  The Jacobian is exactly symmetric, so
-    LAPACK reads the buffer's transpose, which is Fortran-ordered and needs
-    no copy.  Each candidate is evaluated through :func:`residual`.
+    One n x n buffer serves every step.  Each candidate is evaluated through
+    :func:`residual`, which leaves the candidate's pair sums in the buffer;
+    the line search ends only on an accepted candidate, so the buffer then
+    holds the new iterate's pair sums, and the next Jacobian is built from
+    them in place (squared, reciprocal, row sums on the diagonal) with no
+    second pass over the pairs.  Cholesky factors it in place too: the
+    Jacobian is exactly symmetric, so LAPACK reads the buffer's transpose,
+    which is Fortran-ordered and needs no copy.
     """
     d = prob.d
     n = prob.n
     # uniform closed form; clamped so the start respects the domain floor
     theta = np.full(n, max((n - 1) / (2.0 * float(d.mean())), DOMAIN_FLOOR))
-    r = residual(theta, d)
-    r_inf = float(np.abs(r).max())
     w = np.empty((n, n))
+    r = residual(theta, d, w)
+    r_inf = float(np.abs(r).max())
     for it in range(1, max_iter + 1):
         if r_inf <= tol:
             return _finish(theta, r_inf, it - 1, True, n)
-        _jacobian_entries(-theta, out=w)
-        try:
-            cho = scipy.linalg.cho_factor(w.T, overwrite_a=True, check_finite=False)
-        except scipy.linalg.LinAlgError:
+        # w holds the pair sums of -theta, left there by theta's residual
+        f, info = scipy.linalg.lapack.dpotrf(_jacobian_from_pair_sums(w).T, lower=0,
+                                             clean=0, overwrite_a=1)
+        if info > 0:  # not positive definite in floating point
             return _finish(theta, r_inf, it - 1, False, n)
-        step = scipy.linalg.cho_solve(cho, r, check_finite=False)
+        step = scipy.linalg.lapack.dpotrs(f, r, lower=0)[0]
         lam = 1.0
         step_inf = float(np.abs(step).max())
         while True:
             cand = theta + lam * step
             if _low_pair_sum(cand) >= DOMAIN_FLOOR:  # the smallest pair sum
-                r_new = residual(cand, d)
+                r_new = residual(cand, d, w)
                 r_new_inf = float(np.abs(r_new).max())
                 if r_new_inf < r_inf:
                     theta, r, r_inf = cand, r_new, r_new_inf
@@ -292,12 +332,17 @@ def sample_degrees(theta: np.ndarray, seed: int) -> np.ndarray:
                 pair=(int(i), int(j)),
             )
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    iu = np.triu_indices(n, 1)
-    draws = gen.standard_exponential(len(iu[0]))
-    weights = draws / (theta[iu[0]] + theta[iu[1]])
+    # Row i holds the edges (i, i+1), ..., (i, n-1), in counter order; the
+    # edge k places after row i's first has column i + 1 + k.
+    counts = np.arange(n - 1, -1, -1)
+    rows = np.repeat(np.arange(n), counts)
+    first = np.cumsum(counts) - counts
+    cols = np.arange(len(rows)) + np.repeat(np.arange(1, n + 1) - first, counts)
+    draws = gen.standard_exponential(len(rows))
+    weights = draws / (np.repeat(theta, counts) + theta[cols])
     d = np.zeros(n)
-    np.add.at(d, iu[0], weights)
-    np.add.at(d, iu[1], weights)
+    np.add.at(d, rows, weights)
+    np.add.at(d, cols, weights)
     return d
 
 
@@ -355,7 +400,8 @@ def consistency_experiment(n: int, k: float, trials: int,
     sequence, solve the moment-matching system, and compare the recovery
     error against the consistency bound.  Non-converged trials are recorded
     but excluded from the within-bound fraction.  Everything is a pure
-    function of (seed, trial index).
+    function of (seed, trial index).  A theta range whose consistency bound
+    is not a finite float is rejected with ValueError.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -366,7 +412,13 @@ def consistency_experiment(n: int, k: float, trials: int,
     lo, hi = theta_range
     if not (0 < lo <= hi < math.inf):
         raise ValueError(f"need 0 < lo <= hi < inf, got {theta_range}")
-    bound = consistency_bound(n, k, lo, hi)
+    try:
+        bound = consistency_bound(n, k, lo, hi)
+    except (OverflowError, ZeroDivisionError):  # (2 lo)^2 or (2 hi)^2 out of range
+        bound = math.nan
+    if not math.isfinite(bound):
+        raise ValueError(f"the consistency bound is not a finite float for theta "
+                         f"range {lo:g},{hi:g}")
     results = []
     for t in range(trials):
         rng = np.random.default_rng([seed, t, 0])

@@ -453,11 +453,18 @@ class TestFailureCorpus:
         (["detbounds", "--matrix", "J4", "--m", "inf"], "m must be finite and > 0, got inf"),
         (["detbounds", "--matrix", "J4", "--ell", "0"], "ell must be finite and > 0, got 0.0"),
         (["detbounds", "--matrix", "J4", "--ell", "-1"], "ell must be finite and > 0, got -1.0"),
+        (["mle", "--n", "10", "--trials", "1", "--theta-range", "1e160,2e160"],
+         "not a finite float for theta range 1e+160,2e+160"),
+        (["mle", "--n", "10", "--trials", "1", "--theta-range", "1e-200,2e-200"],
+         "not a finite float for theta range 1e-200,2e-200"),
+        (["mle", "--n", "10", "--trials", "1", "--theta-range", "1e-150,1e150"],
+         "not a finite float for theta range 1e-150,1e+150"),
     ], ids=["sform_inf_u_route", "sform_inf_closed_form", "sform_ell_inf",
             "theta_range_inf", "mle_negative_n", "n_range_not_integer",
             "limit_t_inf", "limit_t_overflows", "mle_k_nan", "mle_k_inf",
             "detbounds_ell_nan", "detbounds_m_nan", "detbounds_ell_inf",
-            "detbounds_m_inf", "detbounds_ell_zero", "detbounds_ell_negative"])
+            "detbounds_m_inf", "detbounds_ell_zero", "detbounds_ell_negative",
+            "mle_bound_overflows", "mle_bound_divides_by_zero", "mle_bound_infinite"])
     @pytest.mark.filterwarnings("error")
     def test_excluded_input_rejected(self, argv, value, cycle4_file, j4_file, capsys):
         files = {"CYCLE4": cycle4_file, "J4": j4_file}

@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -148,6 +152,28 @@ class TestSolve:
                                              rf"\(margin {margin}\)"):
             RetinaProblem(np.array(d))
 
+    @pytest.mark.filterwarnings("error")
+    def test_certificate_at_extreme_scale(self):
+        # theta near 1.4e160: ell = 1/z^2 is subnormal, and the constant,
+        # (2/3) z^2, is past the largest float, but their product with the
+        # residual norm is not.  (The absolute tol accepts the start.)
+        sol = solve_retina(RetinaProblem(1e-160 * np.array([1.0, 1.1, 0.9, 1.2])))
+        th = sol.theta
+        zmax = Fraction(max(th[i] + th[j] for i in range(4) for j in range(i + 1, 4)))
+        ell = 1 / zmax ** 2
+        assert abs(Fraction(sol.ell_used) - ell) <= ell * Fraction(2) ** -50 + Fraction(2) ** -1074
+        assert sol.lipschitz_const == math.inf
+        cert = Fraction(2, 3) * zmax ** 2 * Fraction(sol.residual_inf)
+        assert 0 < sol.error_certificate < math.inf
+        assert abs(Fraction(sol.error_certificate) - cert) <= cert * Fraction(2) ** -50
+
+    @pytest.mark.filterwarnings("error")
+    def test_certificate_at_tiny_scale(self):
+        # pair sums of 2^-539: 1/z^2 = 2^1078 is past the largest float and
+        # the constant below the smallest subnormal
+        sol = retina._finish(np.full(4, 2.0 ** -540), 0.0, 0, True, 4)
+        assert (sol.ell_used, sol.lipschitz_const, sol.error_certificate) == (math.inf, 0.0, 0.0)
+
     def test_feasible_target_near_the_bound_converges(self):
         sol = solve_retina(RetinaProblem(np.array([1.0, 2.0, 2.99])))
         assert sol.converged
@@ -234,6 +260,13 @@ class TestConsistencyExperiment:
         # theta in [0.5, 2] gives m = 1 and ell = 1/16
         b = consistency_bound(100, 2.0, 0.5, 2.0)
         assert b == pytest.approx(2400 * np.sqrt(2 * np.log(100) / 100), rel=1e-12)
+
+    @pytest.mark.parametrize("theta_range", [(1e160, 2e160), (1e-200, 2e-200),
+                                             (1e-150, 1e150)],
+                             ids=["overflows", "divides_by_zero", "infinite"])
+    def test_rejects_range_without_finite_bound(self, theta_range):
+        with pytest.raises(ValueError, match="consistency bound is not a finite float"):
+            consistency_experiment(10, 2.0, 1, theta_range, seed=0)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -384,3 +417,39 @@ class TestBitwiseOracles:
         sol = self.assert_same_solution(RetinaProblem(np.array([1000.0, 999.99, 0.02])),
                                         max_iter=max_iter)
         assert not sol.converged
+
+
+class TestOneBuffer:
+    """One n x n array per solve: each residual leaves its pair sums in it,
+    and the next Jacobian is built there from the accepted candidate's."""
+
+    def test_peak_memory_is_one_square(self):
+        n = 1000
+        prob = RetinaProblem(sample_degrees(_true_theta(n, 0), 100))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sol = solve_retina(prob, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert sol.converged and sol.iterations > 0
+        assert peak <= 1.25 * 8 * n * n
+
+    def test_jacobian_reuses_the_accepted_pair_sums(self, monkeypatch):
+        d = f_map(-_true_theta(50, 0, 0.05, 10.0))
+        pair_sums, residuals = [], []
+        real_pair_sums, real_residual = retina._pair_sums, retina.residual
+        monkeypatch.setattr(retina, "_pair_sums",
+                            lambda *a: pair_sums.append(1) or real_pair_sums(*a))
+        monkeypatch.setattr(retina, "residual",
+                            lambda *a: residuals.append(1) or real_residual(*a))
+        sol = solve_retina(RetinaProblem(d))
+        assert sol.converged and sol.iterations > 0
+        # the line search halved (more residuals than steps + 1), and no
+        # Jacobian formed pair sums of its own
+        assert len(residuals) > sol.iterations + 1
+        assert len(pair_sums) == len(residuals)
