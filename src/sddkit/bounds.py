@@ -41,6 +41,7 @@ from .matcore import (
     _eigen_stack,
     _eliminate_stack,
     _eliminated,
+    _floor,
     delta,
     eigen_sym,
     inf_norm,
@@ -335,11 +336,11 @@ def block_det_ratio(J: SymMatrix) -> tuple[np.ndarray, float]:
 
     The pivot of the block starting at row k (1-based) is singular when
     |d| <= size * eps * inf_norm(block), the floor :func:`inverse_dense`
-    uses.  Elimination stops at the first such pivot, so
-    :class:`SingularBlockError` names the smallest singular trailing block,
-    that is the largest starting row when blocks are nested.  The pivot of
-    row 1 is only a factor: a singular J whose trailing blocks are
-    nonsingular gives ratio 0.
+    uses.  The elimination runs on past a singular pivot and reports the
+    first one from the bottom, so :class:`SingularBlockError` names the
+    smallest singular trailing block, that is the largest starting row when
+    blocks are nested.  The pivot of row 1 is only a factor: a singular J
+    whose trailing blocks are nonsingular gives ratio 0.
 
     A pivot is singular unless its magnitude exceeds the floor, so a NaN
     pivot is singular too.  Each matrix is first scaled by a power of two
@@ -442,7 +443,7 @@ def hadamard_sanity(J: SymMatrix) -> BoundReport:
     # A pivot past the largest float is an infinite one of the same sign.
     with np.errstate(over="ignore"):
         pivots = factors * diag[:-1]
-    if (pivots < -J.n * np.finfo(float).eps * inf_norm(J)).any():
+    if (pivots < -_floor(J.n, inf_norm(J))).any():
         return _inapplicable("hadamard", "J not positive semidefinite", n=J.n)
     return _report("hadamard", ratio, 1.0, n=J.n)
 

@@ -26,6 +26,7 @@ import numpy as np
 from . import bounds as bnd
 from . import retina as ret
 from .matcore import (
+    EigenConvergenceError,
     MatrixError,
     SingularMatrixError,
     inf_norm,
@@ -377,10 +378,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SingularMatrixError, bnd.SingularBlockError) as exc:
+    except (SingularMatrixError, bnd.SingularBlockError, EigenConvergenceError) as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return 1
     except (MatrixError, GraphFormatError, ValueError) as exc:

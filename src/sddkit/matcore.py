@@ -258,11 +258,21 @@ def inf_norm(M: SymMatrix) -> float:
     return float(np.abs(M.entries).sum(axis=1).max())
 
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _floor(size, norm):
+    """size * eps * max(norm, tiny), element-wise: every factorization's
+    singular floor for a pivot of a size x size matrix of inf-norm ``norm``."""
+    return size * _EPS * np.maximum(norm, _TINY)
+
+
 def _check_pivot(smallest: float, n: int, norm: float, failed: bool = False) -> None:
     """Raise :class:`SingularMatrixError` if the factorization ``failed`` or
     the smallest pivot of an n x n matrix of infinity norm ``norm`` is at or
-    below n * eps * norm."""
-    if failed or smallest <= n * np.finfo(float).eps * max(norm, np.finfo(float).tiny):
+    below its :func:`_floor`."""
+    if failed or smallest <= _floor(n, norm):
         raise SingularMatrixError(
             f"matrix singular to working precision (pivot {smallest:.3e})",
             pivot=smallest,
@@ -330,15 +340,11 @@ def _trailing_block_norms(a: np.ndarray) -> np.ndarray:
     return np.diagonal(w, axis1=-2, axis2=-1)
 
 
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
-
-
 def _pivot_floors(a: np.ndarray) -> np.ndarray:
     """The singular floor of every pivot: (n - k) * eps * inf_norm(a[k:, k:]),
-    :func:`inverse_dense`'s floor for the trailing block from row k."""
+    the :func:`_floor` of the trailing block from row k."""
     n = a.shape[-1]
-    return (n - np.arange(n)) * _EPS * np.maximum(_trailing_block_norms(a), _TINY)
+    return _floor(n - np.arange(n), _trailing_block_norms(a))
 
 
 def _prescaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,39 +385,30 @@ def _pivots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     update, C D^{-1} C', as one stacked matrix product.  Each matrix's
     pivots are bitwise those of its own elimination.
 
-    A pivot is singular unless its magnitude exceeds its floor, so a NaN
-    pivot is singular too.  A matrix whose pivot is singular has its rows
-    above it turned into identity rows, so it takes no further update; its
-    later pivots are 1, above every floor of a matrix whose entries are at
-    most 1, as prescaled ones are (:func:`_prescaled`).  The singular pivot
-    itself is set aside and 1 stands in its place while the panel's product
-    divides by its pivots; it is put back at the end.
+    The loops judge no pivot: a matrix runs on past a singular one, and what
+    it divides by that pivot lands only in its own rows above it, which no
+    result reads.  A pivot is final once its row is reached, so afterwards
+    one pass takes each matrix's first singular pivot from the bottom.  A
+    pivot is singular unless its magnitude exceeds its floor, so a NaN pivot
+    is singular too; the pivot of row 0 is only a factor and is not judged.
     """
     n = a.shape[-1]
     floors = _pivot_floors(a)
     w = a
-    singular = np.full(len(a), -1)
-    held = np.zeros(len(a))
-    for e in range(n, 0, -_PANEL):
-        s = max(e - _PANEL, 0)
-        for k in range(e - 1, max(s, 1) - 1, -1):
-            pivot = w[:, k, k]
-            regular = np.abs(pivot) > floors[:, k]
-            if not regular.all():
-                bad = ~regular
-                singular[bad] = k
-                held[bad] = pivot[bad]
-                w[bad, :k] = np.eye(n)[:k]
-                w[bad, k, k] = 1.0
-            col = w[:, :k, k]
-            w[:, :k, s:k] -= (col / pivot[:, None])[:, :, None] * col[:, None, s:k]
-        if s:
-            C = w[:, :s, s:e]
-            D = np.diagonal(w, axis1=1, axis2=2)[:, None, s:e]
-            w[:, :s, :s] -= (C / D) @ np.swapaxes(C, 1, 2)
-    rows = np.flatnonzero(singular >= 0)
-    w[rows, singular[rows], singular[rows]] = held[rows]
-    return np.diagonal(w, axis1=1, axis2=2), singular
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for e in range(n, 0, -_PANEL):
+            s = max(e - _PANEL, 0)
+            for k in range(e - 1, max(s, 1) - 1, -1):
+                col = w[:, :k, k]
+                w[:, :k, s:k] -= (col / w[:, k, k, None])[:, :, None] * col[:, None, s:k]
+            if s:
+                C = w[:, :s, s:e]
+                D = np.diagonal(w, axis1=1, axis2=2)[:, None, s:e]
+                w[:, :s, :s] -= (C / D) @ np.swapaxes(C, 1, 2)
+    pivots = np.diagonal(w, axis1=1, axis2=2)
+    regular = np.abs(pivots) > floors
+    regular[:, 0] = True  # the pivot of row 0 is only a factor
+    return pivots, np.where(regular, -1, np.arange(n)).max(axis=1)
 
 
 def _eliminate_stack(a: np.ndarray) -> list:

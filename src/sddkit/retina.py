@@ -18,7 +18,8 @@ The solver reports that constant evaluated at the converged iterate; that is
 a local, heuristic certificate, not a rigorous domain-wide one.
 
 The solver keeps every theta_i + theta_j at or above ``DOMAIN_FLOOR``; f_map,
-jacobian and residual raise DomainError for a pair sum within it of zero.
+jacobian and residual raise DomainError for a pair sum within it of zero, and
+ValueError, before any pair sum is formed, for a NaN or infinite entry.
 
 A solve holds one n x n array.  f_map and residual form the reciprocals of
 the pair sums in blocks of ``_ROWS`` rows and can leave the pair sums in a
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 DOMAIN_FLOOR = 1e-10
+# Newton steps before solve_retina gives up with converged=False.
+MAX_ITER = 80
 # Rows per block of reciprocals in f_map, whose (_ROWS, n) scratch is small
 # beside the n x n pair sums; blocks of 32, 64 and 128 rows solve in the same
 # time at n = 400 and n = 2000.
@@ -68,6 +71,14 @@ class DomainError(ValueError):
         self.pair = pair
 
 
+def _require_finite(x: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the first NaN or infinite entry of x as name[i]."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{name}[{i}] = {x[i]} is not finite")
+
+
 def _low_pair_sum(x: np.ndarray) -> float:
     """fl(a + b) for the two smallest entries a, b of x (len(x) >= 2).
 
@@ -82,15 +93,17 @@ def _pair_sums(x: np.ndarray, floor: float, out: np.ndarray | None = None) -> np
     """x_i + x_j with inf on the diagonal, so 1/z is 0 there; written into
     ``out`` when given.
 
-    Raises :class:`DomainError` naming the first pair whose sum is within
-    ``floor`` of zero; floor 0 checks nothing.  The n^2 scan for that pair
-    runs only when an O(n) test fails: rounding is monotone, so every
+    A NaN or infinite entry of x is rejected first, by index, with
+    ValueError.  Raises :class:`DomainError` naming the first pair whose sum
+    is within ``floor`` of zero; floor 0 checks nothing.  The n^2 scan for
+    that pair runs only when an O(n) test fails: rounding is monotone, so every
     computed pair sum lies between fl(two smallest entries) and fl(two
     largest entries), and no pair is within ``floor`` of zero when the two
     smallest sum to at least ``floor`` or the two largest to at most
     ``-floor``.  The test passes only when the scan would find nothing, so
     the error, its pair and its message are those of the scan alone.
     """
+    _require_finite(x, "x")
     z = np.add(x[:, None], x[None, :], out=out)
     np.fill_diagonal(z, np.inf)
     if len(x) >= 2 and (_low_pair_sum(x) >= floor or _low_pair_sum(-x) >= floor):
@@ -176,9 +189,7 @@ class RetinaProblem:
         d = np.array(self.d, dtype=float)
         if d.ndim != 1 or len(d) < 3:
             raise ValueError(f"need a degree vector of length >= 3, got shape {d.shape}")
-        if not np.isfinite(d).all():
-            i = int(np.flatnonzero(~np.isfinite(d))[0])
-            raise ValueError(f"target degree d[{i}] = {d[i]} is not finite")
+        _require_finite(d, "target degree d")
         if not (d > 0).all():
             raise ValueError("all target degrees must be positive")
         # Only the largest target can reach the sum of the others.  Its
@@ -254,8 +265,7 @@ def _finish(theta, r_inf, iters, converged, n) -> RetinaSolution:
     )
 
 
-def solve_retina(prob: RetinaProblem, tol: float = 1e-10,
-                 max_iter: int = 80) -> RetinaSolution:
+def solve_retina(prob: RetinaProblem, tol: float = 1e-10) -> RetinaSolution:
     """Damped Newton iteration on the moment-matching residual.
 
     Starts from the uniform closed form theta_i = (n-1)/(2 mean(d)), which
@@ -263,7 +273,7 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10,
     domain.  Each step solves the balanced positive definite Jacobian
     system by Cholesky, then backtracks (halving) until every pairwise sum
     stays at or above the domain floor and the residual norm decreases.
-    A stalled line search or the iteration cap returns converged=False
+    A stalled line search or ``MAX_ITER`` steps return converged=False
     rather than raising: a solution is only guaranteed to exist almost
     surely.
 
@@ -283,7 +293,7 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10,
     w = np.empty((n, n))
     r = residual(theta, d, w)
     r_inf = float(np.abs(r).max())
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if r_inf <= tol:
             return _finish(theta, r_inf, it - 1, True, n)
         # w holds the pair sums of -theta, left there by theta's residual
@@ -306,7 +316,7 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10,
             if lam * step_inf < 1e-14:
                 return _finish(theta, r_inf, it, False, n)
     converged = r_inf <= tol
-    return _finish(theta, r_inf, max_iter, converged, n)
+    return _finish(theta, r_inf, MAX_ITER, converged, n)
 
 
 def sample_degrees(theta: np.ndarray, seed: int) -> np.ndarray:
@@ -317,11 +327,13 @@ def sample_degrees(theta: np.ndarray, seed: int) -> np.ndarray:
     with the counter advancing in canonical (i, j) order.  The draw for an
     edge therefore depends only on (seed, i, j): sampling is a pure
     function of (theta, seed), order-independent, and parallel-safe.
+    A NaN or infinite theta_i raises ValueError, before any pair sum.
     """
     theta = np.asarray(theta, dtype=float)
     n = len(theta)
     if int(seed) != seed or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    _require_finite(theta, "theta")
     # every pair sum is positive if the smallest one is
     if n >= 2 and not _low_pair_sum(theta) > 0:
         z = _pair_sums(theta, 0.0)

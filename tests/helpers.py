@@ -447,9 +447,18 @@ def loewner_geq(A: SymMatrix, B: SymMatrix, tol: float = 1e-10) -> bool:
 # per Newton step, and sample_degrees reading its rates from the full
 # pair-sum matrix.
 
+def reject_non_finite(x: np.ndarray, name: str) -> None:
+    """ValueError naming the first NaN or infinite entry of x, if any."""
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"{name}[{bad[0]}] = {x[bad[0]]} is not finite")
+
+
 def pair_sums_by_scan(x: np.ndarray, floor: float) -> np.ndarray:
-    """x_i + x_j with inf on the diagonal; the first pair within ``floor``
-    of zero, in row-major order, raises :class:`DomainError`."""
+    """x_i + x_j with inf on the diagonal; a non-finite entry of x raises
+    ValueError, and then the first pair within ``floor`` of zero, in
+    row-major order, raises :class:`DomainError`."""
+    reject_non_finite(x, "x")
     z = x[:, None] + x[None, :]
     np.fill_diagonal(z, np.inf)
     small = np.abs(z) < floor
@@ -522,6 +531,7 @@ def sample_degrees_by_scan(theta: np.ndarray, seed: int) -> np.ndarray:
     n = len(theta)
     if int(seed) != seed or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    reject_non_finite(theta, "theta")
     z = pair_sums_by_scan(theta, 0.0)
     if (z <= 0).any():
         i, j = np.argwhere(z <= 0)[0]

@@ -12,6 +12,7 @@ from helpers import (J4_BALANCED, bits, block_det_ratio_by_inverses,
 from sddkit import (
     EigenConvergenceError,
     LoopGraph,
+    MatrixError,
     SForm,
     SingularBlockError,
     SymMatrix,
@@ -388,6 +389,20 @@ def singular_trailing_block(n, start, seed):
     a[head, head] = 0.0
     a[head, head] = a[:start].sum(axis=1) + 1.0
     return SymMatrix(a)
+
+
+class TestDetRatioLu:
+    @pytest.mark.parametrize("diag", [[0.0, 1.0], [1.0, -2.0]], ids=["zero", "negative"])
+    def test_non_positive_diagonal_rejected(self, diag):
+        J = SymMatrix(np.diag(diag) + np.array([[0.0, 0.5], [0.5, 0.0]]))
+        with pytest.raises(MatrixError) as err:
+            det_ratio_lu(J)
+        assert str(err.value) == "determinant ratio needs positive diagonal entries"
+
+    def test_exactly_singular_matrix_gives_zero(self):
+        # LU leaves an exact zero pivot, so the sign is 0 and no log is taken
+        ratio = det_ratio_lu(SymMatrix(np.ones((3, 3))))
+        np.testing.assert_array_equal(bits([ratio]), bits([0.0]))
 
 
 class TestPanelElimination:

@@ -13,7 +13,7 @@ from helpers import (J4_BALANCED, bits, format_matrix_by_entries, jt_matrix,
 from sddkit import (SForm, analyze_bipartition, limit_closed_form,
                     limit_numeric, limit_u_route, save_graph, save_matrix,
                     SymMatrix)
-from sddkit import cli, matcore
+from sddkit import bounds, cli, matcore
 from sddkit.cli import _print_matrix, main
 from sddkit.randmat import random_balanced, random_dominant, trial_rng
 
@@ -62,6 +62,14 @@ class TestInspect:
         assert main(["inspect", "--matrix", str(path)]) == 0
         captured = capsys.readouterr()
         assert "inv_inf_norm=" in captured.out and captured.err == ""
+
+    def test_one_by_one_matrix_has_no_off_diagonal(self, tmp_path, capsys):
+        path = tmp_path / "one.txt"
+        path.write_text("1\n2\n")
+        assert main(["inspect", "--matrix", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == [f"matrix: {path} (n=1)", "classification: strictly dominant",
+                             "deltas: 2", "off-diagonal: none (n=1)"]
 
     def test_singular_matrix_exits_one(self, tmp_path, capsys):
         path = tmp_path / "sing.txt"
@@ -295,6 +303,17 @@ class TestDetbounds:
         assert ratio == pytest.approx(lu, rel=1e-3)
         assert lu == pytest.approx(-0.31, abs=0.005)
 
+    def test_violated_report_exits_one(self, j4_file, capsys, monkeypatch):
+        assert main(["detbounds", "--matrix", j4_file]) == 0
+        clean = capsys.readouterr().out.splitlines()
+        monkeypatch.setattr(cli.bnd, "det_lower_bound",
+                            lambda J, ell, m: bounds._report("det_lower", 2.0, 1.0, n=J.n))
+        assert main(["detbounds", "--matrix", j4_file]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        k = next(i for i, line in enumerate(clean) if line.startswith("det_lower:"))
+        assert lines[k] == "det_lower: lhs=2 rhs=1 slack=-1 VIOLATED"
+        assert lines[:k] + lines[k + 1:] == clean[:k] + clean[k + 1:]
+
     def test_one_elimination_per_file(self, j4_file, capsys, monkeypatch):
         calls = []
         kernel = matcore._eliminate
@@ -325,6 +344,23 @@ class TestVerify:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "suite,trial,n,params,lhs,rhs,slack,holds,vacuous"
         assert len(lines) == 11
+
+    def test_violations_listed_and_exit_one(self, capsys, monkeypatch):
+        records = [
+            bounds.SuiteRecord("main", 0, 4, {"m": 2.0, "k": 1}, bounds._report("main", 1.0, 1.5)),
+            bounds.SuiteRecord("main", 1, 3, {}, bounds._inapplicable("main", "not dominant")),
+            bounds.SuiteRecord("main", 2, 5, {"m": 2.5, "k": 3}, bounds._report("main", 3.0, 1.5)),
+            bounds.SuiteRecord("main", 3, 6, {"m": 3.0}, bounds._report("main", 4.0, 0.5)),
+        ]
+        monkeypatch.setattr(cli.bnd, "verify_suite", lambda *args: records)
+        assert main(["verify", "--suite", "main", "--trials", "4"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "suite=main trials=4 n_range=3,12 seed=0",
+            "reports=4 applicable=3 violations=2 vacuous=0",
+            "min_slack=-3.5",
+            "VIOLATED trial=2 n=5 params=k=3;m=2.5 lhs=3 rhs=1.5",
+            "VIOLATED trial=3 n=6 params=m=3 lhs=4 rhs=0.5",
+        ]
 
     def test_csv_bytes_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -375,6 +411,20 @@ class TestExplore:
                      "--seed", "0", "--csv", str(csv_path)]) == 0
         assert csv_path.read_text().splitlines()[0] == \
             "trial,n,params,lhs,rhs,slack,violation"
+
+    def test_findings_listed_up_to_twenty(self, capsys, monkeypatch):
+        records = [bounds.SuiteRecord("det_upper", t, 4, {"m": 2.0},
+                                      bounds._report("det_upper_conjecture", 1.0 + t, 0.5))
+                   for t in range(25)]
+        records[3] = bounds.SuiteRecord("det_upper", 3, 4, {}, bounds._report("det_upper", 0.25, 0.5))
+        monkeypatch.setattr(cli.bnd, "conjecture_search", lambda *args: records)
+        assert main(["explore", "--conjecture", "det-upper", "--trials", "25"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["conjecture=det-upper trials=25 seed=0",
+                             "min_slack=-24.5 violations=24"]
+        assert lines[2:] == [f"FINDING trial={t} n=4 params=m=2 lhs={1 + t} rhs=0.5 "
+                             f"slack={-0.5 - t:g}"
+                             for t in [0, 1, 2] + list(range(4, 21))]
 
 
 class TestFailureCorpus:
@@ -432,6 +482,44 @@ class TestFailureCorpus:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {line}: not a plain ASCII decimal line")
 
+    @pytest.mark.parametrize("argv", [
+        ["inspect", "--matrix", "DIR"],
+        ["detbounds", "--matrix", "DIR"],
+        ["limit", "--sform", "4,2,1", "--graph", "DIR"],
+        ["verify", "--suite", "main", "--trials", "2", "--csv", "DIR"],
+        ["mle", "--n", "10", "--trials", "1", "--csv", "DIR"],
+        ["explore", "--conjecture", "det-upper", "--trials", "2", "--csv", "DIR"],
+    ], ids=["inspect_matrix", "detbounds_matrix", "limit_graph", "verify_csv", "mle_csv",
+            "explore_csv"])
+    def test_directory_path_exits_two(self, argv, tmp_path, capsys):
+        assert main([str(tmp_path) if a == "DIR" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_uncertified_eigensolve_exits_one(self, capsys, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            lams, vecs = eigh(a)
+            return lams + 1e-3, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        assert main(["verify", "--suite", "eig", "--n-range", "3,5", "--trials", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: solver failed: eigenpair residual ")
+
+    def test_bad_graph_vertex(self, tmp_path, capsys):
+        path = tmp_path / "g.edges"
+        path.write_text("3\n1 2\n1 x\n")
+        assert main(["limit", "--sform", "3,1,1", "--graph", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: bad vertex in '1 x'\n"
+
     def test_bad_sform_argument(self, cycle4_file):
         assert main(["limit", "--sform", "4,2", "--graph", cycle4_file]) == 2
 
@@ -459,12 +547,16 @@ class TestFailureCorpus:
          "not a finite float for theta range 1e-200,2e-200"),
         (["mle", "--n", "10", "--trials", "1", "--theta-range", "1e-150,1e150"],
          "not a finite float for theta range 1e-150,1e+150"),
+        (["verify", "--suite", "det", "--n-range", "3"], "expected '--n-range' as 'a,b', got '3'"),
+        (["mle", "--n", "10", "--theta-range", "0.5,1,2"],
+         "expected '--theta-range' as 'a,b', got '0.5,1,2'"),
     ], ids=["sform_inf_u_route", "sform_inf_closed_form", "sform_ell_inf",
             "theta_range_inf", "mle_negative_n", "n_range_not_integer",
             "limit_t_inf", "limit_t_overflows", "mle_k_nan", "mle_k_inf",
             "detbounds_ell_nan", "detbounds_m_nan", "detbounds_ell_inf",
             "detbounds_m_inf", "detbounds_ell_zero", "detbounds_ell_negative",
-            "mle_bound_overflows", "mle_bound_divides_by_zero", "mle_bound_infinite"])
+            "mle_bound_overflows", "mle_bound_divides_by_zero", "mle_bound_infinite",
+            "n_range_not_a_pair", "theta_range_not_a_pair"])
     @pytest.mark.filterwarnings("error")
     def test_excluded_input_rejected(self, argv, value, cycle4_file, j4_file, capsys):
         files = {"CYCLE4": cycle4_file, "J4": j4_file}

@@ -304,37 +304,42 @@ FLOOR = DOMAIN_FLOOR
 INSIDE = np.nextafter(FLOOR, 0.0) / 2  # two of these sum to just under the floor
 NAN = np.nan
 
-# x for f_map and jacobian (and -x for residual): whether the domain check
-# raises, then the entries.
+# x for f_map and jacobian (and -x for residual): the error the domain
+# check raises (None for none), then the entries.  A NaN or infinite entry
+# is rejected, with ValueError, before any pair sum is formed.
 DOMAIN_CASES = {
-    "mixed_sign_error": (True, [1.0, -1.0 + 1e-12, 5.0]),
-    "mixed_sign_clear": (False, [1.0, -3.0, 5.0, -0.5]),
-    "at_floor": (False, [FLOOR / 2, FLOOR / 2, 1.0]),
-    "at_minus_floor": (False, [-1.0, -FLOOR / 2, -FLOOR / 2]),
-    "inside_floor": (True, [1.0, INSIDE, 2.0, INSIDE]),
-    "all_negative_clear": (False, list(-trial_rng(241).uniform(0.5, 2.0, size=7))),
-    "all_negative_error": (True, [-3.0, -1e-11, -2.0, -4e-11]),
-    "n2_error": (True, [1.0, -1.0]),
-    "n2_clear": (False, [1.0, 2.0]),
-    "n1": (False, [0.0]),
-    "nan_clear": (False, [NAN, 1.0, 2.0]),
-    "nan_only": (False, [NAN, NAN, NAN]),
-    "nan_mixed_clear": (False, [NAN, 1.0, -3.0]),
-    "nan_error": (True, [NAN, 1.0, -1.0]),
+    "mixed_sign_error": (DomainError, [1.0, -1.0 + 1e-12, 5.0]),
+    "mixed_sign_clear": (None, [1.0, -3.0, 5.0, -0.5]),
+    "at_floor": (None, [FLOOR / 2, FLOOR / 2, 1.0]),
+    "at_minus_floor": (None, [-1.0, -FLOOR / 2, -FLOOR / 2]),
+    "inside_floor": (DomainError, [1.0, INSIDE, 2.0, INSIDE]),
+    "all_negative_clear": (None, list(-trial_rng(241).uniform(0.5, 2.0, size=7))),
+    "all_negative_error": (DomainError, [-3.0, -1e-11, -2.0, -4e-11]),
+    "n2_error": (DomainError, [1.0, -1.0]),
+    "n2_clear": (None, [1.0, 2.0]),
+    "n1": (None, [0.0]),
+    "nan_clear": (ValueError, [NAN, 1.0, 2.0]),
+    "nan_only": (ValueError, [NAN, NAN, NAN]),
+    "nan_mixed_clear": (ValueError, [NAN, 1.0, -3.0]),
+    "nan_error": (ValueError, [NAN, 1.0, -1.0]),
+    "inf_clear": (ValueError, [1.0, np.inf, 2.0]),
+    "minus_inf_error": (ValueError, [1.0, -1.0, -np.inf]),
 }
 
-# theta for sample_degrees: whether a pair sum is <= 0, then the entries.
+# theta for sample_degrees: the error raised (DomainError when a pair sum is
+# <= 0, None for none), then the entries.
 SAMPLE_DOMAIN_CASES = {
-    "mixed_sign": (True, [2.0, -1.0, -3.0, 4.0]),
-    "zero_sum": (True, [1.0, -1.0, 1.0]),
-    "zero_pair": (True, [1.0, 0.0, 0.0]),
-    "all_negative": (True, [-1.0, -2.0, -3.0]),
-    "n2_error": (True, [1.0, -1.0]),
-    "n2_clear": (False, [1.0, 2.0]),
-    "tiny_positive_pair": (False, [1e-300, 0.0, 2.0]),
-    "nan_clear": (False, [NAN, 1.0, 2.0]),
-    "nan_scan_clear": (False, [NAN, NAN, 1.0]),
-    "nan_error": (True, [NAN, -1.0, -2.0]),
+    "mixed_sign": (DomainError, [2.0, -1.0, -3.0, 4.0]),
+    "zero_sum": (DomainError, [1.0, -1.0, 1.0]),
+    "zero_pair": (DomainError, [1.0, 0.0, 0.0]),
+    "all_negative": (DomainError, [-1.0, -2.0, -3.0]),
+    "n2_error": (DomainError, [1.0, -1.0]),
+    "n2_clear": (None, [1.0, 2.0]),
+    "tiny_positive_pair": (None, [1e-300, 0.0, 2.0]),
+    "nan_clear": (ValueError, [NAN, 1.0, 2.0]),
+    "nan_scan_clear": (ValueError, [NAN, NAN, 1.0]),
+    "nan_error": (ValueError, [NAN, -1.0, -2.0]),
+    "inf_clear": (ValueError, [np.inf, 1.0, 1.0]),
 }
 
 
@@ -342,25 +347,55 @@ class TestDomainCheckMatchesScan:
     """The O(n) domain test decides exactly what the n^2 scan decides: the
     same DomainError message and pair, or the same result bits."""
 
-    @pytest.mark.parametrize("raises, x", DOMAIN_CASES.values(), ids=DOMAIN_CASES.keys())
-    def test_f_map_jacobian_residual(self, raises, x):
+    @pytest.mark.parametrize("error, x", DOMAIN_CASES.values(), ids=DOMAIN_CASES.keys())
+    def test_f_map_jacobian_residual(self, error, x):
         x = np.array(x)
         d = np.ones(len(x))
         old = _outcome(f_map_by_scan, x)
-        assert (isinstance(old, tuple) and old[0] is DomainError) == raises
+        assert (old[0] if isinstance(old, tuple) else None) is error
         _assert_same_outcome(_outcome(f_map, x), old)
-        # NaN entries pass the domain check and then fail SymMatrix's
         _assert_same_outcome(_outcome(lambda y: jacobian(y).entries, x),
                              _outcome(lambda y: jacobian_by_scan(y).entries, x))
         _assert_same_outcome(_outcome(residual, -x, d), _outcome(residual_by_scan, -x, d))
 
-    @pytest.mark.parametrize("raises, theta", SAMPLE_DOMAIN_CASES.values(),
+    @pytest.mark.parametrize("error, theta", SAMPLE_DOMAIN_CASES.values(),
                              ids=SAMPLE_DOMAIN_CASES.keys())
-    def test_sample_degrees(self, raises, theta):
+    def test_sample_degrees(self, error, theta):
         theta = np.array(theta)
         old = _outcome(sample_degrees_by_scan, theta, 3)
-        assert (isinstance(old, tuple) and old[0] is DomainError) == raises
+        assert (old[0] if isinstance(old, tuple) else None) is error
         _assert_same_outcome(_outcome(sample_degrees, theta, 3), old)
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite entry is named by its index, with ValueError,
+    before any of the n^2 pair sums is formed."""
+
+    @pytest.mark.parametrize("bad", [NAN, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    @pytest.mark.parametrize("name", ["f_map", "jacobian", "residual", "sample_degrees"])
+    def test_rejected_by_index_in_linear_memory(self, name, bad):
+        n = 1000
+        x = np.ones(n)
+        x[[700, 900]] = bad
+        call, label = {
+            "f_map": (lambda: f_map(x), "x"),
+            "jacobian": (lambda: jacobian(x), "x"),
+            # residual(theta) evaluates f_map at x = -theta
+            "residual": (lambda: residual(-x, np.ones(n)), "x"),
+            "sample_degrees": (lambda: sample_degrees(x, 3), "theta"),
+        }[name]
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            outcome = _outcome(call)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert outcome == (ValueError, f"{label}[700] = {bad} is not finite", None)
+        assert peak < 8 * n * n / 16
 
 
 def _true_theta(n, seed, lo=0.5, hi=2.0):
@@ -375,7 +410,7 @@ class TestBitwiseOracles:
     @staticmethod
     def assert_same_solution(prob, **kw):
         new = solve_retina(prob, **kw)
-        old = solve_retina_by_scan(prob, **kw)
+        old = solve_retina_by_scan(prob, max_iter=retina.MAX_ITER, **kw)
         np.testing.assert_array_equal(bits(new.theta), bits(old.theta))
         np.testing.assert_array_equal(bits([new.residual_inf, new.ell_used]),
                                       bits([old.residual_inf, old.ell_used]))
@@ -405,17 +440,18 @@ class TestBitwiseOracles:
         # the line search halved at least once
         assert len(calls) > sol.iterations + 1
 
-    def test_run_capped_by_max_iter(self):
+    def test_run_capped_by_max_iter(self, monkeypatch):
+        monkeypatch.setattr(retina, "MAX_ITER", 2)
         d = sample_degrees(_true_theta(50, 0), 7)
-        sol = self.assert_same_solution(RetinaProblem(d), max_iter=2)
+        sol = self.assert_same_solution(RetinaProblem(d))
         assert not sol.converged and sol.iterations == 2
 
     @pytest.mark.parametrize("max_iter", [30, 80])
-    def test_unconverged_feasible_targets(self, max_iter):
+    def test_unconverged_feasible_targets(self, max_iter, monkeypatch):
         # Feasible (weights 999.985, 0.015 and 0.005), but the run stops
         # short of the residual tolerance.
-        sol = self.assert_same_solution(RetinaProblem(np.array([1000.0, 999.99, 0.02])),
-                                        max_iter=max_iter)
+        monkeypatch.setattr(retina, "MAX_ITER", max_iter)
+        sol = self.assert_same_solution(RetinaProblem(np.array([1000.0, 999.99, 0.02])))
         assert not sol.converged
 
 
