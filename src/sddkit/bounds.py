@@ -650,7 +650,9 @@ _CHUNK_ENTRIES = 2 ** 16
 def _trials(name: str, lo: int, hi: int, trials: int, seed: int) -> list[SuiteRecord]:
     """Each trial draws its dimension uniformly from lo..hi and its instance
     from a per-trial generator keyed by (seed, name, trial), so results do
-    not depend on scheduling or on other suites.
+    not depend on scheduling or on other suites.  Each chunk's generators
+    come from one :func:`randmat.trial_rngs` call, bitwise those of
+    :func:`randmat.trial_rng`.
 
     Trials are drawn in order, in chunks of ``_CHUNK_ENTRIES / hi^2``.  Each
     chunk's matrices of one n are assembled as one stack, which the suite's
@@ -661,6 +663,8 @@ def _trials(name: str, lo: int, hi: int, trials: int, seed: int) -> list[SuiteRe
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     records, prepare = _ANALYSES[name]
     size = max(1, _CHUNK_ENTRIES // (hi * hi))
     out = []
@@ -668,8 +672,7 @@ def _trials(name: str, lo: int, hi: int, trials: int, seed: int) -> list[SuiteRe
         chunk = range(first, min(first + size, trials))
         drawn = []
         groups = {}  # n: (position in the chunk, draws) of each trial that drew a matrix
-        for t in chunk:
-            rng = randmat.trial_rng(seed, _TAG[name], t)
+        for t, rng in zip(chunk, randmat.trial_rngs((seed, _TAG[name]), chunk)):
             n = int(rng.integers(lo, hi + 1))
             params, draws, extra = _draw(name, t, rng, n)
             if draws is not None:

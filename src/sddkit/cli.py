@@ -17,6 +17,7 @@ and input files produce identical stdout and CSV bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import sys
@@ -134,6 +135,19 @@ def _params_str(params: dict) -> str:
                     for k, v in sorted(params.items()))
 
 
+def _seed(args) -> int:
+    """``--seed``, rejected when negative."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
+def _open_csv(path):
+    """The ``--csv`` file, opened before any trial runs so that a path that
+    cannot be written fails first; without one, a context that gives None."""
+    return open(path, "w", newline="", encoding="utf-8") if path else contextlib.nullcontext()
+
+
 def _print_report(r: bnd.BoundReport) -> None:
     if not r.applicable:
         print(f"{r.name}: inapplicable ({r.context.get('reason', '?')})")
@@ -219,11 +233,14 @@ def cmd_detbounds(args) -> int:
         if value is not None and not 0 < value < np.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     J = load_matrix(args.matrix)
+    # det_ratio_lu rejects a non-positive diagonal entry: before the
+    # elimination divides by it, and before any output.
+    ratio_lu = bnd.det_ratio_lu(J)
     factors, ratio = bnd.block_det_ratio(J)
     print(f"matrix: {args.matrix} (n={J.n})")
     print("factors: " + " ".join(_fmt(f) for f in factors))
     print(f"det_ratio={_fmt(ratio)}")
-    print(f"det_ratio_lu={_fmt(bnd.det_ratio_lu(J))}")
+    print(f"det_ratio_lu={_fmt(ratio_lu)}")
     reports = [bnd.det_lower_bound(J, args.ell, args.m)]
     if J.dominance.is_balanced:
         reports.append(bnd.det_upper_bound_balanced(J, args.ell, args.m))
@@ -239,9 +256,10 @@ def cmd_detbounds(args) -> int:
 
 def cmd_verify(args) -> int:
     n_range = tuple(map(int, _split_pair(args.n_range, "--n-range")))
-    records = bnd.verify_suite(args.suite, n_range, args.trials, args.seed)
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+    seed = _seed(args)
+    with _open_csv(args.csv) as fh:
+        records = bnd.verify_suite(args.suite, n_range, args.trials, seed)
+        if fh is not None:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["suite", "trial", "n", "params", "lhs", "rhs",
                         "slack", "holds", "vacuous"])
@@ -268,10 +286,11 @@ def cmd_verify(args) -> int:
 
 def cmd_mle(args) -> int:
     theta_range = tuple(map(float, _split_pair(args.theta_range, "--theta-range")))
-    trials, summary = ret.consistency_experiment(
-        args.n, args.k, args.trials, theta_range, args.seed)
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+    seed = _seed(args)
+    with _open_csv(args.csv) as fh:
+        trials, summary = ret.consistency_experiment(
+            args.n, args.k, args.trials, theta_range, seed)
+        if fh is not None:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["trial", "n", "err_inf", "bound", "within_bound",
                         "residual_inf", "iterations", "converged"])
@@ -291,9 +310,10 @@ def cmd_mle(args) -> int:
 
 def cmd_explore(args) -> int:
     mode = args.conjecture.replace("-", "_")
-    records = bnd.conjecture_search(mode, args.trials, args.seed)
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+    seed = _seed(args)
+    with _open_csv(args.csv) as fh:
+        records = bnd.conjecture_search(mode, args.trials, seed)
+        if fh is not None:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["trial", "n", "params", "lhs", "rhs", "slack", "violation"])
             for rec in records:

@@ -929,6 +929,10 @@ class TestVerifySuites:
         for mode in CONJECTURES:
             with pytest.raises(ValueError):
                 verify_suite(mode, (3, 5), 10, 0)
+            with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+                conjecture_search(mode, 10, -1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            verify_suite("main", (3, 5), 10, -1)
 
 
 def record_fields(rec):

@@ -13,7 +13,7 @@ from helpers import (J4_BALANCED, bits, format_matrix_by_entries, jt_matrix,
 from sddkit import (SForm, analyze_bipartition, limit_closed_form,
                     limit_numeric, limit_u_route, save_graph, save_matrix,
                     SymMatrix)
-from sddkit import bounds, cli, matcore
+from sddkit import bounds, cli, matcore, retina
 from sddkit.cli import _print_matrix, main
 from sddkit.randmat import random_balanced, random_dominant, trial_rng
 
@@ -303,6 +303,19 @@ class TestDetbounds:
         assert ratio == pytest.approx(lu, rel=1e-3)
         assert lu == pytest.approx(-0.31, abs=0.005)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("text", ["2\n0 1\n1 1\n", "3\n4 1 1\n1 -2 1\n1 1 4\n"],
+                             ids=["zero", "negative"])
+    def test_non_positive_diagonal_rejected_before_output(self, tmp_path, capsys, text):
+        # The diagonal is checked before any output, and before the
+        # elimination could divide by the entry (a warning, made an error).
+        path = tmp_path / "diag.txt"
+        path.write_text(text)
+        assert main(["detbounds", "--matrix", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: determinant ratio needs positive diagonal entries\n"
+
     def test_violated_report_exits_one(self, j4_file, capsys, monkeypatch):
         assert main(["detbounds", "--matrix", j4_file]) == 0
         clean = capsys.readouterr().out.splitlines()
@@ -496,6 +509,37 @@ class TestFailureCorpus:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    @staticmethod
+    def _no_trials(*args):
+        raise AssertionError("the trial engine ran")
+
+    TRIAL_COMMANDS = pytest.mark.parametrize("argv, engine", [
+        (["verify", "--suite", "eig", "--trials", "3000"], (bounds, "verify_suite")),
+        (["mle", "--n", "10", "--trials", "1"], (retina, "consistency_experiment")),
+        (["explore", "--conjecture", "det-upper", "--trials", "2"],
+         (bounds, "conjecture_search")),
+    ], ids=["verify", "mle", "explore"])
+
+    @TRIAL_COMMANDS
+    def test_csv_path_fails_before_any_trial(self, argv, engine, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setattr(*engine, self._no_trials)
+        assert main(argv + ["--csv", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    @TRIAL_COMMANDS
+    def test_negative_seed_rejected_before_any_trial(self, argv, engine, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(*engine, self._no_trials)
+        path = tmp_path / "out.csv"
+        assert main(argv + ["--seed", "-1", "--csv", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
+        assert not path.exists()
 
     def test_uncertified_eigensolve_exits_one(self, capsys, monkeypatch):
         eigh = np.linalg.eigh
