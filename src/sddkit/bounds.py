@@ -29,7 +29,7 @@ of one.  Every bound has one implementation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,15 +94,9 @@ class BoundReport:
     context: dict = field(default_factory=dict)
 
 
-def _tol(rhs: float) -> float:
-    return 1e-9 * max(1.0, abs(rhs))
-
-
 def _report(name: str, lhs: float, rhs: float, vacuous: bool = False,
             **context) -> BoundReport:
-    tol = _tol(rhs)
-    context = dict(context)
-    context["tol"] = tol
+    context["tol"] = tol = 1e-9 * max(1.0, abs(rhs))
     return BoundReport(
         name=name,
         lhs=float(lhs),
@@ -116,7 +110,6 @@ def _report(name: str, lhs: float, rhs: float, vacuous: bool = False,
 
 
 def _inapplicable(name: str, reason: str, **context) -> BoundReport:
-    context = dict(context)
     context["reason"] = reason
     nan = float("nan")
     return BoundReport(
@@ -125,7 +118,7 @@ def _inapplicable(name: str, reason: str, **context) -> BoundReport:
     )
 
 
-def _gate(name: str, J: SymMatrix, ell, m, need: str = "dominant", **context):
+def _gate(name: str, J: SymMatrix, ell, m, need: str = "dominant"):
     """Check the hypotheses the interval-type bounds share.
 
     In order: n >= 3, [ell, m] brackets the off-diagonal entries up to
@@ -133,12 +126,12 @@ def _gate(name: str, J: SymMatrix, ell, m, need: str = "dominant", **context):
     extreme), J is diagonally ``need`` ("dominant" or "balanced"), and
     every J_ii > 0 (dominance is measured with |J_ii|).  Returns (rep, ell,
     m, bad) where ``bad`` is the inapplicable report for the first failed
-    hypothesis, else None; ``context`` goes into that report after ``n``.
+    hypothesis, else None.
     """
     rep = J.dominance
     n = J.n
     if n < 3:
-        return rep, ell, m, _inapplicable(name, "needs n >= 3", n=n, **context)
+        return rep, ell, m, _inapplicable(name, "needs n >= 3", n=n)
     if ell is None:
         ell = rep.min_offdiag
     if m is None:
@@ -147,13 +140,11 @@ def _gate(name: str, J: SymMatrix, ell, m, need: str = "dominant", **context):
     if not (0 < ell <= rep.min_offdiag + slack and rep.max_offdiag <= m + slack):
         return rep, ell, m, _inapplicable(
             name, "[ell, m] does not bracket the off-diagonals",
-            n=n, **context, ell=float(ell), m=float(m))
+            n=n, ell=float(ell), m=float(m))
     if not (rep.is_balanced if need == "balanced" else rep.is_dominant):
-        return rep, ell, m, _inapplicable(name, f"J not diagonally {need}",
-                                          n=n, **context)
+        return rep, ell, m, _inapplicable(name, f"J not diagonally {need}", n=n)
     if not (J.entries.diagonal() > 0).all():
-        return rep, ell, m, _inapplicable(name, "needs a positive diagonal",
-                                          n=n, **context)
+        return rep, ell, m, _inapplicable(name, "needs a positive diagonal", n=n)
     return rep, float(ell), float(m), None
 
 
@@ -187,7 +178,11 @@ def main_bound(J: SymMatrix, S: SForm) -> BoundReport:
     rep = J.dominance
     if not rep.is_dominant:
         return _inapplicable("main", "J not diagonally dominant", n=J.n)
-    gap = float((J.entries - sform_dense(S).entries).min())
+    # dense(S) holds ell off the diagonal and alpha + ell on it; subtracting a
+    # constant rounds monotonically, so each part's least difference is its
+    # least entry minus that constant, bitwise the least entry of J - dense(S).
+    gap = min(rep.min_offdiag - S.ell,
+              float(J.entries.diagonal().min()) - (S.alpha + S.ell))
     if gap < -1e-12 * inf_norm(J):
         return _inapplicable("main", "J not entrywise >= reference matrix",
                              n=J.n, worst_gap=gap)
@@ -279,42 +274,40 @@ def _eig_checks(mats: list[SymMatrix], blocks, ell=None, m=None) -> list:
     its reports in block order, or the :class:`EigenConvergenceError` of
     its first uncertified block.
 
-    Each matrix passes the gate once, and each block's eigenvalues come
-    from one stacked eigensolve over the matrices that passed
-    (:func:`sddkit.matcore._eigen_stack`), bitwise those of a stack of one.
+    Each matrix passes the gate once: a matrix that fails it gets that one
+    outcome as each block's report, with the block's ``i`` in its context.
+    Each block's eigenvalues come from one stacked eigensolve over the
+    matrices that passed (:func:`sddkit.matcore._eigen_stack`), bitwise
+    those of a stack of one.
     """
     n = mats[0].n
-    out = []
-    gated = []  # (row, ell, m, balanced) of each matrix past the gate
-    for j, J in enumerate(mats):
-        rep, ell_j, m_j, bad = _gate("eig", J, ell, m, i=blocks[0])
-        if bad is None:
-            gated.append((j, ell_j, m_j, rep.is_balanced))
-            out.append([])
-        else:
-            out.append([_gate("eig", J, ell, m, i=i)[3] for i in blocks])
-    if not gated:
+    gates = [_gate("eig", J, ell, m) for J in mats]
+    out = [[] if bad is None else
+           [replace(bad, context={"n": n, "i": i, **bad.context}) for i in blocks]
+           for _, _, _, bad in gates]
+    rows = [j for j, gate in enumerate(gates) if gate[3] is None]
+    if not rows:
         return out
-    rows, ells, ms, balanced = map(list, zip(*gated))
     stack = np.array([mats[j].entries for j in rows])
-    ell_col, m_col = np.array(ells)[:, None], np.array(ms)[:, None]
+    ell_col = np.array([gates[j][1] for j in rows])[:, None]
+    m_col = np.array([gates[j][2] for j in rows])[:, None]
     for i in blocks:
         lams, errors = _eigen_stack(np.ascontiguousarray(stack[:, i - 1:, i - 1:]))
         coef = np.full(n - i + 1, n - 2.0)
         coef[-1] = 2 * n - i - 1
         low = (coef * ell_col - lams).max(axis=1).tolist()
         high = (lams - coef * m_col).max(axis=1).tolist()
-        for j, err, lo, hi, ell_j, m_j, bal, lmin, lmax in zip(
-                rows, errors, low, high, ells, ms, balanced,
-                lams[:, 0].tolist(), lams[:, -1].tolist()):
+        for j, err, lo, hi, lmin, lmax in zip(rows, errors, low, high,
+                                              lams[:, 0].tolist(), lams[:, -1].tolist()):
             if isinstance(out[j], Exception):
                 continue
             if err is not None:
                 out[j] = err  # the matrix stops at its first uncertified block
-            else:
-                out[j].append(_report("eig", max(lo, hi) if bal else lo, 0.0, n=n, i=i,
-                                      ell=ell_j, m=m_j, balanced=bal,
-                                      lambda_min=lmin, lambda_max=lmax))
+                continue
+            rep, ell_j, m_j, _ = gates[j]
+            out[j].append(_report("eig", max(lo, hi) if rep.is_balanced else lo, 0.0,
+                                  n=n, i=i, ell=ell_j, m=m_j, balanced=rep.is_balanced,
+                                  lambda_min=lmin, lambda_max=lmax))
     return out
 
 

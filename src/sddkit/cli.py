@@ -26,17 +26,10 @@ import numpy as np
 
 from . import bounds as bnd
 from . import retina as ret
-from .matcore import (
-    EigenConvergenceError,
-    MatrixError,
-    SingularMatrixError,
-    inf_norm,
-    load_matrix,
-)
+from .matcore import EigenConvergenceError, SingularMatrixError, inf_norm, load_matrix
 from .sform import SForm, sform_inf_norm_inverse
 from .graphlimit import (
     BipartiteComponent,
-    GraphFormatError,
     analyze_bipartition,
     limit_closed_form,
     limit_inf_norm,
@@ -146,6 +139,20 @@ def _open_csv(path):
     """The ``--csv`` file, opened before any trial runs so that a path that
     cannot be written fails first; without one, a context that gives None."""
     return open(path, "w", newline="", encoding="utf-8") if path else contextlib.nullcontext()
+
+
+def _write_csv(fh, header: list[str], rows) -> None:
+    """``header``, then each of ``rows``, into the ``--csv`` file ``fh``;
+    nothing, and ``rows`` is not iterated, when ``fh`` is None."""
+    if fh is not None:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _exact(*xs: float) -> list[str]:
+    """Each value to 17 significant digits, which round-trips a float."""
+    return [format(x, ".17g") for x in xs]
 
 
 def _print_report(r: bnd.BoundReport) -> None:
@@ -259,15 +266,11 @@ def cmd_verify(args) -> int:
     seed = _seed(args)
     with _open_csv(args.csv) as fh:
         records = bnd.verify_suite(args.suite, n_range, args.trials, seed)
-        if fh is not None:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["suite", "trial", "n", "params", "lhs", "rhs",
-                        "slack", "holds", "vacuous"])
-            for rec in records:
-                r = rec.report
-                w.writerow([rec.suite, rec.trial, rec.n, _params_str(rec.params),
-                            format(r.lhs, ".17g"), format(r.rhs, ".17g"),
-                            format(r.slack, ".17g"), int(r.holds), int(r.vacuous)])
+        _write_csv(fh, ["suite", "trial", "n", "params", "lhs", "rhs", "slack",
+                        "holds", "vacuous"],
+                   ([rec.suite, rec.trial, rec.n, _params_str(rec.params),
+                     *_exact(rec.report.lhs, rec.report.rhs, rec.report.slack),
+                     int(rec.report.holds), int(rec.report.vacuous)] for rec in records))
     applicable = [r for r in records if r.report.applicable]
     violated = [r for r in applicable if not r.report.holds]
     vacuous = sum(1 for r in applicable if r.report.vacuous)
@@ -290,15 +293,11 @@ def cmd_mle(args) -> int:
     with _open_csv(args.csv) as fh:
         trials, summary = ret.consistency_experiment(
             args.n, args.k, args.trials, theta_range, seed)
-        if fh is not None:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["trial", "n", "err_inf", "bound", "within_bound",
-                        "residual_inf", "iterations", "converged"])
-            for t, r in enumerate(trials):
-                w.writerow([t, summary.n, format(r.err_inf, ".17g"),
-                            format(r.bound, ".17g"), int(r.within_bound),
-                            format(r.residual_inf, ".17g"), r.iterations,
-                            int(r.converged)])
+        _write_csv(fh, ["trial", "n", "err_inf", "bound", "within_bound",
+                        "residual_inf", "iterations", "converged"],
+                   ([t, summary.n, *_exact(r.err_inf, r.bound), int(r.within_bound),
+                     *_exact(r.residual_inf), r.iterations, int(r.converged)]
+                    for t, r in enumerate(trials)))
     print(f"n={summary.n} k={_fmt(summary.k)} trials={summary.trials} seed={args.seed}")
     print(f"converged={summary.converged} within_bound={summary.within} "
           f"fraction={_fmt(summary.fraction_within)} target={_fmt(summary.target)}")
@@ -313,14 +312,10 @@ def cmd_explore(args) -> int:
     seed = _seed(args)
     with _open_csv(args.csv) as fh:
         records = bnd.conjecture_search(mode, args.trials, seed)
-        if fh is not None:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["trial", "n", "params", "lhs", "rhs", "slack", "violation"])
-            for rec in records:
-                r = rec.report
-                w.writerow([rec.trial, rec.n, _params_str(rec.params),
-                            format(r.lhs, ".17g"), format(r.rhs, ".17g"),
-                            format(r.slack, ".17g"), int(not r.holds)])
+        _write_csv(fh, ["trial", "n", "params", "lhs", "rhs", "slack", "violation"],
+                   ([rec.trial, rec.n, _params_str(rec.params),
+                     *_exact(rec.report.lhs, rec.report.rhs, rec.report.slack),
+                     int(not rec.report.holds)] for rec in records))
     findings = [rec for rec in records if not rec.report.holds]
     print(f"conjecture={args.conjecture} trials={args.trials} seed={args.seed}")
     print(f"min_slack={_fmt(min(rec.report.slack for rec in records))} "
@@ -404,7 +399,7 @@ def main(argv=None) -> int:
     except (SingularMatrixError, bnd.SingularBlockError, EigenConvergenceError) as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return 1
-    except (MatrixError, GraphFormatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

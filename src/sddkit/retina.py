@@ -220,6 +220,8 @@ class RetinaSolution:
     Each of the three is computed at unit scale and scaled back once, so it
     is inf or 0 only where its value is past the float range: at theta
     near 1e160 the constant is inf while the certificate is finite.
+    ``converged`` is True when ``residual_inf`` met the solver's relative
+    stopping test, tol * min(1, max(d)).
     """
 
     theta: np.ndarray
@@ -273,9 +275,14 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10) -> RetinaSolution:
     domain.  Each step solves the balanced positive definite Jacobian
     system by Cholesky, then backtracks (halving) until every pairwise sum
     stays at or above the domain floor and the residual norm decreases.
-    A stalled line search or ``MAX_ITER`` steps return converged=False
-    rather than raising: a solution is only guaranteed to exist almost
-    surely.
+    It stops when the residual norm is at most ``tol * min(1, max(d))``:
+    ``tol`` itself for targets of 1 and above, relative to the largest
+    target below that, so a start close to tiny targets in absolute terms
+    only is not taken for a solution.  A stalled line search, a Jacobian
+    that is not positive definite in floating point (at theta near 1e160
+    the squared pair sums overflow and its entries are 0), or ``MAX_ITER``
+    steps return converged=False rather than raising: a solution is only
+    guaranteed to exist almost surely.
 
     One n x n buffer serves every step.  Each candidate is evaluated through
     :func:`residual`, which leaves the candidate's pair sums in the buffer;
@@ -293,12 +300,15 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10) -> RetinaSolution:
     w = np.empty((n, n))
     r = residual(theta, d, w)
     r_inf = float(np.abs(r).max())
+    stop = tol * min(1.0, float(d.max()))
     for it in range(1, MAX_ITER + 1):
-        if r_inf <= tol:
+        if r_inf <= stop:
             return _finish(theta, r_inf, it - 1, True, n)
-        # w holds the pair sums of -theta, left there by theta's residual
-        f, info = scipy.linalg.lapack.dpotrf(_jacobian_from_pair_sums(w).T, lower=0,
-                                             clean=0, overwrite_a=1)
+        # w holds the pair sums of -theta, left there by theta's residual; a
+        # square past the largest float gives an entry of 0
+        with np.errstate(over="ignore"):
+            jac = _jacobian_from_pair_sums(w)
+        f, info = scipy.linalg.lapack.dpotrf(jac.T, lower=0, clean=0, overwrite_a=1)
         if info > 0:  # not positive definite in floating point
             return _finish(theta, r_inf, it - 1, False, n)
         step = scipy.linalg.lapack.dpotrs(f, r, lower=0)[0]
@@ -315,8 +325,7 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10) -> RetinaSolution:
             lam *= 0.5
             if lam * step_inf < 1e-14:
                 return _finish(theta, r_inf, it, False, n)
-    converged = r_inf <= tol
-    return _finish(theta, r_inf, MAX_ITER, converged, n)
+    return _finish(theta, r_inf, MAX_ITER, r_inf <= stop, n)
 
 
 def sample_degrees(theta: np.ndarray, seed: int) -> np.ndarray:
@@ -334,15 +343,14 @@ def sample_degrees(theta: np.ndarray, seed: int) -> np.ndarray:
     if int(seed) != seed or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     _require_finite(theta, "theta")
-    # every pair sum is positive if the smallest one is
+    # every pair sum is positive if the smallest one is; that one is in z
     if n >= 2 and not _low_pair_sum(theta) > 0:
         z = _pair_sums(theta, 0.0)
-        if (z <= 0).any():
-            i, j = np.argwhere(z <= 0)[0]
-            raise DomainError(
-                f"theta[{i}] + theta[{j}] = {z[i, j]:.3e} must be positive",
-                pair=(int(i), int(j)),
-            )
+        i, j = np.argwhere(z <= 0)[0]
+        raise DomainError(
+            f"theta[{i}] + theta[{j}] = {z[i, j]:.3e} must be positive",
+            pair=(int(i), int(j)),
+        )
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     # Row i holds the edges (i, i+1), ..., (i, n-1), in counter order; the
     # edge k places after row i's first has column i + 1 + k.

@@ -497,8 +497,9 @@ def solve_retina_by_scan(prob: RetinaProblem, tol: float = 1e-10,
     theta = np.full(n, max((n - 1) / (2.0 * float(d.mean())), DOMAIN_FLOOR))
     r = residual_by_scan(theta, d)
     r_inf = float(np.abs(r).max())
+    stop = tol * min(1.0, float(d.max()))
     for it in range(1, max_iter + 1):
-        if r_inf <= tol:
+        if r_inf <= stop:
             return _finish(theta, r_inf, it - 1, True, n)
         w = jacobian_by_scan(-theta)
         try:
@@ -520,8 +521,7 @@ def solve_retina_by_scan(prob: RetinaProblem, tol: float = 1e-10,
             lam *= 0.5
             if lam * step_inf < 1e-14:
                 return _finish(theta, r_inf, it, False, n)
-    converged = r_inf <= tol
-    return _finish(theta, r_inf, max_iter, converged, n)
+    return _finish(theta, r_inf, max_iter, r_inf <= stop, n)
 
 
 def sample_degrees_by_scan(theta: np.ndarray, seed: int) -> np.ndarray:

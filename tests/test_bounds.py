@@ -104,6 +104,13 @@ class TestMainBound:
         r = main_bound(SymMatrix(np.eye(3) + np.ones((3, 3))), S42)
         assert not r.applicable
 
+    def test_non_dominant_reference_is_inapplicable(self):
+        S = SForm(4, 1.0, 1.0)  # alpha < (n-2) ell
+        r = main_bound(sform_dense(S), S)
+        assert not r.applicable
+        assert r.context == {"n": 4, "alpha": 1.0, "ell": 1.0,
+                             "reason": "reference family not diagonally dominant"}
+
 
 class TestLowerBound:
     def test_reference_value(self):
@@ -124,6 +131,18 @@ class TestLowerBound:
         for _ in range(30):
             r = lower_bound_trivial(random_dominant(rng, int(rng.integers(3, 9))))
             assert r.holds
+
+    @pytest.mark.parametrize("a", [3.0 * np.eye(4), ones_plus(3, 4).entries - 2.0,
+                                   np.eye(1)], ids=["zero", "negative", "n1"])
+    def test_non_positive_off_diagonal_is_inapplicable(self, a):
+        r = lower_bound_trivial(SymMatrix(a))
+        assert not r.applicable
+        assert r.context == {"n": len(a), "reason": "needs positive off-diagonal entries"}
+
+    def test_not_dominant_is_inapplicable(self):
+        r = lower_bound_trivial(ones_plus(0.5, 4))
+        assert not r.applicable
+        assert r.context == {"n": 4, "reason": "J not diagonally dominant"}
 
 
 class TestSpectralRoute:
@@ -789,6 +808,11 @@ class TestXiFunctional:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             xi_functional(SForm(4, 2.0, 1.0), SymMatrix(np.zeros((3, 3))))
+
+    def test_rejects_non_dominant_reference(self):
+        with pytest.raises(ValueError,
+                           match="^reference family must be diagonally dominant$"):
+            xi_functional(SForm(4, 1.0, 1.0), SymMatrix(np.zeros((4, 4))))
 
     def test_rejects_non_dominant_p(self):
         a = np.zeros((3, 3))

@@ -51,6 +51,12 @@ class TestLoopGraph:
         with pytest.raises(ValueError):
             LoopGraph(3, [(1, 4)])
 
+    @pytest.mark.parametrize("n", [0, -2, 2.5])
+    def test_rejects_bad_vertex_count(self, n):
+        with pytest.raises(ValueError) as err:
+            LoopGraph(n)
+        assert str(err.value) == f"vertex count must be an integer >= 1, got {n}"
+
 
 class TestSignlessLaplacian:
     def test_empty_graph(self):
@@ -404,6 +410,18 @@ class TestNumericLimit:
         with pytest.raises(ValueError):
             limit_numeric(S4, chain_cycle(4), 0.0)
 
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError) as err:
+            limit_numeric(S4, chain_cycle(5), 1.0)
+        assert str(err.value) == "dimension mismatch: sform n=4, graph n=5"
+
+
+@pytest.mark.parametrize("route", [limit_closed_form, limit_u_route, limit_inf_norm])
+def test_limit_routes_reject_dimension_mismatch(route):
+    with pytest.raises(ValueError) as err:
+        route(S4, analyze_bipartition(chain_cycle(5)))
+    assert str(err.value) == "dimension mismatch: sform n=4, graph n=5"
+
 
 class TestLimitInfNorm:
     def test_star(self):
@@ -492,6 +510,12 @@ class TestGraphIO:
         path.write_text("4\n1 2\n2 3\n3 4\n1 4\n")
         g = load_graph(path)
         assert g.num_edges == 4 and g.n == 4
+
+    def test_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.edges"
+        path.write_text("4\n1 2\n\n2 3\n  \t\n3 4\n\n")
+        g = load_graph(path)
+        assert g.n == 4 and g.edge_list == [(1, 2), (2, 3), (3, 4)]
 
     @pytest.mark.parametrize("text, line", [
         ("12\n2 1_0\n", 2),

@@ -156,7 +156,8 @@ class TestSolve:
     def test_certificate_at_extreme_scale(self):
         # theta near 1.4e160: ell = 1/z^2 is subnormal, and the constant,
         # (2/3) z^2, is past the largest float, but their product with the
-        # residual norm is not.  (The absolute tol accepts the start.)
+        # residual norm is not.  (The solve ends at the start, where the
+        # Jacobian is 0 and so not positive definite.)
         sol = solve_retina(RetinaProblem(1e-160 * np.array([1.0, 1.1, 0.9, 1.2])))
         th = sol.theta
         zmax = Fraction(max(th[i] + th[j] for i in range(4) for j in range(i + 1, 4)))
@@ -166,6 +167,26 @@ class TestSolve:
         cert = Fraction(2, 3) * zmax ** 2 * Fraction(sol.residual_inf)
         assert 0 < sol.error_certificate < math.inf
         assert abs(Fraction(sol.error_certificate) - cert) <= cert * Fraction(2) ** -50
+
+    @pytest.mark.parametrize("s", [1e-20, 1e-8])
+    def test_tiny_targets_are_met_relative_to_their_size(self, s):
+        # Within 1e-10 of d in absolute terms, the start is 12.5% off it at
+        # s = 1e-20, and the second step still 0.16% off at s = 1e-8.
+        d = s * np.array([1.0, 1.1, 0.9, 1.2])
+        sol = solve_retina(RetinaProblem(d))
+        assert sol.converged and sol.iterations == 4
+        assert sol.residual_inf <= 1e-10 * d.max()
+        np.testing.assert_allclose(f_map(-sol.theta), d, rtol=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_jacobian_ends_unconverged(self):
+        # At theta near 1.4e160 every squared pair sum overflows, so each
+        # Jacobian entry is 0 and its Cholesky factorization fails at the
+        # start: converged=False, and no warning.
+        d = 1e-160 * np.array([1.0, 1.1, 0.9, 1.2])
+        sol = solve_retina(RetinaProblem(d))
+        assert (sol.converged, sol.iterations) == (False, 0)
+        assert sol.residual_inf > 1e-10 * d.max()
 
     @pytest.mark.filterwarnings("error")
     def test_certificate_at_tiny_scale(self):
