@@ -42,7 +42,6 @@ from .matcore import (
     _eliminate_stack,
     _eliminated,
     _floor,
-    delta,
     eigen_sym,
     inf_norm,
 )
@@ -477,8 +476,7 @@ def xi_functional(S: SForm, P: SymMatrix) -> XiResult:
         raise ValueError("reference family must be diagonally dominant")
     if float(P.entries.min()) < 0:
         raise ValueError("P must be entrywise nonnegative")
-    dP = delta(P)
-    if dP.min() < -1e-12 * max(1.0, inf_norm(P)):
+    if not P.dominance.is_dominant:
         raise ValueError("P must be diagonally dominant")
     n = S.n
     if not P.entries.any():
@@ -495,7 +493,7 @@ def xi_functional(S: SForm, P: SymMatrix) -> XiResult:
     total = float(P.entries.sum())
     rest = total - 2.0 * rowsum + diag
     closed = (b * b) * (
-        ((rho + n - 2) * (rho + 4) + 4) * dP
+        ((rho + n - 2) * (rho + 4) + 4) * P.dominance.deltas
         + (2 * (rho + n - 1) * (n - 3) + rho) * diag
         + (rho + 2) * rest
     )

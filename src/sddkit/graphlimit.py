@@ -355,15 +355,12 @@ def limit_u_route(S: SForm, B: BipartitionSummary) -> SymMatrix:
     if basis[0].size == 0:
         return _adopt(Sinv)
     SiU = _basis_product(Sinv, basis, axis=1)
-    try:
-        R, _ = scipy.linalg.cho_factor(_basis_product(SiU, basis, axis=0),
-                                       check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        # U' S^{-1} U is positive definite whenever U has full column rank,
-        # which the construction guarantees; failure means a bug here.
-        raise AssertionError(
-            "U' S^-1 U not positive definite: basis construction is broken"
-        ) from exc
+    # U' S^{-1} U as gathered, symmetric to rounding only (potrf reads this
+    # upper triangle), is positive definite whenever U has full column rank,
+    # which the construction guarantees; failure means a bug here.
+    R, info = scipy.linalg.lapack.dpotrf(_basis_product(SiU, basis, axis=0), lower=0, clean=0)
+    if info:
+        raise AssertionError("U' S^-1 U not positive definite: basis construction is broken")
     # SiU' is Fortran-ordered, so BLAS solves in SiU's memory and writes the
     # upper triangle of Sinv' (Sinv's lower one) in Sinv's memory.
     X = scipy.linalg.blas.dtrsm(1.0, R, SiU.T, trans_a=1, overwrite_b=1)

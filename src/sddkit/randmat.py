@@ -20,8 +20,6 @@ stay bitwise those of :func:`trial_rng`; the tests compare the two.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .matcore import SymMatrix
@@ -67,14 +65,6 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
 _STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
 _STATE_SOURCES = np.arange(2 * _POOL) % _POOL
 _OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]
-
-
-@functools.cache
-def _mix_constants(words: int) -> np.ndarray:
-    """mix_entropy's hash constants for a key of ``words`` words: four to
-    fill the pool, three per pool word to mix it, four per word past the
-    pool, and one past the last."""
-    return _hash_constants(_INIT_A, _MULT_A, _POOL * max(words, _POOL))
 
 
 def _hashmix(value: np.ndarray, c: np.ndarray, i: int, m: int) -> np.ndarray:
@@ -129,7 +119,9 @@ def trial_rngs(prefix: tuple[int, ...], trials: range) -> list[np.random.Generat
         raise ValueError(f"trial indices must be in [0, 2^32), got {trials}")
     head = [w for k in prefix for w in _key_words(k)]
     words = len(head) + 1
-    c = _mix_constants(words)
+    # mix_entropy's hash constants: four to fill the pool, three per pool
+    # word to mix it, four per word past the pool, and one past the last
+    c = _hash_constants(_INIT_A, _MULT_A, _POOL * max(words, _POOL))
     key = np.zeros((max(words, _POOL), len(trials)), dtype=np.uint32)
     key[:words - 1] = np.array(head, dtype=np.uint32)[:, None]
     key[words - 1] = np.arange(trials.start, trials.stop, trials.step)

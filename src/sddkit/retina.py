@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .matcore import SymMatrix
+from .matcore import _EPS, SymMatrix
 
 __all__ = [
     "DomainError",
@@ -220,8 +220,8 @@ class RetinaSolution:
     Each of the three is computed at unit scale and scaled back once, so it
     is inf or 0 only where its value is past the float range: at theta
     near 1e160 the constant is inf while the certificate is finite.
-    ``converged`` is True when ``residual_inf`` met the solver's relative
-    stopping test, tol * min(1, max(d)).
+    ``converged`` is True when ``residual_inf`` met the solver's stopping
+    test, max(tol * min(1, max(d)), n * eps * max(d)).
     """
 
     theta: np.ndarray
@@ -275,14 +275,17 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10) -> RetinaSolution:
     domain.  Each step solves the balanced positive definite Jacobian
     system by Cholesky, then backtracks (halving) until every pairwise sum
     stays at or above the domain floor and the residual norm decreases.
-    It stops when the residual norm is at most ``tol * min(1, max(d))``:
-    ``tol`` itself for targets of 1 and above, relative to the largest
+    It stops when the residual norm is at most
+    ``max(tol * min(1, max(d)), n * eps * max(d))``.  The first term is
+    ``tol`` itself for targets of 1 and above and relative to the largest
     target below that, so a start close to tiny targets in absolute terms
-    only is not taken for a solution.  A stalled line search, a Jacobian
-    that is not positive definite in floating point (at theta near 1e160
-    the squared pair sums overflow and its entries are 0), or ``MAX_ITER``
-    steps return converged=False rather than raising: a solution is only
-    guaranteed to exist almost surely.
+    only is not taken for a solution; the second is the targets' own
+    rounding, which no residual row sum of n terms gets under, so large
+    targets can be met.  A stalled line search, a Jacobian that is not
+    positive definite in floating point (at theta near 1e160 the squared
+    pair sums overflow and its entries are 0), or ``MAX_ITER`` steps return
+    converged=False rather than raising: a solution is only guaranteed to
+    exist almost surely.
 
     One n x n buffer serves every step.  Each candidate is evaluated through
     :func:`residual`, which leaves the candidate's pair sums in the buffer;
@@ -300,7 +303,8 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10) -> RetinaSolution:
     w = np.empty((n, n))
     r = residual(theta, d, w)
     r_inf = float(np.abs(r).max())
-    stop = tol * min(1.0, float(d.max()))
+    dmax = float(d.max())
+    stop = max(tol * min(1.0, dmax), n * _EPS * dmax)
     for it in range(1, MAX_ITER + 1):
         if r_inf <= stop:
             return _finish(theta, r_inf, it - 1, True, n)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (J4_BALANCED, bits, block_det_ratio_by_inverses,
-                     block_det_ratio_unblocked, conjecture_search_ledger,
+                     block_det_ratio_unblocked, chain_cycle, conjecture_search_ledger,
                      trials_one_by_one)
 from sddkit import (
     EigenConvergenceError,
@@ -819,6 +819,21 @@ class TestXiFunctional:
         a[0, 1] = a[1, 0] = 1.0  # adjacency only: margins are negative
         with pytest.raises(ValueError):
             xi_functional(SForm(3, 2.0, 1.0), SymMatrix(a))
+
+    def test_verdicts_and_values_keep_under_power_of_two_scaling(self):
+        # xi is linear in P, and 2^k P is exact: a P with a margin of -0.5
+        # is rejected at every scale, also where its norm is below 1, and a
+        # dominant P's functional scales by exactly 2^k.
+        P = signless_laplacian(chain_cycle(4)).entries
+        short = P.copy()
+        short[0, 0] -= 0.5
+        ref = xi_functional(S42, SymMatrix(P))
+        for k in (0, -30, 30, -60, 60):
+            with pytest.raises(ValueError, match="^P must be diagonally dominant$"):
+                xi_functional(S42, SymMatrix(np.ldexp(short, k)))
+            res = xi_functional(S42, SymMatrix(np.ldexp(P, k)))
+            assert res.xi == math.ldexp(ref.xi, k)
+            assert np.array_equal(bits(res.per_row), bits(np.ldexp(ref.per_row, k)))
 
 
 class TestConjectureSearch:

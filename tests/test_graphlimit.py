@@ -27,6 +27,7 @@ from sddkit import (
     sform_inverse,
     signless_laplacian,
 )
+from sddkit import graphlimit
 from sddkit.graphlimit import _basis, _basis_product
 from sddkit.randmat import random_loop_graph, trial_rng
 
@@ -233,6 +234,19 @@ class TestURoute:
         S6 = SForm(6, 4.0, 1.0)
         N = limit_u_route(S6, analyze_bipartition(g))
         np.testing.assert_allclose(N.entries, np.zeros((6, 6)), atol=1e-10)
+
+    def test_rank_deficient_basis_is_reported_as_a_bug(self, monkeypatch):
+        # A last column e_0 - e_0 = 0 puts an exact 0 on the diagonal of
+        # U' S^-1 U, so its Cholesky factorization must fail.
+        def with_zero_column(B):
+            head, tail, sign = _basis(B)
+            return np.append(head, 0), np.append(tail, 0), np.append(sign, -1.0)
+
+        monkeypatch.setattr(graphlimit, "_basis", with_zero_column)
+        with pytest.raises(AssertionError) as err:
+            limit_u_route(S4, analyze_bipartition(chain_cycle(4)))
+        assert str(err.value) == ("U' S^-1 U not positive definite: "
+                                  "basis construction is broken")
 
 
 def upper_onto_lower(a: np.ndarray) -> np.ndarray:

@@ -178,6 +178,23 @@ class TestSolve:
         assert sol.residual_inf <= 1e-10 * d.max()
         np.testing.assert_allclose(f_map(-sol.theta), d, rtol=1e-10)
 
+    @pytest.mark.parametrize("s", [1e6, 1e8])
+    def test_large_targets_are_met_to_their_rounding(self, s):
+        # No residual row sum gets below about n * eps * max(d), which is
+        # past the absolute 1e-10 here: the solution is found to 2e-16
+        # relative, and must count as converged.
+        d = s * np.array([1.0, 1.1, 0.9, 1.2])
+        sol = solve_retina(RetinaProblem(d))
+        assert sol.converged
+        assert sol.residual_inf <= 4 * np.finfo(float).eps * d.max()
+        np.testing.assert_allclose(f_map(-sol.theta), d, rtol=1e-14)
+
+    def test_large_random_targets_are_met_to_their_rounding(self):
+        theta = trial_rng(251).uniform(0.5, 2.0, size=50)
+        sol = solve_retina(RetinaProblem(1e6 * f_map(-theta)))
+        assert sol.converged
+        np.testing.assert_allclose(1e6 * sol.theta, theta, rtol=1e-14)
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_jacobian_ends_unconverged(self):
         # At theta near 1.4e160 every squared pair sum overflows, so each
