@@ -19,11 +19,14 @@ chunks and analyses each chunk's matrices of one size as one stack, with
 the same records, bit for bit, as running the trials one by one.  Every
 suite has one analysis shape: an optional kernel call that turns the
 stack into one item per trial, then a per-trial function of that item.
-The determinant suites eliminate each stack at once
+No suite classifies its matrices one by one: the determinant suites
+classify and eliminate each stack at once
 (:func:`sddkit.matcore._eliminated`) and then call the public bounds, which
-read each matrix's elimination; the eig suite and
-:func:`eig_interval_check` share one stacked check, the latter as a stack
-of one.  Every bound has one implementation.
+read each matrix's dominance report and elimination; the eig suite
+classifies the raw stack (:func:`sddkit.matcore._classify_stack`), gates
+each report, and solves the matrices that pass in one stacked check that
+:func:`eig_interval_check` runs as a stack of one.  Every bound has one
+implementation, and one gate (``_gate``) serves them all.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .matcore import (
     MatrixError,
     SingularBlockError,
     SymMatrix,
+    _classify_stack,
     _eigen_stack,
     _eliminate_stack,
     _eliminated,
@@ -117,34 +121,37 @@ def _inapplicable(name: str, reason: str, **context) -> BoundReport:
     )
 
 
-def _gate(name: str, J: SymMatrix, ell, m, need: str = "dominant"):
-    """Check the hypotheses the interval-type bounds share.
+def _gate(name: str, rep, diag: np.ndarray, ell, m, need: str = "dominant"):
+    """Check the hypotheses the interval-type bounds share, on the
+    :func:`~sddkit.matcore.classify` report ``rep`` of an n x n matrix J and
+    its diagonal ``diag``.
 
     In order: n >= 3, [ell, m] brackets the off-diagonal entries up to
     1e-12 times the largest of them (a missing end defaults to the observed
     extreme), J is diagonally ``need`` ("dominant" or "balanced"), and
-    every J_ii > 0 (dominance is measured with |J_ii|).  Returns (rep, ell,
-    m, bad) where ``bad`` is the inapplicable report for the first failed
+    every J_ii > 0 (dominance is measured with |J_ii|).  A single-matrix
+    bound passes ``J.dominance``; the eig suite passes the reports of one
+    :func:`~sddkit.matcore._classify_stack` call.  Returns (ell, m, bad)
+    where ``bad`` is the inapplicable report for the first failed
     hypothesis, else None.
     """
-    rep = J.dominance
-    n = J.n
+    n = diag.size
     if n < 3:
-        return rep, ell, m, _inapplicable(name, "needs n >= 3", n=n)
+        return ell, m, _inapplicable(name, "needs n >= 3", n=n)
     if ell is None:
         ell = rep.min_offdiag
     if m is None:
         m = rep.max_offdiag
     slack = 1e-12 * rep.max_offdiag
     if not (0 < ell <= rep.min_offdiag + slack and rep.max_offdiag <= m + slack):
-        return rep, ell, m, _inapplicable(
+        return ell, m, _inapplicable(
             name, "[ell, m] does not bracket the off-diagonals",
             n=n, ell=float(ell), m=float(m))
     if not (rep.is_balanced if need == "balanced" else rep.is_dominant):
-        return rep, ell, m, _inapplicable(name, f"J not diagonally {need}", n=n)
-    if not (J.entries.diagonal() > 0).all():
-        return rep, ell, m, _inapplicable(name, "needs a positive diagonal", n=n)
-    return rep, float(ell), float(m), None
+        return ell, m, _inapplicable(name, f"J not diagonally {need}", n=n)
+    if not (diag > 0).all():
+        return ell, m, _inapplicable(name, "needs a positive diagonal", n=n)
+    return float(ell), float(m), None
 
 
 def varah_bound(J: SymMatrix) -> BoundReport:
@@ -215,7 +222,7 @@ def spectral_route_bound(J: SymMatrix, ell: float | None = None) -> BoundReport:
     comparison, the sharper O(1/n) bound (3n-4)/(2 ell (n-2)(n-1)); the gap
     between the two is why the spectral route is too weak for large n.
     """
-    _, ell, _, bad = _gate("spectral", J, ell, None)
+    ell, _, bad = _gate("spectral", J.dominance, J.entries.diagonal(), ell, None)
     if bad is not None:
         return bad
     n = J.n
@@ -233,7 +240,8 @@ def condition_bound(J: SymMatrix, ell: float | None = None) -> BoundReport:
 
     For large n the right side approaches 3 m / ell.
     """
-    rep, ell, _, bad = _gate("cond", J, ell, None)
+    rep = J.dominance
+    ell, _, bad = _gate("cond", rep, J.entries.diagonal(), ell, None)
     if bad is not None:
         return bad
     n = J.n
@@ -256,22 +264,24 @@ def eig_interval_check(J: SymMatrix, ell: float | None = None,
     The report compresses all interval constraints into one comparison:
     lhs is the largest violation across constraints and rhs is 0, so
     slack is the worst margin by which the eigenvalues clear the intervals.
-    J runs as a stack of one through the eig suite's implementation.
+    J runs as a stack of one through the eig suite's implementation, with
+    its own ``dominance`` report.
     """
     n = J.n
     if not 1 <= i <= n - 1:
         return _inapplicable("eig", f"block index {i} outside 1..{n - 1}", n=n, i=i)
-    out, = _eig_checks([J], [i], ell, m)
+    out, = _eig_checks(J.entries[None], [J.dominance], [i], ell, m)
     if isinstance(out, EigenConvergenceError):
         raise out
     return out[0]
 
 
-def _eig_checks(mats: list[SymMatrix], blocks, ell=None, m=None) -> list:
+def _eig_checks(a: np.ndarray, reports: list, blocks, ell=None, m=None) -> list:
     """The :func:`eig_interval_check` reports of each block i in ``blocks``
-    (each in 1..n-1) for each of the n x n matrices ``mats``: per matrix,
-    its reports in block order, or the :class:`EigenConvergenceError` of
-    its first uncertified block.
+    (each in 1..n-1) for each matrix of the (k, n, n) stack ``a`` of
+    symmetric matrices, whose :func:`~sddkit.matcore.classify` reports are
+    ``reports``: per matrix, its reports in block order, or the
+    :class:`EigenConvergenceError` of its first uncertified block.
 
     Each matrix passes the gate once: a matrix that fails it gets that one
     outcome as each block's report, with the block's ``i`` in its context.
@@ -279,17 +289,18 @@ def _eig_checks(mats: list[SymMatrix], blocks, ell=None, m=None) -> list:
     matrices that passed (:func:`sddkit.matcore._eigen_stack`), bitwise
     those of a stack of one.
     """
-    n = mats[0].n
-    gates = [_gate("eig", J, ell, m) for J in mats]
+    n = a.shape[1]
+    gates = [_gate("eig", rep, diag, ell, m)
+             for rep, diag in zip(reports, a.diagonal(axis1=1, axis2=2))]
     out = [[] if bad is None else
            [replace(bad, context={"n": n, "i": i, **bad.context}) for i in blocks]
-           for _, _, _, bad in gates]
-    rows = [j for j, gate in enumerate(gates) if gate[3] is None]
+           for _, _, bad in gates]
+    rows = [j for j, gate in enumerate(gates) if gate[2] is None]
     if not rows:
         return out
-    stack = np.array([mats[j].entries for j in rows])
-    ell_col = np.array([gates[j][1] for j in rows])[:, None]
-    m_col = np.array([gates[j][2] for j in rows])[:, None]
+    stack = a[rows]
+    ell_col = np.array([gates[j][0] for j in rows])[:, None]
+    m_col = np.array([gates[j][1] for j in rows])[:, None]
     for i in blocks:
         lams, errors = _eigen_stack(np.ascontiguousarray(stack[:, i - 1:, i - 1:]))
         coef = np.full(n - i + 1, n - 2.0)
@@ -303,9 +314,10 @@ def _eig_checks(mats: list[SymMatrix], blocks, ell=None, m=None) -> list:
             if err is not None:
                 out[j] = err  # the matrix stops at its first uncertified block
                 continue
-            rep, ell_j, m_j, _ = gates[j]
-            out[j].append(_report("eig", max(lo, hi) if rep.is_balanced else lo, 0.0,
-                                  n=n, i=i, ell=ell_j, m=m_j, balanced=rep.is_balanced,
+            ell_j, m_j, _ = gates[j]
+            balanced = reports[j].is_balanced
+            out[j].append(_report("eig", max(lo, hi) if balanced else lo, 0.0,
+                                  n=n, i=i, ell=ell_j, m=m_j, balanced=balanced,
                                   lambda_min=lmin, lambda_max=lmax))
     return out
 
@@ -370,7 +382,7 @@ def det_lower_bound(J: SymMatrix, ell: float | None = None,
     flagged vacuous and the left side degrades to -inf rather than an
     oscillating power of a negative number.
     """
-    _, ell, m, bad = _gate("det_lower", J, ell, m)
+    ell, m, bad = _gate("det_lower", J.dominance, J.entries.diagonal(), ell, m)
     if bad is not None:
         return bad
     _, ratio = block_det_ratio(J)
@@ -386,7 +398,8 @@ def det_lower_bound(J: SymMatrix, ell: float | None = None,
 def det_upper_bound_balanced(J: SymMatrix, ell: float | None = None,
                              m: float | None = None) -> BoundReport:
     """det ratio <= exp(-ell^2 / (4 m^2)) for balanced J."""
-    _, ell, m, bad = _gate("det_upper", J, ell, m, need="balanced")
+    ell, m, bad = _gate("det_upper", J.dominance, J.entries.diagonal(), ell, m,
+                        need="balanced")
     if bad is not None:
         return bad
     _, ratio = block_det_ratio(J)
@@ -410,7 +423,8 @@ def adjugate_bound(J: SymMatrix, ell: float | None = None,
     Computed as |det ratio| * inf_norm(J^{-1}), since adj(J) = det(J) J^{-1};
     the ratio stays finite where det(J) itself overflows.  Balanced J only.
     """
-    _, ell, m, bad = _gate("adjugate", J, ell, m, need="balanced")
+    ell, m, bad = _gate("adjugate", J.dominance, J.entries.diagonal(), ell, m,
+                        need="balanced")
     if bad is not None:
         return bad
     _, ratio = block_det_ratio(J)
@@ -623,7 +637,7 @@ _ANALYSES = {
     "cond": (lambda params, a, _: [(params, condition_bound(SymMatrix(a)))], None),
     "eig": (lambda params, reports, _: [({"i": i, **params}, r)
                                         for i, r in enumerate(reports, 1)],
-            lambda a: _eig_checks([SymMatrix(x) for x in a], range(1, a.shape[1]))),
+            lambda a: _eig_checks(a, _classify_stack(a), range(1, a.shape[1]))),
     "det": (_det_records, _eliminated),
     "adjugate": (lambda params, J, _: [(params, adjugate_bound(J))], _eliminated),
     "xi": (_xi_records, None),

@@ -4,9 +4,10 @@ Construction and validation of symmetric matrices, diagonal-dominance
 diagnostics, an LU-based inversion oracle and a Cholesky inverse for
 positive definite input, infinity norms, the LAPACK
 symmetric eigensolver with a per-pair residual certificate, and matrix
-text I/O.  The eigensolver and the SDD elimination each run as one kernel
-on stacks of same-size matrices, whatever the size; one matrix is a stack
-of one.
+text I/O.  The dominance classification, the eigensolver and the SDD
+elimination each run as one kernel on stacks of same-size matrices,
+whatever the size (:func:`_classify_stack`, :func:`_eigen_stack`,
+:func:`_eliminate_stack`); one matrix is a stack of one.
 
 A :class:`SymMatrix` never changes, so it carries its own analysis, each
 part computed on first use and kept for the matrix's lifetime: the
@@ -218,10 +219,16 @@ def _fill_upper(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _margins(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dominance margins 2|J_ii| - sum_j |J_ij| of each row, and the row
+    sums, from w = |J| for one matrix or a stack: each row reduces alone."""
+    rows = w.sum(axis=-1)
+    return 2.0 * w.diagonal(axis1=-2, axis2=-1) - rows, rows
+
+
 def delta(J: SymMatrix) -> np.ndarray:
     """Per-row dominance margins |J_ii| - sum_{j != i} |J_ij|."""
-    a = np.abs(J.entries)
-    return 2.0 * a.diagonal() - a.sum(axis=1)
+    return _margins(np.abs(J.entries))[0]
 
 
 def classify(J: SymMatrix) -> DominanceReport:
@@ -231,26 +238,37 @@ def classify(J: SymMatrix) -> DominanceReport:
     dominant iff delta_i >= -tol for all i; balanced iff |delta_i| <= tol for
     all i; strictly dominant iff delta_i > tol for all i.  Margins use |J_ii|,
     so a negative diagonal can pass; bounds that need J_ii > 0 check it.
+    J is a stack of one for :func:`_classify_stack`.
     """
-    tol = 1e-12 * inf_norm(J)
-    d = delta(J)
-    a = J.entries
-    n = J.n
+    rep, = _classify_stack(J.entries[None])
+    return rep
+
+
+def _classify_stack(a: np.ndarray) -> list[DominanceReport]:
+    """The :func:`classify` report of each matrix of the (k, n, n) stack
+    ``a``, from whole-stack reductions along the last axis.
+
+    Each row's sums, and each matrix's norm, tolerance and off-diagonal
+    extremes, reduce that row or matrix alone, so every field keeps the bits
+    of a stack of one.
+    """
+    k, n = a.shape[:2]
+    d, rows = _margins(np.abs(a))
+    tol = (1e-12 * rows.max(axis=1))[:, None]
     if n >= 2:
-        off = a[~np.eye(n, dtype=bool)]
-        min_off: float | None = float(off.min())
-        max_off: float | None = float(off.max())
+        # In row order, a matrix's entries after its first are n - 1 runs of
+        # n off-diagonal entries, each run followed by a diagonal one.  The
+        # runs are gathered in that order, by slicing, not by a mask over
+        # the stack, which numpy indexes entry by entry.
+        off = a.reshape(k, n * n)[:, 1:].reshape(k, n - 1, n + 1)[:, :, :n].reshape(k, -1)
+        lows, highs = off.min(axis=1).tolist(), off.max(axis=1).tolist()
     else:
-        min_off = max_off = None
-    return DominanceReport(
-        deltas=d,
-        is_dominant=bool((d >= -tol).all()),
-        is_balanced=bool((np.abs(d) <= tol).all()),
-        is_strictly_dominant=bool((d > tol).all()),
-        min_offdiag=min_off,
-        max_offdiag=max_off,
-        max_delta=float(d.max()),
-    )
+        lows = highs = [None] * k
+    # (is_dominant, is_balanced, is_strictly_dominant) of each matrix
+    flags = zip((d >= -tol).all(axis=1).tolist(), (np.abs(d) <= tol).all(axis=1).tolist(),
+                (d > tol).all(axis=1).tolist())
+    return [DominanceReport(deltas, *flag, lo, hi, top)
+            for deltas, flag, lo, hi, top in zip(d, flags, lows, highs, d.max(axis=1).tolist())]
 
 
 def inf_norm(M: SymMatrix) -> float:
@@ -445,16 +463,18 @@ def _eliminate(J: SymMatrix) -> tuple[np.ndarray, float]:
 
 def _eliminated(a: np.ndarray) -> list[SymMatrix]:
     """A :class:`SymMatrix` of each matrix of the (k, n, n) stack ``a``, its
-    ``elimination`` member filled from one :func:`_eliminate_stack` call.
+    ``dominance`` member filled from one :func:`_classify_stack` call and its
+    ``elimination`` member from one :func:`_eliminate_stack` call.
 
-    The pair goes in the instance ``__dict__``, where ``cached_property``
-    keeps it, so each member is bitwise :func:`_eliminate`'s.  A failed
+    Each value goes in the instance ``__dict__``, where ``cached_property``
+    keeps it, so each member is bitwise that of a stack of one.  A failed
     elimination is not stored: reading that member eliminates the matrix
     again, as a stack of one, and raises the same
     :class:`SingularBlockError`.
     """
     mats = [SymMatrix(m) for m in a]
-    for J, out in zip(mats, _eliminate_stack(a)):
+    for J, rep, out in zip(mats, _classify_stack(a), _eliminate_stack(a)):
+        J.__dict__["dominance"] = rep
         if not isinstance(out, SingularBlockError):
             J.__dict__["elimination"] = out
     return mats

@@ -104,9 +104,14 @@ def _pair_sums(x: np.ndarray, floor: float, out: np.ndarray | None = None) -> np
     the error, its pair and its message are those of the scan alone.
     """
     _require_finite(x, "x")
-    z = np.add(x[:, None], x[None, :], out=out)
+    n = len(x)
+    z = np.empty((n, n)) if out is None else out
+    # Each row copied, then the column added in place: x_j + x_i has the bits
+    # of x_i + x_j, and one contiguous copy beats a broadcast read of both.
+    np.copyto(z, x)
+    np.add(z, x[:, None], out=z)
     np.fill_diagonal(z, np.inf)
-    if len(x) >= 2 and (_low_pair_sum(x) >= floor or _low_pair_sum(-x) >= floor):
+    if n >= 2 and (_low_pair_sum(x) >= floor or _low_pair_sum(-x) >= floor):
         return z
     small = np.abs(z) < floor
     if small.any():

@@ -20,7 +20,7 @@ from sddkit import (AsymmetricMatrixError, BipartiteComponent, DomainError,
 from sddkit import bounds
 from sddkit.bounds import SuiteRecord
 from sddkit.graphlimit import _require_compatible
-from sddkit.matcore import _mean_with_transpose
+from sddkit.matcore import DominanceReport, _mean_with_transpose
 from sddkit.retina import DOMAIN_FLOOR, _finish
 
 # Two balanced 4x4 matrices; H differs from J in the (1,2) entry (rebalanced).
@@ -110,6 +110,28 @@ def load_matrix_by_rows(path) -> SymMatrix:
     if skew == 0.0:
         return SymMatrix(a)
     return _mean_with_transpose(a)
+
+
+def classify_by_matrix(J: SymMatrix) -> DominanceReport:
+    """``matcore.classify`` on one matrix by its own reductions (test-side
+    oracle, the per-matrix code the stacked kernel replaced)."""
+    a = np.abs(J.entries)
+    tol = 1e-12 * float(a.sum(axis=1).max())
+    d = 2.0 * a.diagonal() - a.sum(axis=1)
+    if J.n >= 2:
+        off = J.entries[~np.eye(J.n, dtype=bool)]
+        min_off, max_off = float(off.min()), float(off.max())
+    else:
+        min_off = max_off = None
+    return DominanceReport(
+        deltas=d,
+        is_dominant=bool((d >= -tol).all()),
+        is_balanced=bool((np.abs(d) <= tol).all()),
+        is_strictly_dominant=bool((d > tol).all()),
+        min_offdiag=min_off,
+        max_offdiag=max_off,
+        max_delta=float(d.max()),
+    )
 
 
 def jt_matrix(t: float) -> np.ndarray:

@@ -626,13 +626,31 @@ class TestPanelElimination:
         assert alive() is None
 
     def test_eig_suite_classifies_each_matrix_once(self, monkeypatch):
-        calls = []
-        classify = matcore.classify
-        monkeypatch.setattr(matcore, "classify",
-                            lambda J: calls.append(J.n) or classify(J))
+        # One stacked classification per same-n stack, of the stack's size,
+        # and none per matrix: classify itself is a stack of one.
+        calls = classify_stack_calls(monkeypatch)
         records = verify_suite("eig", (6, 6), trials=4, seed=11)
         assert len(records) == 4 * 5
-        assert calls == [6] * 4
+        assert all(r.report.applicable for r in records)
+        assert calls == [(4, 6, 6)]
+
+    @pytest.mark.parametrize("suite", ["det", "adjugate"])
+    def test_determinant_suites_classify_each_stack_once(self, suite, monkeypatch):
+        calls = classify_stack_calls(monkeypatch)
+        records = verify_suite(suite, (6, 6), trials=4, seed=11)
+        assert records and all(r.report.applicable for r in records)
+        assert calls == [(4, 6, 6)]
+
+
+def classify_stack_calls(monkeypatch) -> list:
+    """A list that receives the shape of each stack ``matcore._classify_stack``
+    classifies after this call, through either module's binding."""
+    calls = []
+    kernel = matcore._classify_stack
+    for module in (matcore, bounds):
+        monkeypatch.setattr(module, "_classify_stack",
+                            lambda a: calls.append(a.shape) or kernel(a))
+    return calls
 
 
 def block_pair_example(k, ell, m):
@@ -954,6 +972,39 @@ class TestVerifySuites:
         assert stacks == [(k, n - i + 1, n - i + 1) for chunk in chunks
                           for n, k in Counter(n_of[t] for t in chunk).items()
                           for i in range(1, n)]
+
+    @pytest.mark.parametrize("ell, m", [(None, None), (1.0, 3.0)])
+    def test_mixed_gate_stack_gives_each_matrix_its_own_reports(self, ell, m):
+        # Matrices that each fail one hypothesis, interleaved with ones that
+        # pass: every matrix gets exactly the reports eig_interval_check
+        # gives it alone, context key order included.
+        rng = trial_rng(211)
+        n = 6
+        not_dominant = random_dominant(rng, n).entries.copy()
+        not_dominant[2, 2] -= 20.0
+        negative_diagonal = random_balanced(rng, n).entries.copy()
+        negative_diagonal[4, 4] *= -1.0
+        unbracketed = random_dominant(rng, n).entries.copy()
+        unbracketed[0, 3] = unbracketed[3, 0] = -0.5
+        a = np.array([random_balanced(rng, n).entries, not_dominant,
+                      random_dominant(rng, n).entries, negative_diagonal,
+                      random_balanced(rng, n).entries, unbracketed,
+                      random_dominant(rng, n, margin_hi=50.0).entries])
+        blocks = range(1, n)
+        out = bounds._eig_checks(a, matcore._classify_stack(a), blocks, ell, m)
+
+        def fields(r):
+            return (r.name, bits(np.array([r.lhs, r.rhs, r.slack])).tolist(), r.holds,
+                    r.vacuous, r.applicable, list(r.context.items()))
+
+        assert len(out) == len(a)
+        for reports, entries in zip(out, a):
+            J = SymMatrix(entries)
+            assert [fields(r) for r in reports] == [
+                fields(eig_interval_check(J, ell, m, i)) for i in blocks]
+        assert [r[0].context.get("reason") for r in out] == [
+            None, "J not diagonally dominant", None, "needs a positive diagonal",
+            None, "[ell, m] does not bracket the off-diagonals", None]
 
     def test_deterministic(self):
         a = verify_suite("main", (3, 8), 10, seed=4)

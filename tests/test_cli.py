@@ -337,14 +337,15 @@ class TestDetbounds:
         assert calls == [4]
 
     def test_one_classification_per_file(self, j4_file, capsys, monkeypatch):
-        # classify finds its margins through matcore.delta, whichever module
-        # holds a binding to classify itself.
+        # classify runs the stacked kernel on a stack of one, whichever
+        # module holds a binding to classify itself.
         calls = []
-        delta = matcore.delta
-        monkeypatch.setattr(matcore, "delta", lambda J: calls.append(J.n) or delta(J))
+        kernel = matcore._classify_stack
+        monkeypatch.setattr(matcore, "_classify_stack",
+                            lambda a: calls.append(a.shape) or kernel(a))
         assert main(["detbounds", "--matrix", j4_file]) == 0
         assert "det_upper:" in capsys.readouterr().out
-        assert calls == [4]
+        assert calls == [(1, 4, 4)]
 
 
 class TestVerify:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (H4_BALANCED, J3, H3, J4_BALANCED, SingularUpdateError, bits,
-                     eigen_sym_by_jacobi, jt_matrix, load_matrix_by_rows, loewner_geq,
+                     classify_by_matrix, eigen_sym_by_jacobi, jt_matrix, load_matrix_by_rows, loewner_geq,
                      smw_update, symmetrize)
 from sddkit import (
     AsymmetricMatrixError,
@@ -185,6 +185,84 @@ class TestClassify:
     def test_single_entry_has_no_offdiag(self):
         rep = classify(SymMatrix(np.array([[4.0]])))
         assert rep.min_offdiag is None and rep.max_offdiag is None
+
+
+def report_fields(rep):
+    """Every field of a dominance report, floats as bits, with the type of
+    each scalar field."""
+    scalars = (rep.is_dominant, rep.is_balanced, rep.is_strictly_dominant,
+               rep.min_offdiag, rep.max_offdiag, rep.max_delta)
+    return (bits(rep.deltas).tolist(), rep.deltas.shape,
+            [v if v is None or isinstance(v, bool) else np.float64(v).view(np.int64).item()
+             for v in scalars],
+            [type(v) for v in scalars])
+
+
+def at_tolerance() -> np.ndarray:
+    """A 3 x 3 integer matrix of inf-norm 1e12, so tol = 1e-12 * 1e12 = 1
+    exactly, whose margins are exactly 0, +tol and -tol: dominant and
+    balanced, not strictly dominant."""
+    return np.array([[5e11, 2.5e11, 2.5e11],
+                     [2.5e11, 3.5e11 + 1, 1e11],
+                     [2.5e11, 1e11, 3.5e11 - 1]])
+
+
+class TestClassifyStack:
+    """The stacked kernel against the per-matrix classification."""
+
+    def assert_each_is_its_own(self, a):
+        reps = matcore._classify_stack(a)
+        assert len(reps) == len(a)
+        for rep, m in zip(reps, a):
+            ref = report_fields(classify_by_matrix(SymMatrix(m)))
+            assert report_fields(rep) == ref
+            assert report_fields(classify(SymMatrix(m))) == ref
+        return reps
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 16, 17, 33, 40])
+    def test_random_stacks(self, n):
+        rng = trial_rng(601, n)
+        mats = []
+        for _ in range(3):
+            noise = rng.uniform(-1.0, 1.0, (n, n))
+            neg = random_dominant(rng, n).entries.copy()
+            flip = rng.random(n) < 0.5
+            neg[flip, flip] *= -1.0
+            # off-diagonal zeros of both signs: the extremes keep the sign
+            # that a reduction in row order picks
+            zeros = np.where(rng.random((n, n)) < 0.5, 0.0, -0.0)
+            np.fill_diagonal(zeros, 1.0)
+            mats += [random_dominant(rng, n).entries, random_balanced(rng, n).entries,
+                     noise + noise.T, neg, zeros]
+        reps = self.assert_each_is_its_own(np.array(mats))
+        assert {(r.is_dominant, r.is_balanced) for r in reps[1::5]} == {(True, True)}
+        if n == 1:
+            assert all(r.min_offdiag is None and r.max_offdiag is None for r in reps)
+
+    def test_margins_exactly_at_tolerance(self):
+        a = at_tolerance()
+        assert classify_by_matrix(SymMatrix(a)).deltas.tolist() == [0.0, 1.0, -1.0]
+        past = a.copy()
+        past[2, 2] -= 1.0   # margin -2 tol: not dominant
+        over = a.copy()
+        over[1, 1] += 1.0   # margin +2 tol: dominant, not balanced
+        strict = a + 2.0 * np.eye(3)
+        reps = self.assert_each_is_its_own(np.array([a, past, over, strict, a[::-1, ::-1]]))
+        assert [(r.is_dominant, r.is_balanced, r.is_strictly_dominant) for r in reps] == [
+            (True, True, False), (False, False, False), (True, False, False),
+            (True, False, False), (True, True, False)]
+
+    def test_mixed_scales_keep_each_matrix_its_tolerance(self):
+        # A tolerance taken over the whole stack would make the small
+        # matrices' margins of -2 tol vanish next to the large one's norm.
+        a = at_tolerance()
+        past = a.copy()
+        past[2, 2] -= 1.0
+        big = 2.0 ** 60 * random_dominant(trial_rng(607), 3).entries
+        mats = [2.0 ** -60 * past, big, 2.0 ** -60 * a, 2.0 ** 60 * past, a]
+        reps = self.assert_each_is_its_own(np.array(mats))
+        assert [r.is_dominant for r in reps] == [False, True, True, False, True]
+        assert [r.is_balanced for r in reps[2::2]] == [True, True]
 
 
 class TestInverseDense:
