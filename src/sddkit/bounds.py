@@ -165,7 +165,7 @@ def varah_bound(J: SymMatrix) -> BoundReport:
         return _inapplicable("varah", "not strictly diagonally dominant", n=J.n,
                              min_delta=float(d.min()))
     lhs = J.inv_inf_norm
-    rhs = float(1.0 / d.min())
+    rhs = 1.0 / float(d.min())
     return _report("varah", lhs, rhs, n=J.n, min_delta=float(d.min()))
 
 
@@ -566,7 +566,7 @@ def _draw(suite: str, trial: int, rng, n: int) -> tuple[dict, np.ndarray | None,
     if suite == "varah":
         return {}, randmat.draw_sdd(rng, n, margin_lo=0.05), None
     if suite == "main":
-        # J is S plus the drawn SDD increment (randmat.random_geq_sform).
+        # J is S plus the drawn SDD increment, so J >= S entrywise.
         ell = float(rng.uniform(0.5, 2.0))
         alpha = (n - 2) * ell + float(rng.uniform(0.0, 2.0 * ell))
         return ({"alpha": alpha, "ell": ell}, randmat.draw_sdd(rng, n, 0.0, 2.0 * ell),

@@ -58,7 +58,8 @@ class AsymmetricMatrixError(MatrixError):
 
 
 class SingularMatrixError(MatrixError):
-    """Matrix is singular to working precision.
+    """Matrix is singular to working precision, or its inverse has an entry
+    past the float range.
 
     Carries the smallest pivot in ``pivot``: the magnitude of the smallest LU
     pivot, or the smallest squared Cholesky pivot (the failing, non-positive
@@ -286,14 +287,16 @@ def _floor(size, norm):
     return size * _EPS * np.maximum(norm, _TINY)
 
 
-def _check_pivot(smallest: float, n: int, norm: float, failed: bool = False) -> None:
+def _check_pivot(smallest: float, n: int, norm: float, failed: bool = False,
+                 e: int = 0) -> None:
     """Raise :class:`SingularMatrixError` if the factorization ``failed`` or
     the smallest pivot of an n x n matrix of infinity norm ``norm`` is at or
-    below its :func:`_floor`."""
+    below its :func:`_floor`; the error carries the pivot times 2^e."""
     if failed or smallest <= _floor(n, norm):
+        pivot = math.ldexp(smallest, e)
         raise SingularMatrixError(
-            f"matrix singular to working precision (pivot {smallest:.3e})",
-            pivot=smallest,
+            f"matrix singular to working precision (pivot {pivot:.3e})",
+            pivot=pivot,
         )
 
 
@@ -301,24 +304,41 @@ def inverse_dense(J: SymMatrix) -> SymMatrix:
     """Invert via pivoted LU and re-symmetrize the result.
 
     Pivoted LU (rather than Cholesky) so the same oracle inverts indefinite
-    matrices.  Raises :class:`SingularMatrixError` carrying the smallest
-    pivot magnitude when the matrix is singular to working precision.
+    matrices.  J is prescaled by a power of two (:func:`_prescaled`) and the
+    inverse scaled back, which leaves every result in the normal range with
+    the bits of the unscaled LU, and keeps the LU of entries near either end
+    of the float range off subnormal numbers and infinities.  Raises
+    :class:`SingularMatrixError` carrying the smallest pivot magnitude, in
+    J's units, when J is singular to working precision, or when an entry of
+    its inverse is past the float range.
     """
-    a = J.entries
     n = J.n
+    # J is symmetric, so its transpose is the same matrix in Fortran order:
+    # the scaled copy is factored in place, and its transpose is C-ordered,
+    # so the norm sums each row as inf_norm does.
+    scaled, e = _prescaled(J.entries.T)
+    e = int(e)
+    norm = float(np.abs(scaled.T).sum(axis=1).max())
     with warnings.catch_warnings():
         # Exactly singular input triggers a scipy warning before our own
         # pivot check runs; the check below raises in that case.
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    _check_pivot(float(np.abs(lu.diagonal()).min()), n, inf_norm(J))
+        lu, piv = scipy.linalg.lu_factor(scaled, overwrite_a=True, check_finite=False)
+    smallest = float(np.abs(lu.diagonal()).min())
+    _check_pivot(smallest, n, norm, e=e)
     # Solve into a Fortran-ordered identity in place, so LAPACK needs no
     # copy of it, and free the factor before the mean takes its scratch.
     # The solve is asymmetric only by roundoff, which grows with the
     # condition number, so no skew guard applies.
     inv = scipy.linalg.lu_solve((lu, piv), np.eye(n, order="F"),
                                 overwrite_b=True, check_finite=False)
-    del lu
+    del lu, scaled
+    with np.errstate(over="ignore"):
+        np.ldexp(inv, -e, out=inv)
+    if not np.isfinite(inv).all():
+        pivot = math.ldexp(smallest, e)
+        raise SingularMatrixError(
+            f"inverse past the float range (pivot {pivot:.3e})", pivot=pivot)
     return _mean_with_transpose(inv)
 
 
@@ -366,13 +386,15 @@ def _pivot_floors(a: np.ndarray) -> np.ndarray:
 
 
 def _prescaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each matrix of the stack ``a`` times 2^-e, and e, the exponent
-    (``frexp``'s) of the matrix's largest |a_ij|.
+    """Each matrix of the stack ``a``, or the one matrix ``a``, times 2^-e,
+    and e, the exponent (``frexp``'s) of the matrix's largest |a_ij|.
 
-    A power of two scales every product, quotient and sum of the
-    elimination, and its floors, exactly while they stay normal, so the
-    pivots' ratios to the diagonal keep their bits; and entries near the
-    largest float no longer overflow in the updates.
+    A power of two scales every product, quotient and sum of an
+    elimination or LU, and its floors, exactly while they stay normal, so
+    the pivots' ratios to the diagonal keep their bits; entries near the
+    largest float no longer overflow in the updates, and the updates of
+    entries near the smallest normal float no longer lose bits as
+    subnormal numbers.
     """
     _, e = np.frexp(np.abs(a).max(axis=(-2, -1)))
     return np.ldexp(a, -e[..., None, None]), e

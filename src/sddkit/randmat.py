@@ -4,8 +4,7 @@ Every generator takes a numpy Generator so suites can derive per-trial
 streams from (seed, trial-index) and stay deterministic regardless of
 execution order.  An SDD instance is drawn per trial (:func:`draw_sdd`) and
 built by one stacked assembly (:func:`assemble_sdd`): the seeded-trial
-engine assembles a whole group of trials at once, and each single-matrix
-generator assembles a stack of one.
+engine assembles a whole group of trials at once.
 
 A trial's generator is ``default_rng([*prefix, t])`` (:func:`trial_rng`).
 Building one costs a ``SeedSequence`` hash and a PCG64 seeding, more than a
@@ -22,8 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import SymMatrix
-from .sform import SForm, sform_dense
 from .graphlimit import LoopGraph
 
 __all__ = [
@@ -31,10 +28,6 @@ __all__ = [
     "trial_rngs",
     "draw_sdd",
     "assemble_sdd",
-    "random_balanced",
-    "random_dominant",
-    "random_strictly_dominant",
-    "random_geq_sform",
     "random_loop_graph",
 ]
 
@@ -161,43 +154,6 @@ def assemble_sdd(draws: np.ndarray) -> np.ndarray:
     i = np.arange(draws.shape[-1])
     off[..., i, i] = off.sum(axis=-1) + draws[..., i, i]
     return off
-
-
-def _one(draws: np.ndarray) -> SymMatrix:
-    """The matrix of one instance's draws, assembled as a stack of one."""
-    return SymMatrix(assemble_sdd(draws[None])[0])
-
-
-def random_balanced(rng, n: int, lo: float = 1.0, hi: float = 3.0) -> SymMatrix:
-    """Positive symmetric matrix with every dominance margin exactly zero."""
-    return _one(draw_sdd(rng, n, lo, hi, balanced=True))
-
-
-def random_dominant(rng, n: int, lo: float = 1.0, hi: float = 3.0,
-                    margin_hi: float = 2.0) -> SymMatrix:
-    """Positive SDD matrix with margins uniform in [0, margin_hi]."""
-    return _one(draw_sdd(rng, n, lo, hi, margin_hi=margin_hi))
-
-
-def random_strictly_dominant(rng, n: int) -> SymMatrix:
-    """Positive SDD matrix with off-diagonals uniform in [1, 3] and margins
-    uniform in [0.05, 2], so bounded away from zero."""
-    return _one(draw_sdd(rng, n, margin_lo=0.05))
-
-
-def random_geq_sform(rng, S: SForm, bump_hi: float = 2.0,
-                     nonzero: bool = False) -> SymMatrix:
-    """SDD matrix entrywise >= the dense realization of S.
-
-    Adds a nonnegative SDD increment (off-diagonal bumps in [0, bump_hi],
-    extra margins in [0, 2]); with ``nonzero`` the increment is guaranteed
-    to be nonzero so the result differs from S.
-    """
-    while True:
-        inc = assemble_sdd(draw_sdd(rng, S.n, 0.0, bump_hi)[None])[0]
-        if not nonzero or inc.max() > 0:
-            break
-    return SymMatrix(sform_dense(S).entries + inc)
 
 
 def random_loop_graph(rng, n: int, p_edge: float = 0.3,

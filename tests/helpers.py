@@ -1,6 +1,7 @@
 """Shared fixtures: reference matrices, small graphs, and test-side oracles."""
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,14 +14,14 @@ from sddkit import (AsymmetricMatrixError, BipartiteComponent, DomainError,
                     SingularBlockError, SingularMatrixError, SymMatrix,
                     adjugate_bound, analyze_bipartition, block_det_ratio,
                     condition_bound, det_lower_bound, det_upper_bound_balanced,
-                    eig_interval_check, eigen_sym, incidence, inverse_dense,
+                    eig_interval_check, eigen_sym, incidence, inf_norm, inverse_dense,
                     lower_bound_trivial, main_bound, randmat, sform_dense,
                     sform_inf_norm_inverse, sform_inverse, signless_laplacian,
                     spectral_route_bound, varah_bound, xi_functional)
 from sddkit import bounds
 from sddkit.bounds import SuiteRecord
 from sddkit.graphlimit import _require_compatible
-from sddkit.matcore import DominanceReport, _mean_with_transpose
+from sddkit.matcore import DominanceReport, _check_pivot, _mean_with_transpose
 from sddkit.retina import DOMAIN_FLOOR, _finish
 
 # Two balanced 4x4 matrices; H differs from J in the (1,2) entry (rebalanced).
@@ -41,6 +42,47 @@ H4_BALANCED = SymMatrix(np.array([
 # 3x3 pair where the (1,2) entry was lowered without rebalancing.
 J3 = SymMatrix(np.array([[3, 2, 1], [2, 3, 1], [1, 1, 2]], dtype=float))
 H3 = SymMatrix(np.array([[3, 1, 1], [1, 3, 1], [1, 1, 2]], dtype=float))
+
+
+# Single seeded instances: one randmat.draw_sdd draw, assembled by
+# randmat.assemble_sdd as a stack of one, as the trial engine builds them.
+
+def assembled(draws: np.ndarray) -> SymMatrix:
+    """The matrix of one instance's :func:`randmat.draw_sdd` draws."""
+    return SymMatrix(randmat.assemble_sdd(draws[None])[0])
+
+
+def random_balanced(rng, n: int, lo: float = 1.0, hi: float = 3.0) -> SymMatrix:
+    """Positive symmetric matrix with every dominance margin exactly zero."""
+    return assembled(randmat.draw_sdd(rng, n, lo, hi, balanced=True))
+
+
+def random_dominant(rng, n: int, lo: float = 1.0, hi: float = 3.0,
+                    margin_hi: float = 2.0) -> SymMatrix:
+    """Positive SDD matrix with margins uniform in [0, margin_hi]."""
+    return assembled(randmat.draw_sdd(rng, n, lo, hi, margin_hi=margin_hi))
+
+
+def random_geq_sform(rng, S: SForm, bump_hi: float = 2.0,
+                     nonzero: bool = False) -> SymMatrix:
+    """SDD matrix entrywise >= the dense realization of S.
+
+    Adds a nonnegative SDD increment (off-diagonal bumps in [0, bump_hi],
+    extra margins in [0, 2]); with ``nonzero`` the increment is guaranteed
+    to be nonzero so the result differs from S.
+    """
+    while True:
+        inc = randmat.assemble_sdd(randmat.draw_sdd(rng, S.n, 0.0, bump_hi)[None])[0]
+        if not nonzero or inc.max() > 0:
+            break
+    return SymMatrix(sform_dense(S).entries + inc)
+
+
+def tiny_strictly_dominant(shift: int) -> SymMatrix:
+    """The n = 60 strictly dominant instance of ``trial_rng(1, 60)`` (margins
+    in [0.05, 2]) times 2^-shift: near the bottom of the float range."""
+    draws = randmat.draw_sdd(randmat.trial_rng(1, 60), 60, margin_lo=0.05)
+    return SymMatrix(np.ldexp(assembled(draws).entries, -shift))
 
 
 def symmetrize(entries: np.ndarray) -> SymMatrix:
@@ -143,12 +185,17 @@ def jt_matrix(t: float) -> np.ndarray:
     ], dtype=float)
 
 
-def jt_inverse_closed(t: float) -> np.ndarray:
-    return 0.25 * np.array([
-        [(t + 3) / (t + 1), (t - 1) / (t + 1), -t - 1],
-        [(t - 1) / (t + 1), (t + 3) / (t + 1), -t - 1],
-        [-1, -1, t + 3],
-    ])
+def inverse_by_unscaled_lu(J: SymMatrix) -> SymMatrix:
+    """``inverse_dense`` without its power-of-two prescale (test-side
+    oracle, its former expression): the LU of J itself, its smallest pivot
+    judged against J's own floor."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(J.entries, check_finite=False)
+    _check_pivot(float(np.abs(lu.diagonal()).min()), J.n, inf_norm(J))
+    inv = scipy.linalg.lu_solve((lu, piv), np.eye(J.n, order="F"),
+                                overwrite_b=True, check_finite=False)
+    return _mean_with_transpose(inv)
 
 
 def general_inverse(a: np.ndarray) -> np.ndarray:
@@ -659,11 +706,10 @@ def conjecture_search_ledger(mode: str, trials: int, seed: int) -> ConjectureLed
             if t == 0:
                 J = sform_dense(SForm(n, alpha, m))
             else:
-                J = randmat.random_dominant(rng, n, lo=0.05 * m, hi=m,
-                                            margin_hi=margin_cap)
+                J = random_dominant(rng, n, lo=0.05 * m, hi=m, margin_hi=margin_cap)
             records.append(_lower_norm_record(t, J, alpha, m))
         else:
-            J = randmat.random_balanced(rng, n, lo=0.2, hi=3.0)
+            J = random_balanced(rng, n, lo=0.2, hi=3.0)
             records.append(_det_upper_record(t, J))
     min_slack = min(r.slack for r in records)
     violations = [r.trial for r in records if r.violation]
@@ -682,46 +728,45 @@ def suite_records_one_by_one(suite: str, trial: int, rng, n: int) -> list:
         margin_cap = float(rng.uniform(0.0, 2.0 * m))
         alpha = (n - 2) * m + margin_cap
         S = SForm(n, alpha, m)
-        J = sform_dense(S) if trial == 0 else randmat.random_dominant(
+        J = sform_dense(S) if trial == 0 else random_dominant(
             rng, n, lo=0.05 * m, hi=m, margin_hi=margin_cap)
         return [({"alpha": alpha, "m": m},
                  bounds._report("lower_norm_conjecture", sform_inf_norm_inverse(S),
                                 J.inv_inf_norm, n=n))]
     if suite == "det_upper":
-        _, ratio = block_det_ratio(randmat.random_balanced(rng, n, lo=0.2, hi=3.0))
+        _, ratio = block_det_ratio(random_balanced(rng, n, lo=0.2, hi=3.0))
         return [({}, bounds._report("det_upper_conjecture", ratio,
                                     2.0 * (1.0 - 1.0 / (n - 1)) ** (n - 1), n=n))]
     if suite == "varah":
-        return [({}, varah_bound(randmat.random_strictly_dominant(rng, n)))]
+        return [({}, varah_bound(assembled(randmat.draw_sdd(rng, n, margin_lo=0.05))))]
     if suite == "main":
         ell = float(rng.uniform(0.5, 2.0))
         alpha = (n - 2) * ell + float(rng.uniform(0.0, 2.0 * ell))
         S = SForm(n, alpha, ell)
-        J = randmat.random_geq_sform(rng, S, bump_hi=2.0 * ell)
+        J = random_geq_sform(rng, S, bump_hi=2.0 * ell)
         return [({"alpha": alpha, "ell": ell}, main_bound(J, S))]
     if suite == "lower":
-        return [({}, lower_bound_trivial(randmat.random_dominant(rng, n)))]
+        return [({}, lower_bound_trivial(random_dominant(rng, n)))]
     if suite == "spectral":
         ell = float(rng.uniform(0.3, 1.5))
-        J = randmat.random_dominant(rng, n, lo=ell, hi=3.0 * ell)
+        J = random_dominant(rng, n, lo=ell, hi=3.0 * ell)
         return [({"ell": ell}, spectral_route_bound(J, ell))]
     if suite == "cond":
-        return [({}, condition_bound(randmat.random_dominant(rng, n)))]
+        return [({}, condition_bound(random_dominant(rng, n)))]
     if suite == "eig":
         balanced = trial % 2 == 0
-        J = (randmat.random_balanced(rng, n) if balanced
-             else randmat.random_dominant(rng, n))
+        J = random_balanced(rng, n) if balanced else random_dominant(rng, n)
         return [({"i": i, "balanced": balanced}, eig_interval_check(J, i=i))
                 for i in range(1, n)]
     if suite == "det":
         if trial % 2 == 0:
-            J = randmat.random_balanced(rng, n)
+            J = random_balanced(rng, n)
             return [({"balanced": True}, det_lower_bound(J)),
                     ({"balanced": True}, det_upper_bound_balanced(J))]
-        J = randmat.random_dominant(rng, n)
+        J = random_dominant(rng, n)
         return [({"balanced": False}, det_lower_bound(J))]
     if suite == "adjugate":
-        return [({}, adjugate_bound(randmat.random_balanced(rng, n)))]
+        return [({}, adjugate_bound(random_balanced(rng, n)))]
     assert suite == "xi", suite
     ell = float(rng.uniform(0.5, 2.0))
     alpha = (n - 2) * ell * (1.0 + float(rng.uniform(0.0, 1.0)))

@@ -17,6 +17,9 @@ from helpers import (
     chain_cycle,
     general_inverse,
     jt_matrix,
+    random_balanced,
+    random_dominant,
+    random_geq_sform,
     star,
 )
 from sddkit import (
@@ -49,13 +52,7 @@ from sddkit import (
     xi_functional,
 )
 from sddkit.retina import RetinaProblem, consistency_experiment
-from sddkit.randmat import (
-    random_balanced,
-    random_dominant,
-    random_geq_sform,
-    random_loop_graph,
-    trial_rng,
-)
+from sddkit.randmat import random_loop_graph, trial_rng
 
 SEED = 20260811
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 
 from helpers import (J4_BALANCED, bits, block_det_ratio_by_inverses,
                      block_det_ratio_unblocked, chain_cycle, conjecture_search_ledger,
+                     random_balanced, random_dominant, tiny_strictly_dominant,
                      trials_one_by_one)
 from sddkit import (
     EigenConvergenceError,
@@ -37,7 +39,7 @@ from sddkit import (
 )
 from sddkit import bounds, matcore
 from sddkit.bounds import CONJECTURES, SUITES
-from sddkit.randmat import random_balanced, random_dominant, trial_rng
+from sddkit.randmat import trial_rng
 
 
 def ones_plus(alpha, n):
@@ -66,6 +68,15 @@ class TestVarah:
         r = varah_bound(SymMatrix(10.0 * np.eye(3)))
         assert r.holds and r.lhs == pytest.approx(r.rhs, abs=1e-15)
         assert r.slack == pytest.approx(0.0, abs=1e-15)
+
+    def test_margin_without_a_finite_reciprocal_warns_nothing(self):
+        # The smallest margin is below 1 / max float, about 5.6e-309.
+        J = tiny_strictly_dominant(1022)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = varah_bound(J)
+        assert r.applicable and r.holds and r.rhs == math.inf
+        assert math.isfinite(r.lhs)
 
     def test_balanced_inapplicable(self):
         r = varah_bound(ones_plus(2, 4))

@@ -9,13 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (J4_BALANCED, bits, format_matrix_by_entries, jt_matrix,
-                     limit_test_graph, print_matrix_by_blocks)
+                     limit_test_graph, print_matrix_by_blocks, random_balanced,
+                     random_dominant)
 from sddkit import (SForm, analyze_bipartition, limit_closed_form,
                     limit_numeric, limit_u_route, save_graph, save_matrix,
                     SymMatrix)
 from sddkit import bounds, cli, matcore, retina
 from sddkit.cli import _print_matrix, main
-from sddkit.randmat import random_balanced, random_dominant, trial_rng
+from sddkit.randmat import trial_rng
 
 
 @pytest.fixture
@@ -70,6 +71,16 @@ class TestInspect:
         lines = capsys.readouterr().out.splitlines()
         assert lines[:4] == [f"matrix: {path} (n=1)", "classification: strictly dominant",
                              "deltas: 2", "off-diagonal: none (n=1)"]
+
+    def test_inverse_past_the_float_range_exits_one(self, tmp_path, capsys):
+        # The true inf_norm(J^{-1}) is about 3.9e309.
+        path = tmp_path / "tiny.txt"
+        save_matrix(SymMatrix(1e-310 * (3.0 * np.eye(3) + np.ones((3, 3)))), path)
+        assert main(["inspect", "--matrix", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1].startswith(
+            "inverse: FAILED (inverse past the float range")
+        assert captured.err == ""
 
     def test_singular_matrix_exits_one(self, tmp_path, capsys):
         path = tmp_path / "sing.txt"

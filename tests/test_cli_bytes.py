@@ -15,10 +15,9 @@ import io
 import numpy as np
 import pytest
 
-from helpers import limit_test_graph
+from helpers import limit_test_graph, random_balanced, random_dominant
 from sddkit import save_graph, save_matrix
 from sddkit.cli import main
-from sddkit.randmat import random_balanced, random_dominant
 
 MATRICES = [f"{kind}{n}.txt" for kind in ("balanced", "dominant") for n in (12, 40)]
 

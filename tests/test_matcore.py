@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from helpers import (H4_BALANCED, J3, H3, J4_BALANCED, SingularUpdateError, bits,
                      classify_by_matrix, eigen_sym_by_jacobi, jt_matrix, load_matrix_by_rows, loewner_geq,
-                     smw_update, symmetrize)
+                     inverse_by_unscaled_lu, random_balanced, random_dominant, smw_update,
+                     symmetrize, tiny_strictly_dominant)
 from sddkit import (
     AsymmetricMatrixError,
     EigenConvergenceError,
@@ -31,7 +32,7 @@ from sddkit import (
     save_matrix,
 )
 from sddkit import matcore
-from sddkit.randmat import random_balanced, random_dominant, trial_rng
+from sddkit.randmat import trial_rng
 
 
 def ones_plus(alpha, n):
@@ -327,6 +328,44 @@ class TestInverseDenseBits:
         a = a + a.T + 1e-12 * rng.standard_normal((n, n))
         np.testing.assert_array_equal(bits(symmetrize(a).entries),
                                       bits((a + a.T) / 2.0))
+
+
+class TestInverseDensePrescale:
+    @pytest.mark.parametrize("n", [*range(1, 41), 64, 120, 300])
+    def test_bitwise_equal_to_unscaled_lu_in_the_normal_range(self, n):
+        rng = trial_rng(n, 5)
+        for J in (random_dominant(rng, n), random_balanced(rng, n),
+                  random_dominant(rng, n, lo=1e-3, hi=1e3, margin_hi=1e-6)):
+            try:
+                expect = inverse_by_unscaled_lu(J)
+            except SingularMatrixError as exc:
+                with pytest.raises(SingularMatrixError) as err:
+                    inverse_dense(J)
+                assert err.value.pivot == exc.pivot and str(err.value) == str(exc)
+                continue
+            np.testing.assert_array_equal(bits(inverse_dense(J).entries), bits(expect.entries))
+
+    def test_inverse_past_the_float_range_is_singular(self):
+        # The true inf_norm(J^{-1}) is about 3.9e309.
+        J = SymMatrix(1e-310 * (3.0 * np.eye(3) + np.ones((3, 3))))
+        with pytest.raises(SingularMatrixError, match="past the float range") as err:
+            inverse_dense(J)
+        assert err.value.pivot == pytest.approx(3.6e-310, rel=1e-12)
+
+    def test_subnormal_entries_keep_the_inverse_norm(self):
+        # The LU of the subnormal entries themselves returns the diagonal
+        # unchanged; the norm came out 0.908 times the true one.
+        J = tiny_strictly_dominant(1030)
+        exact = math.ldexp(inf_norm(inverse_dense(SymMatrix(np.ldexp(J.entries, 1030)))), 1030)
+        assert J.inv_inf_norm == pytest.approx(exact, rel=1e-14)
+
+    def test_singular_pivot_is_in_the_matrix_units(self):
+        with pytest.raises(SingularMatrixError) as err:
+            inverse_dense(SymMatrix(np.full((2, 2), 2.0 ** -1070)))
+        assert err.value.pivot == 0.0
+        with pytest.raises(SingularMatrixError) as err:
+            inverse_dense(SymMatrix(np.diag([2.0 ** 900, 2.0 ** 800, 2.0 ** 700])))
+        assert err.value.pivot == 2.0 ** 700
 
 
 class TestInfNorm:

@@ -1,10 +1,14 @@
-"""``randmat.trial_rngs`` against numpy's own seeding, bit for bit."""
+"""The seeded instances: ``randmat.trial_rngs`` against numpy's own
+seeding, bit for bit, and the SDD matrices that ``draw_sdd`` draws and
+``assemble_sdd`` builds."""
 
 import numpy as np
 import pytest
 
+from helpers import bits
 from sddkit import bounds
-from sddkit.randmat import trial_rng, trial_rngs
+from sddkit.matcore import _classify_stack
+from sddkit.randmat import assemble_sdd, draw_sdd, trial_rng, trial_rngs
 
 INDICES = [*range(701), 2 ** 32 - 1]
 
@@ -64,3 +68,33 @@ class TestTrialRngs:
         with pytest.raises(ValueError):
             seq.generate_state(8)
         assert seq.generate_state(4, np.uint64).dtype == np.uint64
+
+
+KINDS = [{}, {"balanced": True}, {"margin_lo": 0.05}, {"lo": 0.0, "hi": 2.0}]
+
+
+class TestAssembleSdd:
+    @pytest.mark.parametrize("kind", KINDS, ids=["default", "balanced", "strict", "from_zero"])
+    @pytest.mark.parametrize("n", [*range(1, 41), 64])
+    def test_stack_of_draws(self, n, kind):
+        draws = np.array([draw_sdd(trial_rng(n, t), n, **kind) for t in range(5)])
+        a = assemble_sdd(draws)
+        # each matrix is its draw assembled as a stack of one
+        for m, d in zip(a, draws):
+            np.testing.assert_array_equal(bits(m), bits(assemble_sdd(d[None])[0]))
+        # the strict lower triangle of the draws is not read
+        scribbled = draws.copy()
+        lower = np.tril_indices(n, -1)
+        scribbled[:, lower[0], lower[1]] = -7.0
+        np.testing.assert_array_equal(bits(assemble_sdd(scribbled)), bits(a))
+        # exactly symmetric, with the draws' strict upper triangle
+        np.testing.assert_array_equal(bits(a), bits(np.swapaxes(a, 1, 2)))
+        upper = np.triu_indices(n, 1)
+        np.testing.assert_array_equal(bits(a[:, upper[0], upper[1]]),
+                                      bits(draws[:, upper[0], upper[1]]))
+        for rep in _classify_stack(a):
+            assert rep.is_dominant
+            if kind.get("balanced"):
+                assert rep.is_balanced
+            if kind.get("margin_lo", 0.0) > 0:
+                assert rep.is_strictly_dominant

@@ -11,8 +11,8 @@ from sddkit import (
     sform_inf_norm_inverse,
     sform_inverse,
 )
-from helpers import bits
-from sddkit.randmat import random_geq_sform, trial_rng
+from helpers import bits, random_geq_sform
+from sddkit.randmat import trial_rng
 
 
 class TestSFormType:
