@@ -16,17 +16,12 @@ One seeded-trial engine runs both the verification suites
 inequalities (:func:`conjecture_search`); each yields a list of
 :class:`SuiteRecord`, one per report.  The engine draws its trials in
 chunks and analyses each chunk's matrices of one size as one stack, with
-the same records, bit for bit, as running the trials one by one.  Every
-suite has one analysis shape: an optional kernel call that turns the
-stack into one item per trial, then a per-trial function of that item.
-No suite classifies its matrices one by one: the determinant suites
-classify and eliminate each stack at once
-(:func:`sddkit.matcore._eliminated`) and then call the public bounds, which
-read each matrix's dominance report and elimination; the eig suite
-classifies the raw stack (:func:`sddkit.matcore._classify_stack`), gates
-each report, and solves the matrices that pass in one stacked check that
-:func:`eig_interval_check` runs as a stack of one.  Every bound has one
-implementation, and one gate (``_gate``) serves them all.
+the same records, bit for bit, as running the trials one by one: the
+matrix suites call the public bounds on the stack's matrices
+(:func:`sddkit.matcore._stack_of`), and the eig suite gates the raw
+stack's reports and solves the matrices that pass in one stacked check,
+which :func:`eig_interval_check` runs as a stack of one.  Every bound has
+one implementation, and one gate (``_gate``) serves them all.
 """
 
 from __future__ import annotations
@@ -44,8 +39,9 @@ from .matcore import (
     _classify_stack,
     _eigen_stack,
     _eliminate_stack,
-    _eliminated,
     _floor,
+    _prescaled,
+    _stack_of,
     eigen_sym,
     inf_norm,
 )
@@ -346,29 +342,28 @@ def block_det_ratio(J: SymMatrix) -> tuple[np.ndarray, float]:
     blocks are nested.  The pivot of row 1 is only a factor: a singular J
     whose trailing blocks are nonsingular gives ratio 0.
 
-    A pivot is singular unless its magnitude exceeds the floor, so a NaN
-    pivot is singular too.  Each matrix is first scaled by a power of two
-    that brings its largest entry into [0.5, 1): the factors keep their
-    bits, and entries near the largest float no longer overflow to a NaN
-    ratio.  The elimination runs in panels of 32 rows
-    (``matcore._PANEL``) on a whole stack of same-size matrices at once
-    (:func:`sddkit.matcore._eliminate_stack`): the seeded-trial engine
-    passes its stacks (:func:`sddkit.matcore._eliminated` stores each
-    matrix's pair in its ``elimination`` member), and a single matrix runs
-    as a stack of one.  Each matrix gets the same bits either way.
-
-    Returns ``J.elimination``, so each matrix is eliminated once and every
-    determinant bound reads the same pair, with ``factors`` read-only.
+    A NaN pivot is singular too, and J is prescaled by a power of two, so
+    entries near the largest float do not overflow to a NaN ratio.  The
+    elimination runs on J's whole stack at once (``J.elimination``), and
+    every determinant bound reads the same pair, ``factors`` read-only.
     """
     return J.elimination
 
 
 def det_ratio_lu(J: SymMatrix) -> float:
-    """det(J) / prod(J_ii) via the LU determinant (log-scaled for safety)."""
-    diag = J.entries.diagonal()
-    if (diag <= 0).any():
+    """det(J) / prod(J_ii) via the LU determinant (log-scaled for safety).
+
+    The ratio is scale-free, so a J whose largest |J_ij| is outside
+    [2^-960, 2^960] is first scaled into [0.5, 1) by a power of two, which
+    keeps its LU off subnormal numbers and overflow; any other J is not.
+    """
+    a = J.entries
+    if (a.diagonal() <= 0).any():
         raise MatrixError("determinant ratio needs positive diagonal entries")
-    sign, logabs = np.linalg.slogdet(J.entries)
+    if not 2.0 ** -960 <= np.abs(a).max() <= 2.0 ** 960:
+        a = _prescaled(a)[0]
+    diag = a.diagonal()
+    sign, logabs = np.linalg.slogdet(a)
     if sign == 0:
         return 0.0
     return float(sign * np.exp(logabs - np.log(diag).sum()))
@@ -590,10 +585,9 @@ def _draw(suite: str, trial: int, rng, n: int) -> tuple[dict, np.ndarray | None,
     return {"alpha": alpha, "ell": ell, "edges": G.num_edges}, None, (SForm(n, alpha, ell), G)
 
 
-def _lower_norm_records(params, a, S):
-    J = sform_dense(S) if a is None else SymMatrix(a)
+def _lower_norm_records(params, J, S):
     return [(params, _report("lower_norm_conjecture", sform_inf_norm_inverse(S),
-                             J.inv_inf_norm, n=S.n))]
+                             (J or sform_dense(S)).inv_inf_norm, n=S.n))]
 
 
 def _det_upper_records(params, elimination, _):
@@ -624,22 +618,22 @@ def _xi_records(params, a, extra):
 # ``records(params, item, extra)`` gives one trial's (params, report) pairs
 # from its item, else from its assembled matrix (None when it drew none).
 # An item that is an exception is raised as its trial's error.  det_upper
-# looks ``_eliminate_stack`` up when it runs, so a patched kernel is used.
+# builds no SymMatrix, and looks ``_eliminate_stack`` up when it runs.
 _ANALYSES = {
-    "lower_norm": (_lower_norm_records, None),
+    "lower_norm": (_lower_norm_records, _stack_of),
     "det_upper": (_det_upper_records, lambda a: _eliminate_stack(a)),
-    "varah": (lambda params, a, _: [(params, varah_bound(SymMatrix(a)))], None),
+    "varah": (lambda params, J, _: [(params, varah_bound(J))], _stack_of),
     "main": (lambda params, a, S: [
         (params, main_bound(SymMatrix(sform_dense(S).entries + a), S))], None),
-    "lower": (lambda params, a, _: [(params, lower_bound_trivial(SymMatrix(a)))], None),
-    "spectral": (lambda params, a, _: [
-        (params, spectral_route_bound(SymMatrix(a), params["ell"]))], None),
-    "cond": (lambda params, a, _: [(params, condition_bound(SymMatrix(a)))], None),
+    "lower": (lambda params, J, _: [(params, lower_bound_trivial(J))], _stack_of),
+    "spectral": (lambda params, J, _: [
+        (params, spectral_route_bound(J, params["ell"]))], _stack_of),
+    "cond": (lambda params, J, _: [(params, condition_bound(J))], _stack_of),
     "eig": (lambda params, reports, _: [({"i": i, **params}, r)
                                         for i, r in enumerate(reports, 1)],
             lambda a: _eig_checks(a, _classify_stack(a), range(1, a.shape[1]))),
-    "det": (_det_records, _eliminated),
-    "adjugate": (lambda params, J, _: [(params, adjugate_bound(J))], _eliminated),
+    "det": (_det_records, _stack_of),
+    "adjugate": (lambda params, J, _: [(params, adjugate_bound(J))], _stack_of),
     "xi": (_xi_records, None),
 }
 

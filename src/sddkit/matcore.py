@@ -2,19 +2,16 @@
 
 Construction and validation of symmetric matrices, diagonal-dominance
 diagnostics, an LU-based inversion oracle and a Cholesky inverse for
-positive definite input, infinity norms, the LAPACK
-symmetric eigensolver with a per-pair residual certificate, and matrix
-text I/O.  The dominance classification, the eigensolver and the SDD
-elimination each run as one kernel on stacks of same-size matrices,
-whatever the size (:func:`_classify_stack`, :func:`_eigen_stack`,
-:func:`_eliminate_stack`); one matrix is a stack of one.
+positive definite input, infinity norms, the LAPACK symmetric eigensolver
+with a per-pair residual certificate, and matrix text I/O.
 
-A :class:`SymMatrix` never changes, so it carries its own analysis, each
-part computed on first use and kept for the matrix's lifetime: the
+A :class:`SymMatrix` never changes, so it carries its own analysis: the
 dominance report, the SDD elimination without pivoting that gives the
 determinant ratio (det(J) itself is never formed), and inf_norm(J^{-1}).
-Every bound and CLI command reads these members instead of deriving them
-again.
+Each is the matrix's row of a kernel run once, at the first read, on its
+whole stack of same-size matrices (:func:`_classify_stack`,
+:func:`_eliminate_stack`, :func:`_inv_norm_stack`; :func:`_eigen_stack`
+too takes stacks).  Every bound and CLI command reads these members.
 
 All operations are pure functions of their inputs.  Matrix values are
 immutable after construction and safe to share across threads.
@@ -24,8 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -109,18 +105,19 @@ class SymMatrix:
     is rejected, so results of floating-point arithmetic that are symmetric
     only up to roundoff are averaged with their transpose first.
 
-    The analysis members are computed on first use and kept; a computation
-    that raises stores nothing and raises again on the next read.
+    Each analysis member reads the matrix's row of a stack kernel; a row
+    that is an error raises on every read.
     """
 
     entries: np.ndarray
+    # (stack, kernel results by member, row): the matrix is stack[row].
+    _stack: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         a = self.entries
         # A read-only float array that owns its memory was handed over by a
-        # caller that never writes to it again (see _adopt), so it is kept as
-        # it is; anything else is copied, and later writes by the caller
-        # cannot reach the matrix.
+        # caller that never writes to it again (see _adopt); anything else is
+        # copied, so later writes by the caller cannot reach the matrix.
         if not (isinstance(a, np.ndarray) and a.dtype == np.float64
                 and a.flags.owndata and not a.flags.writeable):
             a = np.array(a, dtype=float)
@@ -135,26 +132,37 @@ class SymMatrix:
             raise AsymmetricMatrixError("matrix entries are not symmetric")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "_stack", (a[None], {}, 0))
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @cached_property
+    def _row(self, member: str, kernel):
+        """This matrix's row of ``kernel``, run on the whole stack once."""
+        stack, results, row = self._stack
+        if member not in results:
+            results.setdefault(member, kernel(stack))
+        out = results[member][row]
+        if isinstance(out, Exception):
+            raise out.with_traceback(None)
+        return out
+
+    @property
     def dominance(self) -> "DominanceReport":
-        """The :func:`classify` report."""
-        return classify(self)
+        """The :func:`classify` report, from :func:`_classify_stack`."""
+        return self._row("dominance", _classify_stack)
 
-    @cached_property
+    @property
     def elimination(self) -> tuple[np.ndarray, float]:
-        """(factors, ratio) of the SDD elimination, ``factors`` read-only;
-        see :func:`sddkit.bounds.block_det_ratio`."""
-        return _eliminate(self)
+        """(factors, ratio) of :func:`_eliminate_stack`, ``factors``
+        read-only; see :func:`sddkit.bounds.block_det_ratio`."""
+        return self._row("elimination", _eliminate_stack)
 
-    @cached_property
+    @property
     def inv_inf_norm(self) -> float:
-        """inf_norm(J^{-1}) from :func:`inverse_dense`."""
-        return inf_norm(inverse_dense(self))
+        """inf_norm(J^{-1}), from :func:`_inv_norm_stack`."""
+        return self._row("inv_inf_norm", _inv_norm_stack)
 
 
 @dataclass(frozen=True)
@@ -175,12 +183,8 @@ class DominanceReport:
 
 
 def _adopt(a: np.ndarray) -> SymMatrix:
-    """A SymMatrix holding ``a`` itself, not a copy.
-
-    For a float64 array the caller just built and never writes to again:
-    ``a`` is frozen read-only here, and every check of :class:`SymMatrix`
-    still runs.
-    """
+    """A SymMatrix holding ``a`` itself, not a copy, for a float64 array the
+    caller just built and never writes to again; every check still runs."""
     a.setflags(write=False)
     return SymMatrix(a)
 
@@ -239,10 +243,9 @@ def classify(J: SymMatrix) -> DominanceReport:
     dominant iff delta_i >= -tol for all i; balanced iff |delta_i| <= tol for
     all i; strictly dominant iff delta_i > tol for all i.  Margins use |J_ii|,
     so a negative diagonal can pass; bounds that need J_ii > 0 check it.
-    J is a stack of one for :func:`_classify_stack`.
+    This is ``J.dominance``, J's row of :func:`_classify_stack`.
     """
-    rep, = _classify_stack(J.entries[None])
-    return rep
+    return J.dominance
 
 
 def _classify_stack(a: np.ndarray) -> list[DominanceReport]:
@@ -305,18 +308,24 @@ def inverse_dense(J: SymMatrix) -> SymMatrix:
 
     Pivoted LU (rather than Cholesky) so the same oracle inverts indefinite
     matrices.  J is prescaled by a power of two (:func:`_prescaled`) and the
-    inverse scaled back, which leaves every result in the normal range with
-    the bits of the unscaled LU, and keeps the LU of entries near either end
-    of the float range off subnormal numbers and infinities.  Raises
-    :class:`SingularMatrixError` carrying the smallest pivot magnitude, in
-    J's units, when J is singular to working precision, or when an entry of
-    its inverse is past the float range.
+    inverse scaled back, which keeps the LU off subnormal numbers and
+    infinities and leaves the bits of the unscaled LU in the normal range.
+    Raises :class:`SingularMatrixError` carrying the smallest pivot
+    magnitude, in J's units, when J is singular to working precision, or
+    when an entry of its inverse is past the float range.
     """
-    n = J.n
-    # J is symmetric, so its transpose is the same matrix in Fortran order:
+    return _inverse(J.entries)
+
+
+def _inverse(a: np.ndarray, as_norm: bool = False):
+    """:func:`inverse_dense` of the symmetric array ``a``, or with ``as_norm``
+    the inverse's inf_norm, which past the float range raises the error of
+    an entry past it, though every entry is finite."""
+    n = a.shape[0]
+    # a is symmetric, so its transpose is the same matrix in Fortran order:
     # the scaled copy is factored in place, and its transpose is C-ordered,
     # so the norm sums each row as inf_norm does.
-    scaled, e = _prescaled(J.entries.T)
+    scaled, e = _prescaled(a.T)
     e = int(e)
     norm = float(np.abs(scaled.T).sum(axis=1).max())
     with warnings.catch_warnings():
@@ -335,11 +344,28 @@ def inverse_dense(J: SymMatrix) -> SymMatrix:
     del lu, scaled
     with np.errstate(over="ignore"):
         np.ldexp(inv, -e, out=inv)
-    if not np.isfinite(inv).all():
-        pivot = math.ldexp(smallest, e)
-        raise SingularMatrixError(
-            f"inverse past the float range (pivot {pivot:.3e})", pivot=pivot)
-    return _mean_with_transpose(inv)
+    if np.isfinite(inv).all():
+        inv = _mean_with_transpose(inv)
+        if not as_norm:
+            return inv
+        with np.errstate(over="ignore"):
+            inv_norm = inf_norm(inv)
+        if inv_norm < math.inf:
+            return inv_norm
+    pivot = math.ldexp(smallest, e)
+    raise SingularMatrixError(f"inverse past the float range (pivot {pivot:.3e})", pivot=pivot)
+
+
+def _inv_norm_stack(a: np.ndarray) -> list:
+    """inf_norm(J^{-1}) of each matrix J of the (k, n, n) stack ``a``, one
+    :func:`inverse_dense` LU per matrix, or J's :class:`SingularMatrixError`."""
+    out = []
+    for m in a:
+        try:
+            out.append(_inverse(m, as_norm=True))
+        except SingularMatrixError as err:
+            out.append(err)
+    return out
 
 
 def _inverse_cholesky(a: np.ndarray) -> SymMatrix:
@@ -391,10 +417,9 @@ def _prescaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A power of two scales every product, quotient and sum of an
     elimination or LU, and its floors, exactly while they stay normal, so
-    the pivots' ratios to the diagonal keep their bits; entries near the
-    largest float no longer overflow in the updates, and the updates of
-    entries near the smallest normal float no longer lose bits as
-    subnormal numbers.
+    the pivots' ratios to the diagonal keep their bits, and the updates of
+    entries near either end of the float range neither overflow nor lose
+    bits as subnormal numbers.
     """
     _, e = np.frexp(np.abs(a).max(axis=(-2, -1)))
     return np.ldexp(a, -e[..., None, None]), e
@@ -455,13 +480,10 @@ def _eliminate_stack(a: np.ndarray) -> list:
     """The bottom-up elimination of :func:`sddkit.bounds.block_det_ratio`
     for each matrix of the (k, n, n) stack ``a``: per matrix, the pair
     (factors, ratio) with ``factors`` read-only, or the
-    :class:`SingularBlockError` of its first singular pivot.
-
-    Each matrix is prescaled by a power of two (:func:`_prescaled`), which
-    leaves the factors' bits as they are unscaled and keeps the updates of
-    entries near the largest float finite; an error names the pivot in the
-    matrix's own units.  The whole stack runs through :func:`_pivots`,
-    which spreads numpy's fixed cost per step over the stack.
+    :class:`SingularBlockError` of its first singular pivot, in the
+    matrix's own units.  The whole stack, prescaled (:func:`_prescaled`),
+    runs through :func:`_pivots`, which spreads numpy's fixed cost per step
+    over the stack.
     """
     scaled, e = _prescaled(a)
     diag = np.diagonal(scaled, axis1=1, axis2=2).copy()
@@ -474,31 +496,15 @@ def _eliminate_stack(a: np.ndarray) -> list:
             for j, k in enumerate(singular.tolist())]
 
 
-def _eliminate(J: SymMatrix) -> tuple[np.ndarray, float]:
-    """The elimination of :func:`_eliminate_stack` for one matrix, a stack
-    of one; raises its :class:`SingularBlockError`."""
-    out, = _eliminate_stack(J.entries[None])
-    if isinstance(out, SingularBlockError):
-        raise out
-    return out
-
-
-def _eliminated(a: np.ndarray) -> list[SymMatrix]:
-    """A :class:`SymMatrix` of each matrix of the (k, n, n) stack ``a``, its
-    ``dominance`` member filled from one :func:`_classify_stack` call and its
-    ``elimination`` member from one :func:`_eliminate_stack` call.
-
-    Each value goes in the instance ``__dict__``, where ``cached_property``
-    keeps it, so each member is bitwise that of a stack of one.  A failed
-    elimination is not stored: reading that member eliminates the matrix
-    again, as a stack of one, and raises the same
-    :class:`SingularBlockError`.
-    """
+def _stack_of(a: np.ndarray) -> list[SymMatrix]:
+    """A :class:`SymMatrix` of each matrix of the (k, n, n) stack ``a``,
+    which the caller hands over, all sharing one run of each stack kernel
+    on ``a``: each row has the bits of a stack of one."""
+    a.setflags(write=False)
+    results = {}
     mats = [SymMatrix(m) for m in a]
-    for J, rep, out in zip(mats, _classify_stack(a), _eliminate_stack(a)):
-        J.__dict__["dominance"] = rep
-        if not isinstance(out, SingularBlockError):
-            J.__dict__["elimination"] = out
+    for row, J in enumerate(mats):
+        object.__setattr__(J, "_stack", (a, results, row))
     return mats
 
 

@@ -85,6 +85,25 @@ def tiny_strictly_dominant(shift: int) -> SymMatrix:
     return SymMatrix(np.ldexp(assembled(draws).entries, -shift))
 
 
+def singular_trailing_block(n, start, seed):
+    """Symmetric n x n matrix whose trailing block from 0-based row ``start``
+    is singular (its first two rows are equal) while every smaller trailing
+    block is a nonsingular, strictly dominant integer matrix."""
+    rng = np.random.default_rng(seed)
+    m = n - start
+    c = np.triu(rng.integers(1, 4, size=(m - 1, m - 1)).astype(float), 1)
+    c = c + c.T
+    np.fill_diagonal(c, c.sum(axis=1) + 1.0)
+    dup = np.vstack([np.eye(m - 1)[:1], np.eye(m - 1)])
+    a = np.triu(rng.uniform(1.0, 3.0, size=(n, n)), 1)
+    a = a + a.T
+    a[start:, start:] = dup @ c @ dup.T
+    head = np.arange(start)
+    a[head, head] = 0.0
+    a[head, head] = a[:start].sum(axis=1) + 1.0
+    return SymMatrix(a)
+
+
 def symmetrize(entries: np.ndarray) -> SymMatrix:
     """Average a nearly-symmetric array with its transpose (test-side oracle,
     formerly ``matcore.symmetrize``).

@@ -9,8 +9,8 @@ import pytest
 
 from helpers import (J4_BALANCED, bits, block_det_ratio_by_inverses,
                      block_det_ratio_unblocked, chain_cycle, conjecture_search_ledger,
-                     random_balanced, random_dominant, tiny_strictly_dominant,
-                     trials_one_by_one)
+                     random_balanced, random_dominant, singular_trailing_block,
+                     tiny_strictly_dominant, trials_one_by_one)
 from sddkit import (
     EigenConvergenceError,
     LoopGraph,
@@ -402,25 +402,6 @@ class TestBlockDetRatio:
         assert ratio == pytest.approx(ref_ratio, rel=1e-12)
 
 
-def singular_trailing_block(n, start, seed):
-    """Symmetric n x n matrix whose trailing block from 0-based row ``start``
-    is singular (its first two rows are equal) while every smaller trailing
-    block is a nonsingular, strictly dominant integer matrix."""
-    rng = np.random.default_rng(seed)
-    m = n - start
-    c = np.triu(rng.integers(1, 4, size=(m - 1, m - 1)).astype(float), 1)
-    c = c + c.T
-    np.fill_diagonal(c, c.sum(axis=1) + 1.0)
-    dup = np.vstack([np.eye(m - 1)[:1], np.eye(m - 1)])
-    a = np.triu(rng.uniform(1.0, 3.0, size=(n, n)), 1)
-    a = a + a.T
-    a[start:, start:] = dup @ c @ dup.T
-    head = np.arange(start)
-    a[head, head] = 0.0
-    a[head, head] = a[:start].sum(axis=1) + 1.0
-    return SymMatrix(a)
-
-
 class TestDetRatioLu:
     @pytest.mark.parametrize("diag", [[0.0, 1.0], [1.0, -2.0]], ids=["zero", "negative"])
     def test_non_positive_diagonal_rejected(self, diag):
@@ -433,6 +414,28 @@ class TestDetRatioLu:
         # LU leaves an exact zero pivot, so the sign is 0 and no log is taken
         ratio = det_ratio_lu(SymMatrix(np.ones((3, 3))))
         np.testing.assert_array_equal(bits([ratio]), bits([0.0]))
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-300, 2.0 ** -962, 2.0 ** 959, 1e300, 4e307])
+    def test_ratio_at_the_ends_of_the_float_range(self, scale):
+        # det([[4,1,1],[1,4,1],[1,1,4]]) / 4^3 = 54/64; the LU of the
+        # subnormal entries of 1e-310 J returned their diagonal unchanged
+        # (ratio 1).
+        J = SymMatrix(scale * (3.0 * np.eye(3) + np.ones((3, 3))))
+        assert det_ratio_lu(J) == pytest.approx(0.84375, rel=1e-14)
+        assert det_ratio_lu(J) == pytest.approx(block_det_ratio(J)[1], rel=1e-14)
+
+    @pytest.mark.parametrize("k", [-950, -500, 0, 500, 950])
+    def test_inside_the_range_is_the_unscaled_lu(self, k):
+        # A largest entry in [2^-960, 2^960] is factored as it is, so the
+        # ratio keeps the bits it had before any prescaling.
+        rng = trial_rng(227, k + 1000)
+        for n in range(3, 13):
+            for make in (random_dominant, random_balanced):
+                a = np.ldexp(make(rng, n).entries, k)
+                assert 2.0 ** -960 <= np.abs(a).max() <= 2.0 ** 960
+                sign, logabs = np.linalg.slogdet(a)
+                expect = sign * np.exp(logabs - np.log(a.diagonal()).sum())
+                assert bits([det_ratio_lu(SymMatrix(a))]) == bits([expect])
 
 
 class TestPanelElimination:
@@ -489,7 +492,7 @@ class TestPanelElimination:
 
         def single(a):
             try:
-                return outcome(matcore._eliminate(SymMatrix(a)))
+                return outcome(block_det_ratio(SymMatrix(a)))
             except SingularBlockError as err:
                 return outcome(err)
 
@@ -528,35 +531,36 @@ class TestPanelElimination:
             raised += sum(len(o) == 3 for o in stacked)
         assert raised > 0
 
-    def test_eliminated_fills_each_member_from_one_stack(self, monkeypatch):
+    def test_stack_of_fills_each_member_from_one_stack(self, monkeypatch):
         rng = trial_rng(193)
         mats = np.array([random_balanced(rng, 9).entries,
                          singular_trailing_block(9, 4, seed=5).entries,
                          random_dominant(rng, 9).entries])
+        singles = [SymMatrix(a) for a in mats]
         stacks = []
         kernel = matcore._eliminate_stack
         monkeypatch.setattr(matcore, "_eliminate_stack",
-                            lambda a: stacks.append(len(a)) or kernel(a))
-        primed = matcore._eliminated(mats)
-        assert stacks == [3]
+                            lambda a: stacks.append(a.shape) or kernel(a))
+        primed = matcore._stack_of(mats.copy())
         for J, a in zip(primed, mats):
             np.testing.assert_array_equal(bits(J.entries), bits(a))
-        for J in (primed[0], primed[2]):
-            factors, ratio = J.__dict__["elimination"]
-            ref_factors, ref_ratio = matcore._eliminate(SymMatrix(J.entries))
+        for J, single in ((primed[0], singles[0]), (primed[2], singles[2])):
+            factors, ratio = J.elimination
+            ref_factors, ref_ratio = single.elimination
             assert bits(factors).tolist() == bits(ref_factors).tolist()
             assert bits(np.array(ratio)).tolist() == bits(np.array(ref_ratio)).tolist()
             assert J.elimination[0] is factors
-        # The failed elimination is not kept: reading it runs again and
-        # raises the error the matrix raises on its own.
-        assert "elimination" not in primed[1].__dict__
+        # The failed elimination is kept as its error: every read raises the
+        # error the matrix raises on its own, and no read runs the kernel
+        # again.
         for _ in range(2):
             with pytest.raises(SingularBlockError) as err:
                 primed[1].elimination
             with pytest.raises(SingularBlockError) as ref:
-                matcore._eliminate(SymMatrix(mats[1]))
+                singles[1].elimination
             assert str(err.value) == str(ref.value)
             assert err.value.block_index == ref.value.block_index == 5
+        assert stacks == [(3, 9, 9), (1, 9, 9), (1, 9, 9), (1, 9, 9)]
 
     def test_indefinite_is_bitwise_the_unblocked_loop(self):
         factors, ratio = block_det_ratio(INDEFINITE4)
@@ -602,16 +606,16 @@ class TestPanelElimination:
 
     def test_one_elimination_per_matrix(self, monkeypatch):
         calls = []
-        kernel = matcore._eliminate
-        monkeypatch.setattr(matcore, "_eliminate",
-                            lambda J: calls.append(J.n) or kernel(J))
+        kernel = matcore._eliminate_stack
+        monkeypatch.setattr(matcore, "_eliminate_stack",
+                            lambda a: calls.append(a.shape) or kernel(a))
         J = random_balanced(trial_rng(173), 7)
         first = block_det_ratio(J)
         for bound in (det_lower_bound, det_upper_bound_balanced,
                       adjugate_bound, hadamard_sanity):
             assert bound(J).applicable
         assert block_det_ratio(J) is first
-        assert calls == [7]
+        assert calls == [(1, 7, 7)]
 
     def test_determinant_bounds_read_block_det_ratio(self, monkeypatch):
         # The per-layer trace counts the eliminations behind the bounds
@@ -944,23 +948,60 @@ class TestVerifySuites:
     @pytest.mark.parametrize("suite", ["det", "adjugate"])
     def test_det_suites_eliminate_in_stacks(self, suite, monkeypatch):
         # Each chunk's matrices of one n are eliminated as one stack, and no
-        # bound eliminates a matrix on its own.
+        # bound eliminates a matrix on its own: every call is a chunk group.
         monkeypatch.setattr(bounds, "_CHUNK_ENTRIES", 8 * 12 * 12)  # 8 trials a chunk
         expected = verify_suite(suite, (3, 12), 30, seed=5)
-        calls, stacks = [], []
-        single = matcore._eliminate
-        monkeypatch.setattr(matcore, "_eliminate",
-                            lambda J: calls.append(J.n) or single(J))
+        stacks = []
         kernel = matcore._eliminate_stack
         monkeypatch.setattr(matcore, "_eliminate_stack",
                             lambda a: stacks.append(a.shape[:2]) or kernel(a))
         records = verify_suite(suite, (3, 12), 30, seed=5)
         assert [record_fields(r) for r in records] == [record_fields(r) for r in expected]
-        assert calls == []
         n_of = {r.trial: r.n for r in records}
         chunks = [range(first, min(first + 8, 30)) for first in range(0, 30, 8)]
         assert stacks == [(k, n) for chunk in chunks
                           for n, k in Counter(n_of[t] for t in chunk).items()]
+
+    @pytest.mark.parametrize("suite, kernels", [
+        ("varah", ("_classify_stack", "_inv_norm_stack")),
+        ("lower", ("_classify_stack", "_inv_norm_stack")),
+        ("spectral", ("_classify_stack", "_inv_norm_stack")),
+        ("cond", ("_classify_stack", "_inv_norm_stack")),
+        ("det", ("_classify_stack", "_eliminate_stack")),
+        ("adjugate", ("_classify_stack", "_eliminate_stack", "_inv_norm_stack")),
+        ("lower_norm", ("_inv_norm_stack",)),
+    ])
+    def test_matrix_suites_run_each_kernel_once_per_group(self, suite, kernels, monkeypatch):
+        # Each kernel a suite reads runs once per (chunk, n) group, on the
+        # whole group, and never on one matrix of it: the bounds read the
+        # members of the group's matrices.  Trial 0 of lower_norm draws no
+        # matrix; its J is S itself, a stack of one.
+        hi = 10 if suite in CONJECTURES else 12
+        monkeypatch.setattr(bounds, "_CHUNK_ENTRIES", 8 * 12 * 12)
+        size = bounds._CHUNK_ENTRIES // (hi * hi)
+
+        def run():
+            if suite in CONJECTURES:
+                return conjecture_search(suite, 30, 5)
+            return verify_suite(suite, (3, hi), 30, seed=5)
+
+        expected = run()
+        calls = {}
+        for name in ("_classify_stack", "_eliminate_stack", "_inv_norm_stack"):
+            kernel = getattr(matcore, name)
+            calls[name] = log = []
+            monkeypatch.setattr(matcore, name, lambda a, log=log, kernel=kernel:
+                                log.append(a.shape) or kernel(a))
+        records = run()
+        assert [record_fields(r) for r in records] == [record_fields(r) for r in expected]
+        n_of = {r.trial: r.n for r in records}
+        groups = Counter((k, n, n) for first in range(0, 30, size)
+                         for n, k in Counter(n_of[t] for t in range(first, min(first + size, 30))
+                                             if suite != "lower_norm" or t > 0).items())
+        if suite == "lower_norm":
+            groups[(1, n_of[0], n_of[0])] += 1
+        assert {name: Counter(log) for name, log in calls.items()} == {
+            name: groups if name in kernels else Counter() for name in calls}
 
     def test_eig_suite_solves_in_stacks(self, monkeypatch):
         # Each chunk's matrices of one n get one eigensolve per block, over

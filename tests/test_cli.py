@@ -82,6 +82,19 @@ class TestInspect:
             "inverse: FAILED (inverse past the float range")
         assert captured.err == ""
 
+    @pytest.mark.filterwarnings("error")
+    def test_inverse_norm_past_the_float_range_exits_one(self, tmp_path, capsys):
+        # Every entry of the inverse is finite; the true inf_norm(J^{-1}),
+        # about 2.16e308, is not.
+        path = tmp_path / "tiny.txt"
+        save_matrix(SymMatrix(1.8e-309 * (3.0 * np.eye(3) + np.ones((3, 3)))), path)
+        assert main(["inspect", "--matrix", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-2:] == [
+            "inf_norm=1.08e-308",
+            "inverse: FAILED (inverse past the float range (pivot 6.480e-309))"]
+        assert captured.err == ""
+
     def test_singular_matrix_exits_one(self, tmp_path, capsys):
         path = tmp_path / "sing.txt"
         save_matrix(SymMatrix(np.ones((2, 2))), path)
@@ -340,12 +353,12 @@ class TestDetbounds:
 
     def test_one_elimination_per_file(self, j4_file, capsys, monkeypatch):
         calls = []
-        kernel = matcore._eliminate
-        monkeypatch.setattr(matcore, "_eliminate",
-                            lambda J: calls.append(J.n) or kernel(J))
+        kernel = matcore._eliminate_stack
+        monkeypatch.setattr(matcore, "_eliminate_stack",
+                            lambda a: calls.append(a.shape) or kernel(a))
         assert main(["detbounds", "--matrix", j4_file]) == 0
         assert "adjugate:" in capsys.readouterr().out
-        assert calls == [4]
+        assert calls == [(1, 4, 4)]
 
     def test_one_classification_per_file(self, j4_file, capsys, monkeypatch):
         # classify runs the stacked kernel on a stack of one, whichever

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from helpers import (H4_BALANCED, J3, H3, J4_BALANCED, SingularUpdateError, bits,
                      classify_by_matrix, eigen_sym_by_jacobi, jt_matrix, load_matrix_by_rows, loewner_geq,
-                     inverse_by_unscaled_lu, random_balanced, random_dominant, smw_update,
-                     symmetrize, tiny_strictly_dominant)
+                     inverse_by_unscaled_lu, random_balanced, random_dominant,
+                     singular_trailing_block, smw_update, symmetrize, tiny_strictly_dominant)
 from sddkit import (
     AsymmetricMatrixError,
     EigenConvergenceError,
@@ -144,6 +144,19 @@ class TestAnalysis:
                 J.elimination
         assert "inv_inf_norm" not in vars(J) and "elimination" not in vars(J)
 
+    def test_inverse_norm_past_the_float_range_is_singular(self):
+        # Every entry of the inverse is finite, but its row sums are not: the
+        # true inf_norm(J^{-1}) is about 2.16e308.
+        J = SymMatrix(1.8e-309 * (3.0 * np.eye(3) + np.ones((3, 3))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(inverse_dense(J).entries).all()
+            for _ in range(2):
+                with pytest.raises(SingularMatrixError,
+                                   match=r"^inverse past the float range \(pivot 6\.480e-309\)$") as err:
+                    J.inv_inf_norm
+        assert err.value.pivot == pytest.approx(6.48e-309, rel=1e-3)
+
 
 class TestDelta:
     def test_identity(self):
@@ -264,6 +277,73 @@ class TestClassifyStack:
         reps = self.assert_each_is_its_own(np.array(mats))
         assert [r.is_dominant for r in reps] == [False, True, True, False, True]
         assert [r.is_balanced for r in reps[2::2]] == [True, True]
+
+
+def member_outcomes(J):
+    """Every analysis member of J: the dominance report's fields; the
+    elimination's bits, or its error's class, message and block; the
+    inverse norm's bits, or its error's class, message and pivot."""
+    out = [report_fields(J.dominance)]
+    try:
+        factors, ratio = J.elimination
+        out.append((bits(factors).tolist(), bits(np.array(ratio)).tolist()))
+    except SingularBlockError as err:
+        out.append((type(err), str(err), err.block_index))
+    try:
+        out.append(bits(np.array(J.inv_inf_norm)).tolist())
+    except SingularMatrixError as err:
+        out.append((type(err), str(err), bits(np.array(err.pivot)).tolist()))
+    return out
+
+
+# The indefinite input of the detbounds and inspect tests, and the one whose
+# trailing blocks have determinants -3, -7, 34.
+INDEFINITE = {3: [[2.0, 3, 3], [3, 2, 3], [3, 3, 1]],
+              4: [[1.0, 2, 0, 1], [2, -1, 3, 0], [0, 3, 2, 1], [1, 0, 1, -3]]}
+
+
+class TestStackOf:
+    """Each matrix of a stack against the same matrix as a stack of one."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 32, 33, 40])
+    def test_each_member_is_bitwise_a_stack_of_one(self, n):
+        rng = trial_rng(701, n)
+        mats = [random_dominant(rng, n).entries, random_balanced(rng, n).entries,
+                np.ones((n, n))]
+        if n >= 2:
+            mats.append(singular_trailing_block(n, (n - 2) // 2, seed=n).entries)
+        if n in INDEFINITE:
+            mats.append(np.array(INDEFINITE[n]))
+        mats += [random_balanced(rng, n).entries, random_dominant(rng, n).entries]
+        a = np.array(mats)
+        stacked = [member_outcomes(J) for J in matcore._stack_of(a.copy())]
+        single = [member_outcomes(SymMatrix(m)) for m in a]
+        assert stacked == single
+        # Both kinds of outcome occur in the stack; below n = 3 no trailing
+        # block can be singular.
+        failed = [[isinstance(o[k][0], type) for o in single] for k in (1, 2)]
+        assert any(failed[1]) and not all(failed[1]) and not all(failed[0])
+        assert any(failed[0]) == (n >= 3)
+
+    @pytest.mark.parametrize("member, kernel", [("dominance", "_classify_stack"),
+                                                ("elimination", "_eliminate_stack"),
+                                                ("inv_inf_norm", "_inv_norm_stack")])
+    def test_reading_a_member_runs_its_kernel_once_on_the_stack(self, member, kernel,
+                                                                monkeypatch):
+        rng = trial_rng(709)
+        a = np.array([random_dominant(rng, 6).entries for _ in range(5)])
+        calls = {}
+        for name in ("_classify_stack", "_eliminate_stack", "_inv_norm_stack"):
+            run = getattr(matcore, name)
+            calls[name] = log = []
+            monkeypatch.setattr(matcore, name,
+                                lambda s, log=log, run=run: log.append(s.shape) or run(s))
+        mats = matcore._stack_of(a)
+        first = getattr(mats[3], member)
+        for J in (mats[3], mats[0], mats[4]):
+            getattr(J, member)
+        assert getattr(mats[3], member) is first
+        assert calls == {name: [(5, 6, 6)] if name == kernel else [] for name in calls}
 
 
 class TestInverseDense:
