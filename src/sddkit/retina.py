@@ -25,6 +25,9 @@ A solve holds one n x n array.  f_map and residual form the reciprocals of
 the pair sums in blocks of ``_ROWS`` rows and can leave the pair sums in a
 buffer of the caller's (``out``); the solver builds each Jacobian in place
 from the pair sums its accepted residual left there.
+
+sample_degrees holds 12 bytes an edge, one weight and one column index, and
+forms its edges' rates and row indices a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -58,6 +61,13 @@ MAX_ITER = 80
 # beside the n x n pair sums; blocks of 32, 64 and 128 rows solve in the same
 # time at n = 400 and n = 2000.
 _ROWS = 64
+# Edges per block of sample_degrees, whose per-block indices and rates (about
+# 24 B an edge, 0.75 MB a block) are small beside its 12 B an edge for the
+# whole graph.  In a loop of n = 400 trials, blocks of 2**14 or 2**15 edges
+# take no minor page faults; blocks of 2**16 edges (0.5 MB arrays) took up
+# to 300 a trial, as the allocator gave their pages back and mapped them
+# again, and ran the loop no faster than one block of all edges.
+_SAMPLE_EDGES = 2**15
 
 
 class DomainError(ValueError):
@@ -87,6 +97,23 @@ def _low_pair_sum(x: np.ndarray) -> float:
     """
     low = np.partition(x, 1)[:2]
     return low[0] + low[1]
+
+
+def _first_nonpositive_pair(x: np.ndarray) -> tuple[int, int]:
+    """The first pair (i, j), i != j, in row-major order with fl(x_i + x_j)
+    <= 0, found in O(n) (len(x) >= 2; one such pair must exist).
+
+    Rounding is monotone, so row i's smallest pair sum is x_i plus the
+    smallest entry other than x_i: the second smallest entry of x for the
+    first index of the smallest one, the smallest entry for every other i.
+    """
+    low = np.partition(x, 1)[:2]
+    others = np.full(len(x), low[0])
+    others[np.argmin(x)] = low[1]
+    i = int(np.argmax(x + others <= 0))
+    row = x[i] + x
+    row[i] = np.inf
+    return i, int(np.argmax(row <= 0))
 
 
 def _pair_sums(x: np.ndarray, floor: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -345,33 +372,57 @@ def sample_degrees(theta: np.ndarray, seed: int) -> np.ndarray:
     with the counter advancing in canonical (i, j) order.  The draw for an
     edge therefore depends only on (seed, i, j): sampling is a pure
     function of (theta, seed), order-independent, and parallel-safe.
-    A NaN or infinite theta_i raises ValueError, before any pair sum.
+    A NaN or infinite theta_i raises ValueError, before any pair sum; a
+    pair sum <= 0 raises DomainError naming the first such pair, found in
+    O(n).
+
+    The draws are turned into weights in place, in blocks of whole rows of
+    at most ``_SAMPLE_EDGES`` edges (one row if a row is longer), and each
+    edge's column index is kept as an int32: 12 bytes an edge in all, plus
+    one block's rates and row indices.  Each block adds its weights to its
+    rows' ends as it goes; the column ends are added in one sweep over all
+    edges at the end.  So every vertex gets its row-end weights first and
+    then its column-end weights, each in edge order, as in one scatter of
+    all row ends followed by one of all column ends, and d has those bits.
+    Adding a block's column ends with its row ends would reach rows of later
+    blocks before their own row ends, and move d in its last bits.
     """
     theta = np.asarray(theta, dtype=float)
     n = len(theta)
     if int(seed) != seed or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     _require_finite(theta, "theta")
-    # every pair sum is positive if the smallest one is; that one is in z
+    # every pair sum is positive if the smallest one is
     if n >= 2 and not _low_pair_sum(theta) > 0:
-        z = _pair_sums(theta, 0.0)
-        i, j = np.argwhere(z <= 0)[0]
+        i, j = _first_nonpositive_pair(theta)
         raise DomainError(
-            f"theta[{i}] + theta[{j}] = {z[i, j]:.3e} must be positive",
-            pair=(int(i), int(j)),
+            f"theta[{i}] + theta[{j}] = {theta[i] + theta[j]:.3e} must be positive",
+            pair=(i, j),
         )
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    # Row i holds the edges (i, i+1), ..., (i, n-1), in counter order; the
-    # edge k places after row i's first has column i + 1 + k.
+    # Row i holds the edges (i, i+1), ..., (i, n-1), in counter order, from
+    # edge start[i] to start[i + 1]; its edge e has column e - start[i] + i + 1.
     counts = np.arange(n - 1, -1, -1)
-    rows = np.repeat(np.arange(n), counts)
-    first = np.cumsum(counts) - counts
-    cols = np.arange(len(rows)) + np.repeat(np.arange(1, n + 1) - first, counts)
-    draws = gen.standard_exponential(len(rows))
-    weights = draws / (np.repeat(theta, counts) + theta[cols])
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=start[1:])
+    w = gen.standard_exponential(int(start[-1]))
+    cols = np.empty(len(w), dtype=np.int32)
     d = np.zeros(n)
-    np.add.at(d, rows, weights)
-    np.add.at(d, cols, weights)
+    a = 0
+    while a < n - 1:
+        # rows a..b-1: the whole rows that fit in _SAMPLE_EDGES edges, at least one
+        b = max(a + 1, int(np.searchsorted(start, start[a] + _SAMPLE_EDGES, "right")) - 1)
+        edges = slice(start[a], start[b])
+        block_cols = np.arange(start[a], start[b])
+        block_cols -= np.repeat(start[a:b] - np.arange(a + 1, b + 1), counts[a:b])
+        cols[edges] = block_cols
+        rates = np.repeat(theta[a:b], counts[a:b])
+        rates += theta[block_cols]
+        np.divide(w[edges], rates, out=w[edges])
+        np.add.at(d, np.repeat(np.arange(a, b), counts[a:b]), w[edges])
+        a = b
+    # column ends last: they reach rows of later blocks, whose row ends come first
+    np.add.at(d, cols, w)
     return d
 
 

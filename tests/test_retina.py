@@ -338,6 +338,21 @@ def _assert_same_outcome(new, old):
         np.testing.assert_array_equal(bits(new), bits(old))
 
 
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in bytes, as
+    tracemalloc sees it."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 FLOOR = DOMAIN_FLOOR
 INSIDE = np.nextafter(FLOOR, 0.0) / 2  # two of these sum to just under the floor
 NAN = np.nan
@@ -404,6 +419,25 @@ class TestDomainCheckMatchesScan:
         assert (old[0] if isinstance(old, tuple) else None) is error
         _assert_same_outcome(_outcome(sample_degrees, theta, 3), old)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sample_degrees_with_ties(self, seed):
+        # entries from a small set, so the smallest two tie, a pair sums to
+        # exactly zero or to a subnormal, and several pairs fail at once
+        rng = trial_rng(4100 + seed)
+        values = [-2.0, -1.0, -1e-300, 0.0, 1e-300, 1.0, 2.0]
+        theta = rng.choice(values, size=int(rng.integers(2, 9)))
+        _assert_same_outcome(_outcome(sample_degrees, theta, 3),
+                             _outcome(sample_degrees_by_scan, theta, 3))
+
+    def test_sample_degrees_pair_in_linear_memory(self):
+        n = 3000
+        theta = np.ones(n)
+        theta[[2000, 2500]] = -1.0
+        outcome, peak = _traced_peak(_outcome, sample_degrees, theta, 3)
+        assert outcome == (DomainError, "theta[0] + theta[2000] = 0.000e+00 must be positive",
+                           (0, 2000))
+        assert peak < 8 * n * n / 16
+
 
 class TestNonFiniteInput:
     """A NaN or infinite entry is named by its index, with ValueError,
@@ -422,16 +456,7 @@ class TestNonFiniteInput:
             "residual": (lambda: residual(-x, np.ones(n)), "x"),
             "sample_degrees": (lambda: sample_degrees(x, 3), "theta"),
         }[name]
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            outcome = _outcome(call)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        outcome, peak = _traced_peak(_outcome, call)
         assert outcome == (ValueError, f"{label}[700] = {bad} is not finite", None)
         assert peak < 8 * n * n / 16
 
@@ -493,6 +518,53 @@ class TestBitwiseOracles:
         assert not sol.converged
 
 
+def _straddling_sizes(edges):
+    """For k = 1, 2: the largest n whose n(n-1)/2 edges are at most k
+    blocks' worth of ``edges``, and the next n."""
+    sizes = []
+    for k in (1, 2):
+        n = 2
+        while (n + 1) * n // 2 <= k * edges:
+            n += 1
+        sizes += [n, n + 1]
+    return sizes
+
+
+class TestSampleInBlocks:
+    """sample_degrees weights its edges in blocks of rows of at most
+    _SAMPLE_EDGES edges, and scatters every row end before any column end:
+    the same bits as one scatter of all row ends and then all column ends."""
+
+    @pytest.mark.parametrize("n", _straddling_sizes(retina._SAMPLE_EDGES))
+    def test_sizes_at_block_boundaries(self, n):
+        theta = _true_theta(n, 1)
+        np.testing.assert_array_equal(bits(sample_degrees(theta, 5)),
+                                      bits(sample_degrees_by_scan(theta, 5)))
+
+    @pytest.mark.parametrize("edges", [1, 7, 100])
+    def test_many_blocks(self, edges, monkeypatch):
+        monkeypatch.setattr(retina, "_SAMPLE_EDGES", edges)
+        for n in range(3, 41):
+            theta = _true_theta(n, 2)
+            np.testing.assert_array_equal(bits(sample_degrees(theta, n)),
+                                          bits(sample_degrees_by_scan(theta, n)))
+
+    def test_fewer_than_three_vertices(self):
+        assert sample_degrees(np.array([]), 3).tolist() == []
+        assert bits(sample_degrees(np.array([0.7]), 3)).tolist() == bits([0.0]).tolist()
+        theta = np.array([0.7, 1.1])
+        d = sample_degrees(theta, 3)
+        assert d[0] == d[1] > 0
+        np.testing.assert_array_equal(bits(d), bits(sample_degrees_by_scan(theta, 3)))
+
+    def test_peak_memory_is_twelve_bytes_an_edge(self):
+        # one float64 weight and one int32 column per edge, plus one block
+        n = 2000
+        d, peak = _traced_peak(sample_degrees, _true_theta(n, 0), 100)
+        assert len(d) == n
+        assert peak <= 25 * 2**20
+
+
 class TestOneBuffer:
     """One n x n array per solve: each residual leaves its pair sums in it,
     and the next Jacobian is built there from the accepted candidate's."""
@@ -500,16 +572,7 @@ class TestOneBuffer:
     def test_peak_memory_is_one_square(self):
         n = 1000
         prob = RetinaProblem(sample_degrees(_true_theta(n, 0), 100))
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            sol = solve_retina(prob, tol=1e-9)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        sol, peak = _traced_peak(solve_retina, prob, 1e-9)
         assert sol.converged and sol.iterations > 0
         assert peak <= 1.25 * 8 * n * n
 
