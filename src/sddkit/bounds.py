@@ -3,8 +3,9 @@
 Each operation evaluates one inequality on a concrete matrix and returns a
 :class:`BoundReport` with both sides, a holds flag, the signed slack, and
 the parameters that entered the bound.  Reports never pass silently: a
-violated precondition yields an inapplicable report, and a vacuous bound
-(no information) is flagged rather than dropped.
+violated precondition yields an inapplicable report, as does a side that is
+NaN (a closed form past the float range), and a vacuous bound (no
+information) is flagged rather than dropped.
 
 Comparisons use tol = 1e-9 * max(1, |rhs|), recorded in the report context.
 The hypotheses are checked with margins relative to the entries (1e-12
@@ -95,6 +96,11 @@ class BoundReport:
 
 def _report(name: str, lhs: float, rhs: float, vacuous: bool = False,
             **context) -> BoundReport:
+    """The report of lhs <= rhs; inapplicable when either side is NaN, as
+    where a closed form meets inf / inf or 0 * inf past the float range."""
+    if math.isnan(lhs) or math.isnan(rhs):
+        side = "lhs" if math.isnan(lhs) else "rhs"
+        return _inapplicable(name, f"{side} is NaN (past the float range)", **context)
     context["tol"] = tol = 1e-9 * max(1.0, abs(rhs))
     return BoundReport(
         name=name,

@@ -232,8 +232,9 @@ def _margins(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def delta(J: SymMatrix) -> np.ndarray:
-    """Per-row dominance margins |J_ii| - sum_{j != i} |J_ij|."""
-    return _margins(np.abs(J.entries))[0]
+    """Per-row dominance margins |J_ii| - sum_{j != i} |J_ij|: a copy of
+    ``J.dominance.deltas``."""
+    return J.dominance.deltas.copy()
 
 
 def classify(J: SymMatrix) -> DominanceReport:
@@ -255,9 +256,22 @@ def _classify_stack(a: np.ndarray) -> list[DominanceReport]:
     Each row's sums, and each matrix's norm, tolerance and off-diagonal
     extremes, reduce that row or matrix alone, so every field keeps the bits
     of a stack of one.
+
+    A matrix whose largest |J_ij| is outside [2^-960, 2^960] is classified
+    on |J| scaled into [0.5, 1) by a power of two (:func:`_prescaled`), as
+    in :func:`sddkit.bounds.det_ratio_lu`: its row sums then neither
+    overflow nor lose bits as subnormal numbers, and its margins are scaled
+    back, to +-inf where they are past the float range.  Every other matrix
+    is not scaled.
     """
     k, n = a.shape[:2]
-    d, rows = _margins(np.abs(a))
+    w = np.abs(a)
+    largest = w.max(axis=(1, 2))
+    e = np.zeros(k, dtype=int)
+    far = (largest < 2.0 ** -960) | (largest > 2.0 ** 960)
+    if far.any():
+        w[far], e[far] = _prescaled(w[far])
+    d, rows = _margins(w)
     tol = (1e-12 * rows.max(axis=1))[:, None]
     if n >= 2:
         # In row order, a matrix's entries after its first are n - 1 runs of
@@ -271,13 +285,17 @@ def _classify_stack(a: np.ndarray) -> list[DominanceReport]:
     # (is_dominant, is_balanced, is_strictly_dominant) of each matrix
     flags = zip((d >= -tol).all(axis=1).tolist(), (np.abs(d) <= tol).all(axis=1).tolist(),
                 (d > tol).all(axis=1).tolist())
+    if far.any():
+        with np.errstate(over="ignore"):
+            d = np.ldexp(d, e[:, None])
     return [DominanceReport(deltas, *flag, lo, hi, top)
             for deltas, flag, lo, hi, top in zip(d, flags, lows, highs, d.max(axis=1).tolist())]
 
 
 def inf_norm(M: SymMatrix) -> float:
-    """Maximum absolute row sum."""
-    return float(np.abs(M.entries).sum(axis=1).max())
+    """Maximum absolute row sum; inf where it is past the largest float."""
+    with np.errstate(over="ignore"):
+        return float(np.abs(M.entries).sum(axis=1).max())
 
 
 _EPS = float(np.finfo(float).eps)

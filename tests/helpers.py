@@ -576,13 +576,35 @@ def residual_by_scan(theta: np.ndarray, d: np.ndarray) -> np.ndarray:
     return f_map_by_scan(-np.asarray(theta, dtype=float)) - np.asarray(d, dtype=float)
 
 
+def retina_start_by_scan(d: np.ndarray) -> np.ndarray:
+    """The start of ``solve_retina``: u + s (h - u) for the first s of 1,
+    1/2, ..., 1/32 whose pair sums, all n^2 of them scanned, are at least
+    DOMAIN_FLOOR, where u is the uniform point and h_i = g_i - mean(g)/2
+    with g_i = (n-1)/d_i the mean-field point; u when none is, when h is
+    not finite, or when every target is the same."""
+    n = len(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.full(n, max((n - 1) / (2.0 * float(d.mean())), DOMAIN_FLOOR))
+        if len(set(d.tolist())) == 1:
+            return u
+        g = (n - 1) / d
+        h = g - g.mean() / 2
+    if not np.isfinite(h).all():
+        return u
+    for s in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
+        theta = u + s * (h - u)
+        if pair_sums_by_scan(theta, 0.0).min() >= DOMAIN_FLOOR:
+            return theta
+    return u
+
+
 def solve_retina_by_scan(prob: RetinaProblem, tol: float = 1e-10,
                          max_iter: int = 80) -> RetinaSolution:
     """Damped Newton iteration of ``solve_retina`` with a fresh SymMatrix
     Jacobian per step, factored from a copy."""
     d = prob.d
     n = prob.n
-    theta = np.full(n, max((n - 1) / (2.0 * float(d.mean())), DOMAIN_FLOOR))
+    theta = retina_start_by_scan(d)
     r = residual_by_scan(theta, d)
     r_inf = float(np.abs(r).max())
     stop = tol * min(1.0, float(d.max()))

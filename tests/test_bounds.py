@@ -199,6 +199,27 @@ class TestConditionBound:
         r2 = condition_bound(SymMatrix(3 * J.entries))
         assert r2.lhs == pytest.approx(r1.lhs, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_nan_side_past_the_float_range_is_inapplicable(self):
+        # Balanced at 6e307: the right side is (2 m (n-1)) (3n-4) /
+        # (2 ell (n-2)(n-1)) = inf / inf, and the report says so instead of
+        # comparing a NaN.
+        r = condition_bound(SymMatrix(6e307 * (np.eye(3) + np.ones((3, 3)))))
+        assert not r.applicable and r.context["reason"] == "rhs is NaN (past the float range)"
+
+
+class TestReport:
+    @pytest.mark.parametrize("lhs, rhs, side", [(math.nan, 1.0, "lhs"), (1.0, math.nan, "rhs"),
+                                                (math.nan, math.nan, "lhs")])
+    def test_a_nan_side_makes_it_inapplicable(self, lhs, rhs, side):
+        r = bounds._report("x", lhs, rhs, n=3)
+        assert (r.applicable, r.holds, r.vacuous) == (False, False, True)
+        assert r.context == {"n": 3, "reason": f"{side} is NaN (past the float range)"}
+
+    def test_infinite_sides_are_compared(self):
+        assert bounds._report("x", -math.inf, 0.5, vacuous=True).holds
+        assert not bounds._report("x", math.inf, 0.5).holds
+
 
 class TestEigIntervals:
     def test_reference_hits_endpoints(self):

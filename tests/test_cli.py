@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,25 @@ class TestInspect:
         assert captured.out.splitlines()[-2:] == [
             "inf_norm=1.08e-308",
             "inverse: FAILED (inverse past the float range (pivot 6.480e-309))"]
+        assert captured.err == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("diagonal, kind, varah", [
+        (2.5, "strictly dominant", "varah: lhs=1.35802469136e-308 rhs=3.33333333333e-308 "
+                                   "slack=1.97530864198e-308 holds"),
+        (2.0, "balanced, dominant", "varah: inapplicable (not strictly diagonally dominant)")],
+        ids=["dominant", "balanced"])
+    def test_row_sums_past_the_float_range(self, diagonal, kind, varah, tmp_path, capsys):
+        # Each row of |J| sums to 2.7e308 or 2.4e308; the margins of 3e307
+        # and 0 are not past the range, and the classification finds them.
+        path = tmp_path / "large.txt"
+        save_matrix(SymMatrix(6e307 * (np.eye(3) * (diagonal - 1) + np.ones((3, 3)))), path)
+        assert main(["inspect", "--matrix", str(path)]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[1] == f"classification: {kind}"
+        assert lines[4:] == ["inf_norm=inf", lines[5], "cond_inf=inf", varah]
+        assert not re.search(r"\bnan\b|VIOLATED", captured.out)
         assert captured.err == ""
 
     def test_singular_matrix_exits_one(self, tmp_path, capsys):

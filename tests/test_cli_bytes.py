@@ -82,7 +82,7 @@ DIGESTS = {
     ("limit", "u-route"): (0, "58e23d3202d7021a4d9e7a2164788e9ba26ecdc05a166d1b2b216eb6841a8a14", EMPTY),
     ("limit", "numeric"): (0, "1969832f0eb054a14bd378552aa6900cbf2d6125a981128a3b955dea3c5dca12", EMPTY),
     ("mle", "n30"): (0, "8d6b4b6b37ee54809a5487fa96b02a25757a85744a1b0f1b8ca3564491cc1ddf", EMPTY,
-                     "e19863f0150ddfb9eeb222f4926ec0c1e44f7fcf700172ce64f0dd1db291d061"),
+                     "f576b460a3e7ddf3f389a85db377479c046f43f51800178cd823f3fab62aec25"),
     ("inspect", "asymmetric.txt"): (2, EMPTY, "f9ac675da3730ebaf74a710a5038cf6f59896b62fdfeef89e17baa7c1319beda"),
     ("limit", "bad.edges"): (2, EMPTY, "825b61cce945b58f00e75754c62434c86d157aaf5a34866263691f5bdc3f958f"),
 }

@@ -168,6 +168,12 @@ class TestDelta:
     def test_balanced_example(self):
         np.testing.assert_array_equal(delta(J4_BALANCED), np.zeros(4))
 
+    @pytest.mark.filterwarnings("error")
+    def test_row_sums_past_the_float_range(self):
+        # each row of |J| sums to 2.7e308; each margin is 3e307
+        J = SymMatrix(6e307 * (1.5 * np.eye(3) + np.ones((3, 3))))
+        np.testing.assert_allclose(delta(J), 3e307, rtol=1e-15)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 8))
     def test_permutation_equivariant(self, seed, n):
@@ -277,6 +283,43 @@ class TestClassifyStack:
         reps = self.assert_each_is_its_own(np.array(mats))
         assert [r.is_dominant for r in reps] == [False, True, True, False, True]
         assert [r.is_balanced for r in reps[2::2]] == [True, True]
+
+
+# Integer matrices, so that 2^k times each is exact down to k = -1070:
+# strictly dominant, balanced, not dominant, and not dominant with margins
+# of -17, which pass -2^1024 at k = 1020.
+FAR_CASES = [[[5.0, 1, 2], [1, 4, 1], [2, 1, 6]], [[3.0, 1, 2], [1, 2, 1], [2, 1, 3]],
+             [[1.0, 2, 0], [2, 1, 0], [0, 0, 1]], [[1.0, 9, 9], [9, 1, 9], [9, 9, 1]]]
+
+
+class TestClassifyFarScales:
+    """A matrix whose largest |J_ij| is outside [2^-960, 2^960] is
+    classified on |J| scaled by a power of two; every other one is not."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-1070, -1000, -961, 961, 1000, 1020])
+    def test_flags_and_margins_are_those_at_unit_scale(self, k):
+        unit = matcore._classify_stack(np.array(FAR_CASES))
+        scaled = np.ldexp(np.array(FAR_CASES), k)
+        for rep, ref, a in zip(matcore._classify_stack(scaled), unit, scaled):
+            assert (rep.is_dominant, rep.is_balanced, rep.is_strictly_dominant) == (
+                ref.is_dominant, ref.is_balanced, ref.is_strictly_dominant)
+            with np.errstate(over="ignore"):
+                np.testing.assert_array_equal(bits(rep.deltas), bits(np.ldexp(ref.deltas, k)))
+            assert rep.max_delta == rep.deltas.max()
+            off = a[~np.eye(3, dtype=bool)]
+            assert (rep.min_offdiag, rep.max_offdiag) == (off.min(), off.max())
+        if k == 1020:
+            assert rep.deltas.tolist() == [-math.inf] * 3
+
+    def test_a_far_matrix_leaves_the_others_in_its_stack_unscaled(self):
+        near = [random_dominant(trial_rng(611), 4).entries, 2.0 ** 960 * np.eye(4),
+                2.0 ** -960 * np.eye(4)]
+        far = 4e307 * (np.eye(4) * 2.5 + np.ones((4, 4)))
+        reps = matcore._classify_stack(np.array([near[0], far, near[1], near[2]]))
+        for rep, a in zip([reps[0], reps[2], reps[3]], near):
+            assert report_fields(rep) == report_fields(classify_by_matrix(SymMatrix(a)))
+        assert reps[1].is_strictly_dominant
 
 
 def member_outcomes(J):

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from helpers import (bits, f_map_by_scan, jacobian_by_scan, loewner_geq, residual_by_scan,
-                     sample_degrees_by_scan, solve_retina_by_scan)
+                     retina_start_by_scan, sample_degrees_by_scan, solve_retina_by_scan)
 from sddkit import (
     DomainError,
     RetinaProblem,
@@ -211,6 +212,19 @@ class TestSolve:
         # the constant below the smallest subnormal
         sol = retina._finish(np.full(4, 2.0 ** -540), 0.0, 0, True, 4)
         assert (sol.ell_used, sol.lipschitz_const, sol.error_certificate) == (math.inf, 0.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_targets_near_the_largest_float(self):
+        # The three sum past the largest float, yet each is below the sum of
+        # the other two; the margin is formed at a power-of-two scale.
+        assert RetinaProblem(np.array([1e308, 1.1e308, 0.9e308])).n == 3
+        with pytest.raises(ValueError, match=r"d\[2\] = 1\.7e\+308 is not below the sum "
+                                             r"of the others \(margin -6e\+307\)"):
+            RetinaProblem(np.array([1e308, 1e307, 1.7e308]))
+        many = np.full(20, 1.7e308)
+        assert RetinaProblem(many).n == 20
+        with pytest.raises(ValueError, match=r"margin -1\.7e\+308"):
+            RetinaProblem(np.append(np.full(19, 2.0 ** -1074), 1.7e308))
 
     def test_feasible_target_near_the_bound_converges(self):
         sol = solve_retina(RetinaProblem(np.array([1.0, 2.0, 2.99])))
@@ -516,6 +530,72 @@ class TestBitwiseOracles:
         monkeypatch.setattr(retina, "MAX_ITER", max_iter)
         sol = self.assert_same_solution(RetinaProblem(np.array([1000.0, 999.99, 0.02])))
         assert not sol.converged
+
+
+def _uniform_start(d):
+    """The uniform closed form theta_i = (n-1)/(2 mean(d)), at least the floor."""
+    return np.full(len(d), max((len(d) - 1) / (2.0 * float(d.mean())), DOMAIN_FLOOR))
+
+
+class TestStart:
+    """solve_retina starts at the mean-field point h_i = g_i - mean(g)/2,
+    g_i = (n-1)/d_i, blended toward the uniform point u until its pair sums
+    clear the domain floor."""
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8, 9, 30, 400])
+    def test_constant_targets_start_at_the_uniform_point(self, n):
+        # the means of d and g are rounded, and for many of these values
+        # h = g - mean(g)/2 is then a few bits off u
+        for v in [0.1, 1 / 3, 1.5, 2 / 3, 0.7, *trial_rng(4200 + n).uniform(1e-3, 1e3, 20)]:
+            d = np.full(n, v)
+            np.testing.assert_array_equal(bits(retina._start(d)), bits(_uniform_start(d)))
+
+    @pytest.mark.parametrize("small, blend", [
+        (0.5, 1.0), (0.2, 0.5), (0.1, 0.25), (0.05, 0.125), (0.02, 0.0625),
+        (0.01, 0.03125), (0.005, 0.0), (2e-5, 0.0)])
+    def test_blend_is_the_first_in_the_domain(self, small, blend):
+        # For d = (1, 1, small), h_1 + h_2 = 8/3 - 2/(3 small) is negative
+        # below small = 1/4 and falls with it, so the blend toward u must
+        # shrink: blend 0 is u itself.
+        d = np.array([1.0, 1.0, small])
+        u = _uniform_start(d)
+        g = 2 / d
+        expect = u + blend * (g - g.mean() / 2 - u)
+        start = retina._start(d)
+        np.testing.assert_array_equal(bits(start), bits(expect))
+        np.testing.assert_array_equal(bits(start), bits(retina_start_by_scan(d)))
+        TestBitwiseOracles.assert_same_solution(RetinaProblem(d))
+
+    # (n, theta range, targets): sampled degrees, or the exact f_map(-theta)
+    STEP_CELLS = [(400, (0.5, 2.0), "sampled"), (400, (0.5, 2.0), "exact"),
+                  (400, (0.1, 10.0), "sampled"), (400, (0.01, 100.0), "sampled"),
+                  (400, (5.0, 50.0), "sampled"), (30, (0.5, 2.0), "sampled")]
+
+    @pytest.mark.parametrize("n, theta_range, targets", STEP_CELLS)
+    def test_fewer_steps_than_the_uniform_start(self, n, theta_range, targets, monkeypatch):
+        # Six trials a cell: a single trial may take a step more than from
+        # u (one at theta in [5, 50] does), but every cell's total is smaller.
+        problems = []
+        for seed in range(6):
+            theta = _true_theta(n, seed, *theta_range)
+            d = sample_degrees(theta, 100 + seed) if targets == "sampled" else f_map(-theta)
+            problems.append(RetinaProblem(d))
+        blended = [solve_retina(p, tol=1e-9) for p in problems]
+        monkeypatch.setattr(retina, "_start", _uniform_start)
+        uniform = [solve_retina(p, tol=1e-9) for p in problems]
+        assert all(sol.converged for sol in blended + uniform)
+        assert sum(s.iterations for s in blended) < sum(s.iterations for s in uniform)
+
+    @pytest.mark.parametrize("d", [5e-324 * np.ones(3), 1e-310 * np.array([1.0, 1.1, 0.9])],
+                             ids=["smallest_subnormal", "subnormal"])
+    def test_targets_past_the_float_range_end_as_from_u(self, d):
+        # (n-1)/d overflows, so h is not finite and the start is u, which is
+        # inf here too: the first residual rejects it, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.isfinite(_uniform_start(d)).any()
+            with pytest.raises(ValueError, match=r"^x\[0\] = -inf is not finite$"):
+                solve_retina(RetinaProblem(d))
 
 
 def _straddling_sizes(edges):
