@@ -42,6 +42,7 @@ from .matcore import (
     _eliminate_stack,
     _floor,
     _prescaled,
+    _scaled,
     _stack_of,
     eigen_sym,
     inf_norm,
@@ -212,7 +213,12 @@ def lower_bound_trivial(J: SymMatrix) -> BoundReport:
         return _inapplicable("lower", "J not diagonally dominant", n=J.n)
     m_hat = rep.max_offdiag
     d_hat = max(rep.max_delta, 0.0)
-    lhs = 1.0 / (2.0 * m_hat * (J.n - 1) + d_hat)
+    # formed with m and delta scaled by 2^-e, e the exponent of the larger,
+    # and scaled back once, as in _balanced_decay: the scaling is exact, so
+    # lhs keeps its bits where it is a normal float, and its denominator
+    # does not overflow where m (n-1) is past the largest float
+    e = math.frexp(max(m_hat, d_hat))[1]
+    lhs = _scaled(1.0 / (2.0 * math.ldexp(m_hat, -e) * (J.n - 1) + math.ldexp(d_hat, -e)), -e)
     rhs = J.inv_inf_norm
     return _report("lower", lhs, rhs, n=J.n, m=m_hat, delta=d_hat)
 
@@ -307,8 +313,11 @@ def _eig_checks(a: np.ndarray, reports: list, blocks, ell=None, m=None) -> list:
         lams, errors = _eigen_stack(np.ascontiguousarray(stack[:, i - 1:, i - 1:]))
         coef = np.full(n - i + 1, n - 2.0)
         coef[-1] = 2 * n - i - 1
-        low = (coef * ell_col - lams).max(axis=1).tolist()
-        high = (lams - coef * m_col).max(axis=1).tolist()
+        # An interval end or an eigenvalue past the float range is inf, and
+        # a margin inf - inf is NaN, which _report takes as inapplicable.
+        with np.errstate(over="ignore", invalid="ignore"):
+            low = (coef * ell_col - lams).max(axis=1).tolist()
+            high = (lams - coef * m_col).max(axis=1).tolist()
         for j, err, lo, hi, lmin, lmax in zip(rows, errors, low, high,
                                               lams[:, 0].tolist(), lams[:, -1].tolist()):
             if isinstance(out[j], Exception):
@@ -431,7 +440,11 @@ def adjugate_bound(J: SymMatrix, ell: float | None = None,
     _, ratio = block_det_ratio(J)
     n = J.n
     lhs = abs(ratio) * J.inv_inf_norm
-    rhs = ((3 * n - 4) / (2.0 * ell * (n - 2) * (n - 1))) * _balanced_decay(ell, m)
+    # formed with ell scaled by 2^-e, e its exponent, and scaled back once,
+    # as in lower_bound_trivial
+    e = math.frexp(ell)[1]
+    rhs = _scaled((3 * n - 4) / (2.0 * math.ldexp(ell, -e) * (n - 2) * (n - 1))
+                  * _balanced_decay(ell, m), -e)
     return _report("adjugate", lhs, rhs, n=n, ell=ell, m=m)
 
 

@@ -302,6 +302,14 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
+def _scaled(x: float, e: int) -> float:
+    """x * 2^e rounded once; inf where that is past the largest float."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
 def _floor(size, norm):
     """size * eps * max(norm, tiny), element-wise: every factorization's
     singular floor for a pivot of a size x size matrix of inf-norm ``norm``."""
@@ -542,12 +550,19 @@ def _eigen_stack(a: np.ndarray) -> tuple[np.ndarray, list]:
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"LAPACK eigensolver failed: {exc}",
                                     residual=math.inf) from exc
-    norms = np.abs(a).sum(axis=2).max(axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.abs(a).sum(axis=2).max(axis=1)
     # Each matrix's residual columns are scaled by 2^-e, e the exponent of
     # its infinity norm, before they are squared, and the residual by 2^e
     # after: exact, so the residual keeps its bits at unit scale, and the
-    # squares of entries near the largest float stay finite.
+    # squares of entries near the largest float stay finite.  A norm past
+    # the largest float is inf; its exponent is read from |a| scaled into
+    # [0.5, 1) by 2^-s (:func:`_prescaled`), as in :func:`_classify_stack`.
     _, e = np.frexp(norms)
+    over = np.isinf(norms)
+    if over.any():
+        w, s = _prescaled(np.abs(a[over]))
+        e[over] = np.frexp(w.sum(axis=2).max(axis=1))[1] + s
     resid_cols = a @ vecs - vecs * lams[:, None, :]
     np.ldexp(resid_cols, -e[:, None, None], out=resid_cols)
     residuals = np.ldexp(np.sqrt((resid_cols * resid_cols).sum(axis=1)).max(axis=1), e)

@@ -22,7 +22,10 @@ replaced by one self-consistent value, d_i = (n-1)/(theta_i + t) gives
 theta_i = g_i - mean(g)/2 with g_i = (n-1)/d_i, which is the exact root
 for constant d.  It is blended toward the uniform point until its pair sums
 are in the domain (``_start``).  At n = 400 a sampled target takes 4 Newton
-steps from it, against 6 from the uniform point.
+steps from it, against 6 from the uniform point.  Each step's direction
+solves a system in the Jacobian: from n = ``_CG_MIN_N`` on by conjugate
+gradients preconditioned by its diagonal, some ten O(n^2) products, and
+below that by one O(n^3) Cholesky factorization (see ``solve_retina``).
 
 The solver keeps every theta_i + theta_j at or above ``DOMAIN_FLOOR``; f_map,
 jacobian and residual raise DomainError for a pair sum within it of zero, and
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .matcore import _EPS, SymMatrix
+from .matcore import _EPS, SymMatrix, _scaled
 
 __all__ = [
     "DomainError",
@@ -75,6 +78,18 @@ _ROWS = 64
 # to 300 a trial, as the allocator gave their pages back and mapped them
 # again, and ran the loop no faster than one block of all edges.
 _SAMPLE_EDGES = 2**15
+# Newton steps from n = _CG_MIN_N on by preconditioned conjugate gradients
+# (_cg_direction), below it by Cholesky.  With one BLAS thread, a sampled
+# target with theta in [0.5, 2] or [0.01, 100] solves in about the same time
+# both ways at n = 130 to 160, and by CG in 0.7 of the Cholesky time at 200.
+_CG_MIN_N = 160
+# CG iterations per Newton step: the bound (1/2) sqrt(kappa) ln(2/_CG_RTOL)
+# reaches 100 at kappa = 36.  Sampled targets at n = 400 and 1000, theta in
+# [0.01, 100] and narrower, have kappa below 10 and take 6 to 13 iterations.
+_CG_MAX_ITER = 100
+# The residual, relative to the Newton right-hand side in the infinity norm,
+# at which CG stops.
+_CG_RTOL = 1e-14
 
 
 class DomainError(ValueError):
@@ -278,14 +293,6 @@ class RetinaSolution:
     certificate_is_local: bool = True
 
 
-def _scaled(x: float, e: int) -> float:
-    """x * 2^e rounded once; inf where that is past the largest float."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.inf
-
-
 def _finish(theta, r_inf, iters, converged, n) -> RetinaSolution:
     # Every pair sum is positive on the solver's domain, so the smallest
     # 1/(theta_i + theta_j)^2 belongs to the largest pair sum, which is minus
@@ -327,13 +334,13 @@ def _start(d: np.ndarray) -> np.ndarray:
     For constant d, h = g/2 = u; the rounded means of d and g can move h
     off u in the last bits, so constant d starts at u itself.  Otherwise h
     follows how the targets are spread, where u ignores it, and at n = 400
-    it saves two of the six Newton steps (each an O(n^3) Cholesky
-    factorization) of a sampled target.  But where the targets are spread
-    widely h can leave the domain: h_i + h_j < 0 once g_i + g_j < mean(g).
-    So the start is u + s (h - u) for the first s of 1, 1/2, ..., 1/32
-    whose smallest pair sum is at least ``DOMAIN_FLOOR``, and u if none
-    is.  A target so small that g overflows leaves h not finite, and the
-    start is u.
+    it saves two of the six Newton steps (each a Jacobian, a direction
+    solve and at least one residual) of a sampled target.  But where the
+    targets are spread widely h can leave the domain: h_i + h_j < 0 once
+    g_i + g_j < mean(g).  So the start is u + s (h - u) for the first s of
+    1, 1/2, ..., 1/32 whose smallest pair sum is at least ``DOMAIN_FLOOR``,
+    and u if none is.  A target so small that g overflows leaves h not
+    finite, and the start is u.
     """
     n = len(d)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -353,6 +360,65 @@ def _start(d: np.ndarray) -> np.ndarray:
     return u
 
 
+def _cg_direction(jac: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+    """x with jac @ x = r by conjugate gradients preconditioned by
+    1/diag(jac), from x = 0, once the recurred residual is at most
+    ``_CG_RTOL`` times r in the infinity norm; jac is read, not written.
+
+    None where that takes more than ``_CG_MAX_ITER`` iterations, where a
+    diagonal entry of jac is not positive and finite, and where a curvature
+    p^T jac p is not positive and finite (an overflow included).
+    """
+    diag = jac.diagonal().copy()
+    if not (np.isfinite(diag).all() and (diag > 0).all()):
+        return None
+    x = np.zeros(len(r))
+    res = r.copy()
+    stop = _CG_RTOL * float(np.abs(r).max())
+    # an overflow ends in a curvature that is not finite, which is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = res / diag
+        p = z.copy()
+        rz = float(res @ z)
+        for _ in range(_CG_MAX_ITER):
+            q = jac @ p
+            pq = float(p @ q)
+            if not 0 < pq < math.inf:
+                return None
+            alpha = rz / pq
+            x += alpha * p
+            res -= alpha * q
+            if float(np.abs(res).max()) <= stop:
+                return x
+            np.divide(res, diag, out=z)
+            rz, rz_old = float(res @ z), rz
+            p *= rz / rz_old
+            p += z
+    return None
+
+
+def _newton_direction(jac: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+    """The solution of jac @ x = r for the Jacobian ``jac``, built in place
+    in the solver's buffer, which may be overwritten; None where jac is not
+    positive definite in floating point.
+
+    From n = ``_CG_MIN_N`` on it is :func:`_cg_direction`'s where that
+    gives one.  Otherwise, and below n = ``_CG_MIN_N``, it is found by
+    Cholesky, whose failed pivot is the one test of positive definiteness
+    that ends a solve.  The factorization is in place: jac is exactly
+    symmetric, so LAPACK reads its transpose, which is Fortran-ordered and
+    needs no copy.
+    """
+    if len(r) >= _CG_MIN_N:
+        x = _cg_direction(jac, r)
+        if x is not None:
+            return x
+    f, info = scipy.linalg.lapack.dpotrf(jac.T, lower=0, clean=0, overwrite_a=1)
+    if info > 0:
+        return None
+    return scipy.linalg.lapack.dpotrs(f, r, lower=0)[0]
+
+
 def solve_retina(prob: RetinaProblem, tol: float = 1e-10) -> RetinaSolution:
     """Damped Newton iteration on the moment-matching residual.
 
@@ -361,10 +427,10 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10) -> RetinaSolution:
     until every pair sum is at or above the domain floor (see ``_start``);
     both are exact for constant d, and the mean-field point follows the
     spread of the targets, which saves about a third of the steps of a
-    sampled target.  Each step solves the balanced positive definite Jacobian
-    system by Cholesky, then backtracks (halving) until every pairwise sum
-    stays at or above the domain floor and the residual norm decreases.
-    It stops when the residual norm is at most
+    sampled target.  Each step solves the Jacobian system J step = r for
+    the Newton direction (see below), then backtracks (halving) until every
+    pairwise sum stays at or above the domain floor and the residual norm
+    decreases.  It stops when the residual norm is at most
     ``max(tol * min(1, max(d)), n * eps * max(d))``.  The first term is
     ``tol`` itself for targets of 1 and above and relative to the largest
     target below that, so a start close to tiny targets in absolute terms
@@ -376,14 +442,38 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10) -> RetinaSolution:
     converged=False rather than raising: a solution is only guaranteed to
     exist almost surely.
 
+    The Newton direction needs no factorization.  J has off-diagonal
+    entries J_ij = 1/(theta_i + theta_j)^2 > 0 and diagonal D = diag(J) with
+    D_ii = sum_{j != i} J_ij, so
+
+        x^T (2D - J) x = sum_{i<j} J_ij (x_i - x_j)^2 >= 0,
+        x^T J x        = sum_{i<j} J_ij (x_i + x_j)^2 >  0   (x != 0, n >= 3):
+
+    2D - J is a weighted graph Laplacian, and J is positive definite, as
+    no x != 0 has x_i = -x_j on all three pairs of a triangle.  So the
+    eigenvalues of D^-1/2 J D^-1/2 lie in (0, 2], and conjugate gradients
+    preconditioned by 1/diag(J) (Hestenes and Stiefel 1952; Saad, Iterative
+    Methods for Sparse Linear Systems, 2nd ed., 6.11) cut the error by
+    2 ((sqrt(k) - 1)/(sqrt(k) + 1))^m in m iterations, with k = 2/lambda_min
+    at most: about (1/2) sqrt(k) ln(2/eps) iterations reach eps.  Each is
+    one O(n^2) product with J.  Sampled targets have k below 10 and take 6
+    to 13 iterations a step at n = 400 and 1000.  So from n = ``_CG_MIN_N``
+    (160) on, each direction is found by :func:`_cg_direction`, from x = 0,
+    to a residual of at most 1e-14 of r in the infinity norm.  Below n =
+    160 a Cholesky factorization is faster, and the direction is found by
+    it.  It is found by Cholesky as well where CG misses that tolerance in
+    ``_CG_MAX_ITER`` (100) iterations, as a direction cut short need not
+    lower the residual's infinity norm, which the line search asks of every
+    step; and where CG meets a diagonal or a curvature that is not positive,
+    so that, as below n = 160, a failed Cholesky pivot ends the solve.
+
     One n x n buffer serves every step.  Each candidate is evaluated through
     :func:`residual`, which leaves the candidate's pair sums in the buffer;
     the line search ends only on an accepted candidate, so the buffer then
     holds the new iterate's pair sums, and the next Jacobian is built from
     them in place (squared, reciprocal, row sums on the diagonal) with no
-    second pass over the pairs.  Cholesky factors it in place too: the
-    Jacobian is exactly symmetric, so LAPACK reads the buffer's transpose,
-    which is Fortran-ordered and needs no copy.
+    second pass over the pairs.  CG reads it there; Cholesky factors it in
+    place (see :func:`_newton_direction`).
     """
     d = prob.d
     n = prob.n
@@ -400,10 +490,9 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10) -> RetinaSolution:
         # square past the largest float gives an entry of 0
         with np.errstate(over="ignore"):
             jac = _jacobian_from_pair_sums(w)
-        f, info = scipy.linalg.lapack.dpotrf(jac.T, lower=0, clean=0, overwrite_a=1)
-        if info > 0:  # not positive definite in floating point
+        step = _newton_direction(jac, r)
+        if step is None:  # not positive definite in floating point
             return _finish(theta, r_inf, it - 1, False, n)
-        step = scipy.linalg.lapack.dpotrs(f, r, lower=0)[0]
         lam = 1.0
         step_inf = float(np.abs(step).max())
         while True:

@@ -18,7 +18,7 @@ from sddkit import (AsymmetricMatrixError, BipartiteComponent, DomainError,
                     lower_bound_trivial, main_bound, randmat, sform_dense,
                     sform_inf_norm_inverse, sform_inverse, signless_laplacian,
                     spectral_route_bound, varah_bound, xi_functional)
-from sddkit import bounds
+from sddkit import bounds, retina
 from sddkit.bounds import SuiteRecord
 from sddkit.graphlimit import _require_compatible
 from sddkit.matcore import DominanceReport, _check_pivot, _mean_with_transpose
@@ -601,7 +601,10 @@ def retina_start_by_scan(d: np.ndarray) -> np.ndarray:
 def solve_retina_by_scan(prob: RetinaProblem, tol: float = 1e-10,
                          max_iter: int = 80) -> RetinaSolution:
     """Damped Newton iteration of ``solve_retina`` with a fresh SymMatrix
-    Jacobian per step, factored from a copy."""
+    Jacobian per step, read from n = ``_CG_MIN_N`` on by the solver's own
+    ``_cg_direction`` (so that the match is a bitwise test of the scans and
+    of the solver's in-place buffer), and factored from a copy below that
+    and where CG gives no direction."""
     d = prob.d
     n = prob.n
     theta = retina_start_by_scan(d)
@@ -612,11 +615,13 @@ def solve_retina_by_scan(prob: RetinaProblem, tol: float = 1e-10,
         if r_inf <= stop:
             return _finish(theta, r_inf, it - 1, True, n)
         w = jacobian_by_scan(-theta)
-        try:
-            cho = scipy.linalg.cho_factor(w.entries, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            return _finish(theta, r_inf, it - 1, False, n)
-        step = scipy.linalg.cho_solve(cho, r, check_finite=False)
+        step = retina._cg_direction(w.entries, r) if n >= retina._CG_MIN_N else None
+        if step is None:
+            try:
+                cho = scipy.linalg.cho_factor(w.entries, check_finite=False)
+            except scipy.linalg.LinAlgError:
+                return _finish(theta, r_inf, it - 1, False, n)
+            step = scipy.linalg.cho_solve(cho, r, check_finite=False)
         lam = 1.0
         step_inf = float(np.abs(step).max())
         while True:

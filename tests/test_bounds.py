@@ -41,6 +41,10 @@ from sddkit import bounds, matcore
 from sddkit.bounds import CONJECTURES, SUITES
 from sddkit.randmat import trial_rng
 
+# Balanced, off-diagonal 6e307: its row sums, lambda_max and the closed forms'
+# denominators, each 2.4e308, are past the largest float.
+FAR_BALANCED = 6e307 * (np.eye(3) + np.ones((3, 3)))
+
 
 def ones_plus(alpha, n):
     return SymMatrix(alpha * np.eye(n) + np.ones((n, n)))
@@ -155,6 +159,13 @@ class TestLowerBound:
         assert not r.applicable
         assert r.context == {"n": 4, "reason": "J not diagonally dominant"}
 
+    @pytest.mark.filterwarnings("error")
+    def test_closed_form_past_the_float_range(self):
+        # 2 m (n-1) = 2.4e308 is past the largest float, 1/(2 m (n-1)) is not
+        r = lower_bound_trivial(SymMatrix(FAR_BALANCED))
+        assert r.lhs == pytest.approx(1 / 2.4 * 1e-308, rel=1e-14, abs=0)
+        assert r.lhs < r.rhs and r.holds
+
 
 class TestSpectralRoute:
     def test_reference(self):
@@ -176,6 +187,15 @@ class TestSpectralRoute:
     def test_context_records_gap(self):
         r = spectral_route_bound(ones_plus(2, 4), 1.0)
         assert r.context["sharp_rhs"] == pytest.approx(2 / 3, abs=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_norm_past_the_float_range(self):
+        # |J|'s row sums, 2.4e308, are past the largest float, and the
+        # eigensolve's residual certificate forms them at a smaller scale
+        r = spectral_route_bound(SymMatrix(FAR_BALANCED))
+        assert r.lhs == pytest.approx(1.25 / 6e307, rel=1e-14, abs=0)
+        assert r.rhs == pytest.approx(math.sqrt(3) / 6e307, rel=1e-15, abs=0)
+        assert r.lhs < r.rhs and r.holds
 
 
 class TestConditionBound:
@@ -227,6 +247,14 @@ class TestEigIntervals:
         assert r.holds
         assert r.context["lambda_min"] == pytest.approx(2.0, abs=1e-10)
         assert r.context["lambda_max"] == pytest.approx(6.0, abs=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_eigenvalue_past_the_float_range_is_inapplicable(self):
+        # lambda_max = 2.4e308 and its interval ends are inf, so its margin
+        # is inf - inf
+        r = eig_interval_check(SymMatrix(FAR_BALANCED))
+        assert not r.applicable and r.context["reason"] == "lhs is NaN (past the float range)"
+        assert r.context["lambda_max"] == math.inf
 
     def test_random_balanced_all_blocks(self):
         rng = trial_rng(109)
@@ -824,6 +852,14 @@ class TestAdjugateBound:
         r = adjugate_bound(J)
         assert math.isfinite(r.lhs) and r.lhs > 0
         assert r.holds and r.applicable
+
+    @pytest.mark.filterwarnings("error")
+    def test_closed_form_past_the_float_range(self):
+        # 2 ell (n-2)(n-1) = 2.4e308 is past the largest float, the right
+        # side is not, and it holds without the tolerance
+        r = adjugate_bound(SymMatrix(FAR_BALANCED))
+        assert r.rhs == pytest.approx(5 / 2.4 * 1e-308 * math.exp(-0.25), rel=1e-14, abs=0)
+        assert 0 < r.lhs < r.rhs and r.holds
 
 
 class TestXiFunctional:

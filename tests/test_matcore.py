@@ -515,6 +515,14 @@ class TestEigenSym:
     def test_single_entry(self):
         np.testing.assert_array_equal(eigen_sym(SymMatrix(np.array([[-2.0]]))), [-2.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_norm_past_the_float_range(self):
+        # |M|'s row sums and its largest eigenvalue are 2.4e308, past the
+        # largest float; the certificate's norm is formed at a smaller scale
+        lams = eigen_sym(SymMatrix(6e307 * (np.eye(3) + np.ones((3, 3)))))
+        np.testing.assert_allclose(lams[:2], 6e307, rtol=1e-15)
+        assert lams[2] == math.inf
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 15))
     def test_matches_lapack(self, seed, n):

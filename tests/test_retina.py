@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import (bits, f_map_by_scan, jacobian_by_scan, loewner_geq, residual_by_scan,
                      retina_start_by_scan, sample_degrees_by_scan, solve_retina_by_scan)
@@ -532,6 +533,17 @@ class TestBitwiseOracles:
         assert not sol.converged
 
 
+def _cell_problems(n, theta_range, targets, seeds=6):
+    """One problem per seed: theta uniform in the range, and its sampled
+    degrees, or the exact f_map(-theta) for targets "exact"."""
+    problems = []
+    for seed in range(seeds):
+        theta = _true_theta(n, seed, *theta_range)
+        d = sample_degrees(theta, 100 + seed) if targets == "sampled" else f_map(-theta)
+        problems.append(RetinaProblem(d))
+    return problems
+
+
 def _uniform_start(d):
     """The uniform closed form theta_i = (n-1)/(2 mean(d)), at least the floor."""
     return np.full(len(d), max((len(d) - 1) / (2.0 * float(d.mean())), DOMAIN_FLOOR))
@@ -575,11 +587,7 @@ class TestStart:
     def test_fewer_steps_than_the_uniform_start(self, n, theta_range, targets, monkeypatch):
         # Six trials a cell: a single trial may take a step more than from
         # u (one at theta in [5, 50] does), but every cell's total is smaller.
-        problems = []
-        for seed in range(6):
-            theta = _true_theta(n, seed, *theta_range)
-            d = sample_degrees(theta, 100 + seed) if targets == "sampled" else f_map(-theta)
-            problems.append(RetinaProblem(d))
+        problems = _cell_problems(n, theta_range, targets)
         blended = [solve_retina(p, tol=1e-9) for p in problems]
         monkeypatch.setattr(retina, "_start", _uniform_start)
         uniform = [solve_retina(p, tol=1e-9) for p in problems]
@@ -596,6 +604,84 @@ class TestStart:
             assert not np.isfinite(_uniform_start(d)).any()
             with pytest.raises(ValueError, match=r"^x\[0\] = -inf is not finite$"):
                 solve_retina(RetinaProblem(d))
+
+
+class TestNewtonDirection:
+    """From n = _CG_MIN_N on, each Newton direction is found by conjugate
+    gradients preconditioned by the Jacobian's diagonal, and the solve ends
+    as it does with every direction found by Cholesky; Cholesky finds the
+    directions CG does not give."""
+
+    CELLS = sorted({(theta_range, targets) for _, theta_range, targets in TestStart.STEP_CELLS})
+
+    @pytest.mark.parametrize("n", [400, 1000])
+    @pytest.mark.parametrize("theta_range, targets", CELLS)
+    def test_same_solve_as_cholesky(self, n, theta_range, targets, monkeypatch):
+        # Each direction is the Cholesky one to 1e-12 of its largest entry
+        # (CG's tolerance of 1e-14 leaves at most 4e-14, one of 1e-6 leaves
+        # 1e-7 to 2e-6).  The solves then agree to 1e-13 of max |theta|,
+        # which alone would not see the looser tolerance: Newton's last step
+        # squares the direction's error away.
+        assert n >= retina._CG_MIN_N
+        problems = _cell_problems(n, theta_range, targets, seeds=6 if n == 400 else 3)
+        errors = []
+        real_cg = retina._cg_direction
+
+        def checked_cg(jac, r):
+            x = real_cg(jac, r)
+            exact = scipy.linalg.cho_solve(scipy.linalg.cho_factor(jac), r)
+            errors.append(np.abs(x - exact).max() / np.abs(exact).max())
+            return x
+
+        monkeypatch.setattr(retina, "_cg_direction", checked_cg)
+        cg = [solve_retina(p, tol=1e-9) for p in problems]
+        monkeypatch.setattr(retina, "_CG_MIN_N", n + 1)
+        cholesky = [solve_retina(p, tol=1e-9) for p in problems]
+        assert len(errors) == sum(sol.iterations for sol in cg)
+        assert max(errors) <= 1e-12
+        for new, old in zip(cg, cholesky):
+            assert (new.iterations, new.converged) == (old.iterations, old.converged)
+            assert np.abs(new.theta - old.theta).max() <= 1e-13 * np.abs(old.theta).max()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_jacobian_ends_unconverged(self):
+        # theta near 1e160: the Jacobian is 0, so CG meets a diagonal that
+        # is not positive, Cholesky's first pivot fails, and the solve ends
+        # at the start, with no warning.
+        d = 1e-160 * sample_degrees(_true_theta(400, 0), 100)
+        sol = solve_retina(RetinaProblem(d))
+        assert (sol.converged, sol.iterations) == (False, 0)
+        assert sol.residual_inf > 1e-10 * d.max()
+
+    @pytest.mark.filterwarnings("error")
+    def test_direction_cut_off_by_the_cap_is_found_by_cholesky(self, monkeypatch):
+        # One CG iteration never meets the tolerance, so every direction is
+        # found by Cholesky: the solve is the one below the crossover.  (Fed
+        # to the line search, these one-iteration directions stall it at
+        # step 4 with the residual norm at 0.24.)
+        prob = RetinaProblem(sample_degrees(_true_theta(400, 0), 100))
+        monkeypatch.setattr(retina, "_CG_MIN_N", 401)
+        cholesky = solve_retina(prob, tol=1e-9)
+        monkeypatch.setattr(retina, "_CG_MIN_N", 400)
+        monkeypatch.setattr(retina, "_CG_MAX_ITER", 1)
+        calls = []
+        real_cg = retina._cg_direction
+        monkeypatch.setattr(retina, "_cg_direction", lambda *a: calls.append(1) or real_cg(*a))
+        capped = TestBitwiseOracles.assert_same_solution(prob, tol=1e-9)
+        # CG ran at every step, in the solver and in its oracle
+        assert capped.converged and len(calls) == 2 * capped.iterations
+        assert (capped.iterations, capped.converged) == (cholesky.iterations, cholesky.converged)
+        np.testing.assert_array_equal(bits(capped.theta), bits(cholesky.theta))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("jac, r", [
+        ([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0]),
+        ([[1.0, 0.0], [0.0, np.inf]], [1.0, 1.0]),
+        ([[1.0, 2.0], [2.0, 1.0]], [1.0, -1.0]),
+        ([[1.0, 1e308], [1e308, 1.0]], [1.0, 1.0]),
+    ], ids=["zero_diagonal", "infinite_diagonal", "negative_curvature", "curvature_overflows"])
+    def test_no_direction_where_not_positive_definite(self, jac, r):
+        assert retina._cg_direction(np.array(jac), np.array(r)) is None
 
 
 def _straddling_sizes(edges):
