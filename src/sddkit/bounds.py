@@ -37,12 +37,12 @@ from .matcore import (
     MatrixError,
     SingularBlockError,
     SymMatrix,
+    _at_unit_scale,
     _classify_stack,
     _eigen_stack,
     _eliminate_stack,
     _floor,
     _prescaled,
-    _scaled,
     _stack_of,
     eigen_sym,
     inf_norm,
@@ -213,12 +213,7 @@ def lower_bound_trivial(J: SymMatrix) -> BoundReport:
         return _inapplicable("lower", "J not diagonally dominant", n=J.n)
     m_hat = rep.max_offdiag
     d_hat = max(rep.max_delta, 0.0)
-    # formed with m and delta scaled by 2^-e, e the exponent of the larger,
-    # and scaled back once, as in _balanced_decay: the scaling is exact, so
-    # lhs keeps its bits where it is a normal float, and its denominator
-    # does not overflow where m (n-1) is past the largest float
-    e = math.frexp(max(m_hat, d_hat))[1]
-    lhs = _scaled(1.0 / (2.0 * math.ldexp(m_hat, -e) * (J.n - 1) + math.ldexp(d_hat, -e)), -e)
+    lhs = _at_unit_scale(lambda m, d: 1.0 / (2.0 * m * (J.n - 1) + d), -1, m_hat, d_hat)
     rhs = J.inv_inf_norm
     return _report("lower", lhs, rhs, n=J.n, m=m_hat, delta=d_hat)
 
@@ -236,11 +231,11 @@ def spectral_route_bound(J: SymMatrix, ell: float | None = None) -> BoundReport:
     n = J.n
     lams = eigen_sym(J)
     lhs = J.inv_inf_norm
-    rhs = math.sqrt(n) / ((n - 2) * ell)
+    rhs = _at_unit_scale(lambda l: math.sqrt(n) / ((n - 2) * l), -1, ell)
     intermediate = math.sqrt(n) / lams[0]
-    sharp = (3 * n - 4) / (2.0 * ell * (n - 2) * (n - 1))
+    sharp = _at_unit_scale(lambda l: (3 * n - 4) / (2.0 * l * (n - 2) * (n - 1)), -1, ell)
     return _report("spectral", lhs, rhs, n=n, ell=ell,
-                   intermediate=float(intermediate), sharp_rhs=float(sharp))
+                   intermediate=float(intermediate), sharp_rhs=sharp)
 
 
 def condition_bound(J: SymMatrix, ell: float | None = None) -> BoundReport:
@@ -357,7 +352,7 @@ def block_det_ratio(J: SymMatrix) -> tuple[np.ndarray, float]:
     blocks are nested.  The pivot of row 1 is only a factor: a singular J
     whose trailing blocks are nonsingular gives ratio 0.
 
-    A NaN pivot is singular too, and J is prescaled by a power of two, so
+    A NaN pivot is singular too, and J is prescaled (:func:`_prescaled`), so
     entries near the largest float do not overflow to a NaN ratio.  The
     elimination runs on J's whole stack at once (``J.elimination``), and
     every determinant bound reads the same pair, ``factors`` read-only.
@@ -368,15 +363,13 @@ def block_det_ratio(J: SymMatrix) -> tuple[np.ndarray, float]:
 def det_ratio_lu(J: SymMatrix) -> float:
     """det(J) / prod(J_ii) via the LU determinant (log-scaled for safety).
 
-    The ratio is scale-free, so a J whose largest |J_ij| is outside
-    [2^-960, 2^960] is first scaled into [0.5, 1) by a power of two, which
-    keeps its LU off subnormal numbers and overflow; any other J is not.
+    The ratio is scale-free, so J is prescaled (:func:`_prescaled`) first,
+    which keeps the LU of entries near either end of the float range off
+    subnormal numbers and overflow.
     """
-    a = J.entries
-    if (a.diagonal() <= 0).any():
+    if (J.entries.diagonal() <= 0).any():
         raise MatrixError("determinant ratio needs positive diagonal entries")
-    if not 2.0 ** -960 <= np.abs(a).max() <= 2.0 ** 960:
-        a = _prescaled(a)[0]
+    a = _prescaled(J.entries)[0]
     diag = a.diagonal()
     sign, logabs = np.linalg.slogdet(a)
     if sign == 0:
@@ -413,16 +406,12 @@ def det_upper_bound_balanced(J: SymMatrix, ell: float | None = None,
     if bad is not None:
         return bad
     _, ratio = block_det_ratio(J)
-    return _report("det_upper", ratio, _balanced_decay(ell, m), n=J.n, ell=ell, m=m)
+    return _report("det_upper", ratio, _at_unit_scale(_balanced_decay, 0, ell, m),
+                   n=J.n, ell=ell, m=m)
 
 
 def _balanced_decay(ell: float, m: float) -> float:
-    """exp(-ell^2 / (4 m^2)), with ell and m first scaled by 2^-e, where e is
-    the exponent (``frexp``'s) of m: the scaling is exact, so the value keeps
-    its bits at unit scale, and m^2 then lies in [1/4, 1), so the quotient
-    is finite at any scale of the entries."""
-    e = math.frexp(m)[1]
-    ell, m = math.ldexp(ell, -e), math.ldexp(m, -e)
+    """exp(-ell^2 / (4 m^2)), homogeneous of degree 0 in (ell, m)."""
     return math.exp(-ell * ell / (4.0 * m * m))
 
 
@@ -440,11 +429,8 @@ def adjugate_bound(J: SymMatrix, ell: float | None = None,
     _, ratio = block_det_ratio(J)
     n = J.n
     lhs = abs(ratio) * J.inv_inf_norm
-    # formed with ell scaled by 2^-e, e its exponent, and scaled back once,
-    # as in lower_bound_trivial
-    e = math.frexp(ell)[1]
-    rhs = _scaled((3 * n - 4) / (2.0 * math.ldexp(ell, -e) * (n - 2) * (n - 1))
-                  * _balanced_decay(ell, m), -e)
+    rhs = _at_unit_scale(lambda l, m: (3 * n - 4) / (2.0 * l * (n - 2) * (n - 1))
+                         * _balanced_decay(l, m), -1, ell, m)
     return _report("adjugate", lhs, rhs, n=n, ell=ell, m=m)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .matcore import (SymMatrix, _adopt, _fill_upper, _inverse_cholesky,
+from .matcore import (SymMatrix, _adopt, _at_unit_scale, _fill_upper, _inverse_cholesky,
                       _numbered_lines, _read_count)
 from .sform import SForm, sform_dense, sform_inverse
 
@@ -278,6 +278,12 @@ def _side_vectors(B: BipartitionSummary):
     return y, Y
 
 
+def _rank_one_coefficient(S: SForm, B: BipartitionSummary) -> float:
+    """ell/(alpha(alpha + ell*gamma)), the coefficient of y y' in the limit."""
+    return _at_unit_scale(lambda alpha, ell: ell / (alpha * (alpha + ell * B.gamma)),
+                          -1, S.alpha, S.ell)
+
+
 def limit_closed_form(S: SForm, B: BipartitionSummary) -> SymMatrix:
     """N = (1/alpha) Y - ell/(alpha(alpha + ell*gamma)) y y'.
 
@@ -287,8 +293,7 @@ def limit_closed_form(S: SForm, B: BipartitionSummary) -> SymMatrix:
     """
     _require_compatible(S, B)
     y, Y = _side_vectors(B)
-    alpha, ell = S.alpha, S.ell
-    N = Y / alpha - (ell / (alpha * (alpha + ell * B.gamma))) * np.outer(y, y)
+    N = Y / S.alpha - _rank_one_coefficient(S, B) * np.outer(y, y)
     return _adopt(N)
 
 
@@ -402,9 +407,8 @@ def limit_inf_norm(S: SForm, B: BipartitionSummary) -> float:
     bip = B.bipartite_components
     if not bip:
         return 0.0
-    alpha, ell, gamma, d = S.alpha, S.ell, B.gamma, B.d
-    best = max((c.p - c.q) * (d - 2 * (c.p - c.q)) / (c.p + c.q) for c in bip)
-    return 1.0 / alpha + (ell / (alpha * (alpha + ell * gamma))) * best
+    best = max((c.p - c.q) * (B.d - 2 * (c.p - c.q)) / (c.p + c.q) for c in bip)
+    return 1.0 / S.alpha + _rank_one_coefficient(S, B) * best
 
 
 # Edge-list text format: first line "n", then one edge per line "i j"

@@ -13,6 +13,12 @@ whole stack of same-size matrices (:func:`_classify_stack`,
 :func:`_eliminate_stack`, :func:`_inv_norm_stack`; :func:`_eigen_stack`
 too takes stacks).  Every bound and CLI command reads these members.
 
+One rule keeps the kernels inside the float range: a matrix whose largest
+|entry| lies outside [2^-960, 2^960] is scaled into [0.5, 1) by a power of
+two (:func:`_prescaled`), and any other matrix is used as it is.  Every
+closed form, homogeneous in its parameters, is evaluated at unit scale by
+one helper, :func:`_at_unit_scale`.
+
 All operations are pure functions of their inputs.  Matrix values are
 immutable after construction and safe to share across threads.
 """
@@ -224,13 +230,6 @@ def _fill_upper(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _margins(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The dominance margins 2|J_ii| - sum_j |J_ij| of each row, and the row
-    sums, from w = |J| for one matrix or a stack: each row reduces alone."""
-    rows = w.sum(axis=-1)
-    return 2.0 * w.diagonal(axis1=-2, axis2=-1) - rows, rows
-
-
 def delta(J: SymMatrix) -> np.ndarray:
     """Per-row dominance margins |J_ii| - sum_{j != i} |J_ij|: a copy of
     ``J.dominance.deltas``."""
@@ -257,21 +256,15 @@ def _classify_stack(a: np.ndarray) -> list[DominanceReport]:
     extremes, reduce that row or matrix alone, so every field keeps the bits
     of a stack of one.
 
-    A matrix whose largest |J_ij| is outside [2^-960, 2^960] is classified
-    on |J| scaled into [0.5, 1) by a power of two (:func:`_prescaled`), as
-    in :func:`sddkit.bounds.det_ratio_lu`: its row sums then neither
-    overflow nor lose bits as subnormal numbers, and its margins are scaled
-    back, to +-inf where they are past the float range.  Every other matrix
-    is not scaled.
+    The margins 2|J_ii| - sum_j |J_ij| are formed on |J| prescaled
+    (:func:`_prescaled`), so its row sums neither overflow nor lose bits as
+    subnormal numbers, and scaled back, to +-inf where they are past the
+    float range.
     """
     k, n = a.shape[:2]
-    w = np.abs(a)
-    largest = w.max(axis=(1, 2))
-    e = np.zeros(k, dtype=int)
-    far = (largest < 2.0 ** -960) | (largest > 2.0 ** 960)
-    if far.any():
-        w[far], e[far] = _prescaled(w[far])
-    d, rows = _margins(w)
+    w, e = _prescaled(np.abs(a))
+    rows = w.sum(axis=2)
+    d = 2.0 * w.diagonal(axis1=1, axis2=2) - rows
     tol = (1e-12 * rows.max(axis=1))[:, None]
     if n >= 2:
         # In row order, a matrix's entries after its first are n - 1 runs of
@@ -285,9 +278,8 @@ def _classify_stack(a: np.ndarray) -> list[DominanceReport]:
     # (is_dominant, is_balanced, is_strictly_dominant) of each matrix
     flags = zip((d >= -tol).all(axis=1).tolist(), (np.abs(d) <= tol).all(axis=1).tolist(),
                 (d > tol).all(axis=1).tolist())
-    if far.any():
-        with np.errstate(over="ignore"):
-            d = np.ldexp(d, e[:, None])
+    with np.errstate(over="ignore"):
+        d = np.ldexp(d, e[:, None])
     return [DominanceReport(deltas, *flag, lo, hi, top)
             for deltas, flag, lo, hi, top in zip(d, flags, lows, highs, d.max(axis=1).tolist())]
 
@@ -302,10 +294,18 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-def _scaled(x: float, e: int) -> float:
-    """x * 2^e rounded once; inf where that is past the largest float."""
+def _at_unit_scale(form, degree: int, *params: float) -> float:
+    """``form(*params)`` for a closed form homogeneous of degree ``degree``
+    in its non-negative ``params``: evaluated on the params times 2^-e, e
+    the exponent (``frexp``'s) of the largest, and multiplied by 2^(degree
+    e) once, to inf where that is past the largest float.  The scaling is
+    exact, so the value has the bits of the unscaled form wherever that
+    neither over- nor underflows, and with its largest parameter in
+    [0.5, 1) a closed form here does neither before it is scaled back."""
+    e = math.frexp(max(params))[1]
+    value = form(*(math.ldexp(p, -e) for p in params))
     try:
-        return math.ldexp(x, e)
+        return math.ldexp(value, degree * e)
     except OverflowError:
         return math.inf
 
@@ -333,9 +333,9 @@ def inverse_dense(J: SymMatrix) -> SymMatrix:
     """Invert via pivoted LU and re-symmetrize the result.
 
     Pivoted LU (rather than Cholesky) so the same oracle inverts indefinite
-    matrices.  J is prescaled by a power of two (:func:`_prescaled`) and the
-    inverse scaled back, which keeps the LU off subnormal numbers and
-    infinities and leaves the bits of the unscaled LU in the normal range.
+    matrices.  J is prescaled (:func:`_prescaled`) and the inverse scaled
+    back, so a J of subnormal or near-overflow entries factors in normal
+    numbers.
     Raises :class:`SingularMatrixError` carrying the smallest pivot
     magnitude, in J's units, when J is singular to working precision, or
     when an entry of its inverse is past the float range.
@@ -439,15 +439,21 @@ def _pivot_floors(a: np.ndarray) -> np.ndarray:
 
 def _prescaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each matrix of the stack ``a``, or the one matrix ``a``, times 2^-e,
-    and e, the exponent (``frexp``'s) of the matrix's largest |a_ij|.
+    in a new array, and e.
 
-    A power of two scales every product, quotient and sum of an
-    elimination or LU, and its floors, exactly while they stay normal, so
-    the pivots' ratios to the diagonal keep their bits, and the updates of
-    entries near either end of the float range neither overflow nor lose
-    bits as subnormal numbers.
+    The float-range rule of every matrix kernel: e is the exponent
+    (``frexp``'s) of the matrix's largest |a_ij| where that lies outside
+    [2^-960, 2^960], which scales the matrix into [0.5, 1), and 0 for any
+    other matrix, which keeps its bits.  A power of two scales every
+    product, quotient and sum of an elimination or LU, and its floors,
+    exactly while they stay normal, so a scaled matrix's pivots' ratios to
+    the diagonal keep their bits, and the updates of entries near either
+    end of the float range neither overflow nor lose bits as subnormal
+    numbers.  Inside the range a matrix is not scaled, so a small block
+    beside large entries is not pushed into the subnormal range.
     """
-    _, e = np.frexp(np.abs(a).max(axis=(-2, -1)))
+    largest = np.abs(a).max(axis=(-2, -1))
+    e = np.where((largest < 2.0 ** -960) | (largest > 2.0 ** 960), np.frexp(largest)[1], 0)
     return np.ldexp(a, -e[..., None, None]), e
 
 
@@ -508,8 +514,9 @@ def _eliminate_stack(a: np.ndarray) -> list:
     (factors, ratio) with ``factors`` read-only, or the
     :class:`SingularBlockError` of its first singular pivot, in the
     matrix's own units.  The whole stack, prescaled (:func:`_prescaled`),
-    runs through :func:`_pivots`, which spreads numpy's fixed cost per step
-    over the stack.
+    so an entry near either end of the float range neither overflows nor
+    loses bits, runs through :func:`_pivots`, which spreads numpy's fixed
+    cost per step over the stack.
     """
     scaled, e = _prescaled(a)
     diag = np.diagonal(scaled, axis1=1, axis2=2).copy()
@@ -557,7 +564,8 @@ def _eigen_stack(a: np.ndarray) -> tuple[np.ndarray, list]:
     # after: exact, so the residual keeps its bits at unit scale, and the
     # squares of entries near the largest float stay finite.  A norm past
     # the largest float is inf; its exponent is read from |a| scaled into
-    # [0.5, 1) by 2^-s (:func:`_prescaled`), as in :func:`_classify_stack`.
+    # [0.5, 1) by 2^-s (:func:`_prescaled`, whose range test such a matrix
+    # passes: n entries sum past 2^1024 only if one is past 2^960).
     _, e = np.frexp(norms)
     over = np.isinf(norms)
     if over.any():

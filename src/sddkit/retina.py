@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .matcore import _EPS, SymMatrix, _scaled
+from .matcore import _EPS, SymMatrix, _at_unit_scale
 
 __all__ = [
     "DomainError",
@@ -251,7 +251,9 @@ class RetinaProblem:
         # scaled by 2^-s, with s > 0 only where n targets this large could
         # sum past the largest float.  s is at most 65, so the scaling is
         # exact for every target of at least 2^-957, and the margin has the
-        # bits of the unscaled one wherever that is finite.
+        # bits of the unscaled one wherever that is finite.  This is a rule
+        # of its own, not matcore's unit scale for closed forms: a sum of n
+        # targets is scaled only where it could overflow.
         i = int(np.argmax(d))
         s = max(0, math.frexp(d[i])[1] + len(d).bit_length() - 1023)
         margin = math.fsum(np.ldexp(np.append(np.delete(d, i), -d[i]), -s))
@@ -295,26 +297,22 @@ class RetinaSolution:
 
 def _finish(theta, r_inf, iters, converged, n) -> RetinaSolution:
     # Every pair sum is positive on the solver's domain, so the smallest
-    # 1/(theta_i + theta_j)^2 belongs to the largest pair sum, which is minus
-    # the smallest pair sum of -theta (negation commutes with rounding); so
-    # ell equals the minimum over all pairs exactly.  That sum is first
-    # scaled by 2^-e, with e its exponent (frexp's), into [1/2, 1), as in
-    # bounds._balanced_decay: the scaling is exact, so ell, the constant and
-    # the certificate keep their bits wherever nothing over- or underflows,
-    # and none of them over- or underflows before it is scaled back.
-    z = _low_pair_sum(-theta)
-    e = math.frexp(z)[1]
-    z = math.ldexp(z, -e)
-    ell = 1.0 / (z * z)
-    lip = (3 * n - 4) / (2.0 * ell * (n - 1) * (n - 2))
+    # 1/(theta_i + theta_j)^2 belongs to the largest pair sum z, which is
+    # minus the smallest pair sum of -theta (negation commutes with
+    # rounding); so ell equals the minimum over all pairs exactly.  ell and
+    # the constant are closed forms in z, of degrees -2 and 2.
+    z = -_low_pair_sum(-theta)
+
+    def lip(z):
+        return (3 * n - 4) / (2.0 * (1.0 / (z * z)) * (n - 1) * (n - 2))
     return RetinaSolution(
         theta=theta,
         residual_inf=float(r_inf),
         iterations=iters,
-        lipschitz_const=_scaled(lip, 2 * e),
-        error_certificate=_scaled(lip * r_inf, 2 * e),
+        lipschitz_const=_at_unit_scale(lip, 2, z),
+        error_certificate=_at_unit_scale(lambda z: lip(z) * r_inf, 2, z),
         converged=converged,
-        ell_used=_scaled(ell, -2 * e),
+        ell_used=_at_unit_scale(lambda z: 1.0 / (z * z), -2, z),
     )
 
 

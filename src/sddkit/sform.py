@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import SymMatrix, _adopt
+from .matcore import SymMatrix, _adopt, _at_unit_scale
 
 __all__ = [
     "SForm",
@@ -68,7 +68,7 @@ def sform_dense(S: SForm) -> SymMatrix:
 def sform_inverse(S: SForm) -> SymMatrix:
     """Closed-form inverse (1/alpha) I - ell/(alpha(alpha + ell n)) ones."""
     a = 1.0 / S.alpha
-    b = S.ell / (S.alpha * (S.alpha + S.ell * S.n))
+    b = _at_unit_scale(lambda alpha, ell: ell / (alpha * (alpha + ell * S.n)), -1, S.alpha, S.ell)
     inv = np.full((S.n, S.n), -b)
     np.fill_diagonal(inv, a - b)
     return _adopt(inv)
@@ -80,7 +80,8 @@ def sform_inf_norm_inverse(S: SForm) -> float:
     For the balanced member alpha = (n-2) ell this evaluates to
     (3n-4) / (2 ell (n-2)(n-1)).
     """
-    return (S.alpha + 2.0 * S.ell * (S.n - 1)) / (S.alpha * (S.alpha + S.ell * S.n))
+    return _at_unit_scale(lambda alpha, ell: (alpha + 2.0 * ell * (S.n - 1))
+                          / (alpha * (alpha + ell * S.n)), -1, S.alpha, S.ell)
 
 
 def sform_eigenvalues(S: SForm) -> tuple[float, float]:

@@ -43,6 +43,12 @@ H4_BALANCED = SymMatrix(np.array([
 J3 = SymMatrix(np.array([[3, 2, 1], [2, 3, 1], [1, 1, 2]], dtype=float))
 H3 = SymMatrix(np.array([[3, 1, 1], [1, 3, 1], [1, 1, 2]], dtype=float))
 
+# diag(1e280) + 1e-290 [[3, 1], [1, 3]]: positive definite, det ratio 8/9, and
+# its largest entry is inside [2^-960, 2^960], so no kernel scales it.
+# Prescaled by 2^-931, the small block flushes to zero.
+MIXED_SCALES = SymMatrix(np.block([[np.array([[1e280]]), np.zeros((1, 2))],
+                                   [np.zeros((2, 1)), 1e-290 * np.array([[3.0, 1], [1, 3]])]]))
+
 
 # Single seeded instances: one randmat.draw_sdd draw, assembled by
 # randmat.assemble_sdd as a stack of one, as the trial engine builds them.
@@ -363,8 +369,9 @@ def print_matrix_by_blocks(entries: np.ndarray, rows: int = 32) -> str:
 
 
 def basis_matrix_by_columns(B) -> np.ndarray:
-    """The U basis of ``graphlimit._basis_matrix`` stacked from one n-vector
-    per column (test-side oracle)."""
+    """The U basis that ``graphlimit._basis`` gives as (head, tail, sign)
+    columns, as a dense matrix stacked from one n-vector per column
+    (test-side oracle)."""
     n = B.n
     cols = []
     for comp in B.components:

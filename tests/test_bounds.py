@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import (J4_BALANCED, bits, block_det_ratio_by_inverses,
+from helpers import (J4_BALANCED, MIXED_SCALES, bits, block_det_ratio_by_inverses,
                      block_det_ratio_unblocked, chain_cycle, conjecture_search_ledger,
                      random_balanced, random_dominant, singular_trailing_block,
                      tiny_strictly_dominant, trials_one_by_one)
@@ -119,6 +119,15 @@ class TestMainBound:
         r = main_bound(SymMatrix(np.eye(3) + np.ones((3, 3))), S42)
         assert not r.applicable
 
+    @pytest.mark.filterwarnings("error")
+    def test_tight_at_a_reference_past_the_float_range(self):
+        # alpha (alpha + ell n) = 4e400 is past the largest float, the bound
+        # 5e200 / 4e400 is not; equality holds, so the slack is rounding
+        S = SForm(3, 1e200, 1e200)
+        r = main_bound(sform_dense(S), S)
+        assert r.rhs == pytest.approx(1.25e-200, rel=1e-15, abs=0)
+        assert r.holds and abs(r.slack) <= 1e-15 * r.rhs
+
     def test_non_dominant_reference_is_inapplicable(self):
         S = SForm(4, 1.0, 1.0)  # alpha < (n-2) ell
         r = main_bound(sform_dense(S), S)
@@ -196,6 +205,13 @@ class TestSpectralRoute:
         assert r.lhs == pytest.approx(1.25 / 6e307, rel=1e-14, abs=0)
         assert r.rhs == pytest.approx(math.sqrt(3) / 6e307, rel=1e-15, abs=0)
         assert r.lhs < r.rhs and r.holds
+
+    @pytest.mark.filterwarnings("error")
+    def test_sharp_rhs_past_the_float_range(self):
+        # 2 ell (n-2)(n-1) = 2.4e308 is past the largest float, the sharp
+        # bound (3n-4) / (2 ell (n-2)(n-1)) = 5 / 2.4e308 is not
+        r = spectral_route_bound(SymMatrix(FAR_BALANCED))
+        assert r.context["sharp_rhs"] == pytest.approx(5 / 2.4 * 1e-308, rel=1e-14, abs=0)
 
 
 class TestConditionBound:
@@ -444,6 +460,11 @@ class TestBlockDetRatio:
         np.testing.assert_allclose(factors, ref_factors, rtol=1e-12, atol=0)
         assert ratio == pytest.approx(ref_ratio, rel=1e-12)
 
+    def test_small_block_beside_large_entries(self):
+        factors, ratio = block_det_ratio(MIXED_SCALES)
+        np.testing.assert_array_equal(factors, [1.0, 8 / 9])
+        assert ratio == pytest.approx(det_ratio_lu(MIXED_SCALES), rel=1e-12)
+
     def test_indefinite_factors_match_inverse_oracle(self):
         factors, ratio = block_det_ratio(INDEFINITE4)
         ref_factors, ref_ratio = block_det_ratio_by_inverses(INDEFINITE4)
@@ -485,6 +506,44 @@ class TestDetRatioLu:
                 sign, logabs = np.linalg.slogdet(a)
                 expect = sign * np.exp(logabs - np.log(a.diagonal()).sum())
                 assert bits([det_ratio_lu(SymMatrix(a))]) == bits([expect])
+
+
+def _reports_at_scale(a: np.ndarray, k: int) -> list:
+    """The lower, spectral, main, det_upper and adjugate reports on 2^k J,
+    main against the balanced reference of ell = J's least off-diagonal,
+    scaled along with J; det_upper and adjugate only for balanced J."""
+    J = SymMatrix(np.ldexp(a, k))
+    ell = math.ldexp(float(a[~np.eye(len(a), dtype=bool)].min()), k)
+    out = [lower_bound_trivial(J), spectral_route_bound(J),
+           main_bound(J, SForm.balanced(len(a), ell))]
+    if J.dominance.is_balanced:
+        out += [det_upper_bound_balanced(J), adjugate_bound(J)]
+    return out
+
+
+class TestPowerOfTwoEquivariance:
+    """A report on 2^k J is the report on J with each side times
+    2^(degree k), bit for bit: J^{-1}'s norm and the closed forms have
+    degree -1 in J, the determinant ratio and its bound degree 0.  k runs
+    inside [2^-960, 2^960], where no kernel scales J, and outside it."""
+
+    @pytest.mark.parametrize("k", [-1000, -900, -60, 0, 60, 900, 1000])
+    @pytest.mark.parametrize("make", [random_balanced, random_dominant])
+    def test_sides_scale_by_a_power_of_two(self, make, k):
+        a = make(trial_rng(619), 6).entries
+        unit, scaled = _reports_at_scale(a, 0), _reports_at_scale(a, k)
+        assert [r.name for r in scaled] == [r.name for r in unit]
+        assert len(unit) == (5 if make is random_balanced else 3)
+        for u, s in zip(unit, scaled):
+            assert (s.applicable, s.holds) == (u.applicable, u.holds) == (True, True)
+            degree = 0 if u.name == "det_upper" else -1
+            sides = [(u.lhs, s.lhs), (u.rhs, s.rhs)]
+            if u.name == "spectral":
+                sides.append((u.context["sharp_rhs"], s.context["sharp_rhs"]))
+            for at_unit, at_k in sides:
+                expect = math.ldexp(at_unit, degree * k)
+                assert 2.0 ** -1022 <= expect < math.inf  # a normal float
+                assert bits([at_k]) == bits([expect]), (u.name, at_unit, at_k)
 
 
 class TestPanelElimination:

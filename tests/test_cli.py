@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (J4_BALANCED, bits, format_matrix_by_entries, jt_matrix,
+from helpers import (J4_BALANCED, MIXED_SCALES, bits, format_matrix_by_entries, jt_matrix,
                      limit_test_graph, print_matrix_by_blocks, random_balanced,
                      random_dominant)
 from sddkit import (SForm, analyze_bipartition, limit_closed_form,
@@ -160,6 +160,18 @@ class TestLimit:
         captured = capsys.readouterr()
         assert "dimension mismatch: sform n=4, graph n=1000000000" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("scale,last_row,norm", [
+        ("1e-200", "0 0 5e+199", "1.25e+200"), ("1e200", "0 0 5e-201", "1.25e-200")])
+    def test_sform_past_the_float_range(self, tmp_path, capsys, scale, last_row, norm):
+        # alpha (alpha + ell n) is 4e-400 or 4e400: a ZeroDivisionError, or a
+        # limit entry and reference norm printed as 0
+        path = tmp_path / "g.edges"
+        path.write_text("3\n1 2\n")
+        assert main(["limit", "--sform", f"3,{scale},{scale}", "--graph", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-4] == last_row
+        assert lines[-1] == f"sform_inv_inf_norm={norm}"
 
 
 def _print_cases():
@@ -312,6 +324,15 @@ class TestDetbounds:
         out = capsys.readouterr().out
         assert "hadamard: inapplicable (J not positive semidefinite)\n" in out
         assert "VIOLATED" not in out
+
+    def test_small_block_beside_large_entries(self, tmp_path, capsys):
+        # prescaled by 2^-931, the small block flushed to zero, a singular
+        # trailing block (exit 1)
+        path = tmp_path / "mixed.txt"
+        save_matrix(MIXED_SCALES, path)
+        assert main(["detbounds", "--matrix", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "det_ratio=0.888888888889\n" in out and "det_ratio_lu=0.888888888889\n" in out
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("k", [-1000, 1000])

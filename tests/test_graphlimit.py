@@ -454,6 +454,17 @@ class TestLimitInfNorm:
             direct = inf_norm(limit_closed_form(S, B))
             assert abs(closed - direct) <= 1e-10
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-700, 700])
+    def test_coefficient_past_the_float_range(self, k):
+        # alpha (alpha + ell gamma) is 2^(2k) times its value at unit scale,
+        # past the float range; the limit and its norm scale by 2^-k
+        B = analyze_bipartition(LoopGraph(3, [(1, 2)]))
+        S, Sk = SForm(3, 1.0, 1.0), SForm(3, 2.0 ** k, 2.0 ** k)
+        np.testing.assert_array_equal(bits(limit_closed_form(Sk, B).entries),
+                                      bits(np.ldexp(limit_closed_form(S, B).entries, -k)))
+        assert limit_inf_norm(Sk, B) == 2.0 ** -k * limit_inf_norm(S, B)
+
 
 class TestRouteAgreementProperties:
     def test_three_routes_and_kernel(self):

@@ -322,6 +322,46 @@ class TestClassifyFarScales:
         assert reps[1].is_strictly_dominant
 
 
+class TestPrescaled:
+    """The float-range rule of every matrix kernel: a matrix whose largest
+    |J_ij| is outside [2^-960, 2^960] is scaled into [0.5, 1) by a power of
+    two, and every other matrix keeps its bits, with e = 0."""
+
+    def near(self):
+        rng = trial_rng(617)
+        return [random_dominant(rng, 4).entries, 2.0 ** 960 * np.eye(4), 2.0 ** -960 * np.eye(4),
+                np.ldexp(random_balanced(rng, 4).entries, 950),
+                np.ldexp(random_balanced(rng, 4).entries, -955)]
+
+    def test_an_in_range_stack_keeps_its_bits(self):
+        a = np.array(self.near())
+        scaled, e = matcore._prescaled(a)
+        assert e.tolist() == [0] * len(a)
+        np.testing.assert_array_equal(bits(scaled), bits(a))
+        assert not np.shares_memory(scaled, a)
+
+    def test_a_mixed_stack_scales_only_the_matrices_outside(self):
+        near = self.near()
+        unit = random_dominant(trial_rng(619), 4).entries
+        far = [np.ldexp(unit, 961), np.ldexp(unit, -970), 1e-310 * np.ones((4, 4)),
+               4e307 * np.eye(4)]
+        a = np.array(near[:2] + far[:2] + near[2:] + far[2:])
+        scaled, e = matcore._prescaled(a)
+        outside = [False, False, True, True, False, False, False, True, True]
+        assert (e != 0).tolist() == outside
+        np.testing.assert_array_equal(bits(scaled), bits(np.ldexp(a, -e[:, None, None])))
+        largest = np.abs(scaled).max(axis=(1, 2))
+        assert ((0.5 <= largest) & (largest < 1.0)).tolist() == outside
+        np.testing.assert_array_equal(bits(scaled[2]), bits(np.ldexp(unit, 961 - e[2])))
+
+    def test_one_matrix_is_a_stack_of_one(self):
+        for a in self.near() + [1e-310 * np.ones((3, 3))]:
+            scaled, e = matcore._prescaled(a)
+            one, e1 = matcore._prescaled(a[None])
+            assert int(e) == int(e1[0])
+            np.testing.assert_array_equal(bits(scaled), bits(one[0]))
+
+
 def member_outcomes(J):
     """Every analysis member of J: the dominance report's fields; the
     elimination's bits, or its error's class, message and block; the

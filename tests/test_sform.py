@@ -123,6 +123,27 @@ class TestInfNormInverse:
             assert abs(closed - direct) <= 1e-14 * max(1.0, abs(closed))
 
 
+class TestPastTheFloatRange:
+    """The closed forms have degree -1 in (alpha, ell): on 2^k S they are
+    the values on S times 2^-k, bit for bit, where alpha (alpha + ell n) is
+    past the float range, at either end."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-700, -60, 60, 700])
+    def test_values_scale_by_a_power_of_two(self, k):
+        S = SForm(5, 3.5, 1.25)
+        Sk = SForm(5, 2.0 ** k * 3.5, 2.0 ** k * 1.25)
+        assert bits([sform_inf_norm_inverse(Sk)]) == bits([2.0 ** -k * sform_inf_norm_inverse(S)])
+        np.testing.assert_array_equal(bits(sform_inverse(Sk).entries),
+                                      bits(np.ldexp(sform_inverse(S).entries, -k)))
+
+    def test_extreme_parameters(self):
+        assert sform_inf_norm_inverse(SForm(3, 1e200, 1e200)) == pytest.approx(1.25e-200, rel=1e-15)
+        assert sform_inf_norm_inverse(SForm(3, 1e-200, 1e-200)) == pytest.approx(1.25e200, rel=1e-15)
+        off = sform_inverse(SForm(3, 1e200, 1e200)).entries[0, 1]
+        assert off == pytest.approx(-2.5e-201, rel=1e-15)
+
+
 class TestEigenvalues:
     @pytest.mark.parametrize("n,alpha,ell,expect", [
         (5, 3, 1, (3, 8)),
