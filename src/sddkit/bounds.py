@@ -233,9 +233,13 @@ def spectral_route_bound(J: SymMatrix, ell: float | None = None) -> BoundReport:
     lhs = J.inv_inf_norm
     rhs = _at_unit_scale(lambda l: math.sqrt(n) / ((n - 2) * l), -1, ell)
     intermediate = math.sqrt(n) / lams[0]
-    sharp = _at_unit_scale(lambda l: (3 * n - 4) / (2.0 * l * (n - 2) * (n - 1)), -1, ell)
     return _report("spectral", lhs, rhs, n=n, ell=ell,
-                   intermediate=float(intermediate), sharp_rhs=sharp)
+                   intermediate=float(intermediate), sharp_rhs=_sharp_rhs(n, ell))
+
+
+def _sharp_rhs(n: int, ell: float) -> float:
+    """(3n-4) / (2 ell (n-2)(n-1)), the sharp bound on inf_norm(J^{-1})."""
+    return _at_unit_scale(lambda l: (3 * n - 4) / (2.0 * l * (n - 2) * (n - 1)), -1, ell)
 
 
 def condition_bound(J: SymMatrix, ell: float | None = None) -> BoundReport:
@@ -363,9 +367,7 @@ def block_det_ratio(J: SymMatrix) -> tuple[np.ndarray, float]:
 def det_ratio_lu(J: SymMatrix) -> float:
     """det(J) / prod(J_ii) via the LU determinant (log-scaled for safety).
 
-    The ratio is scale-free, so J is prescaled (:func:`_prescaled`) first,
-    which keeps the LU of entries near either end of the float range off
-    subnormal numbers and overflow.
+    The ratio is scale-free, so J is prescaled (:func:`_prescaled`) first.
     """
     if (J.entries.diagonal() <= 0).any():
         raise MatrixError("determinant ratio needs positive diagonal entries")
@@ -406,13 +408,12 @@ def det_upper_bound_balanced(J: SymMatrix, ell: float | None = None,
     if bad is not None:
         return bad
     _, ratio = block_det_ratio(J)
-    return _report("det_upper", ratio, _at_unit_scale(_balanced_decay, 0, ell, m),
-                   n=J.n, ell=ell, m=m)
+    return _report("det_upper", ratio, _balanced_decay(ell, m), n=J.n, ell=ell, m=m)
 
 
 def _balanced_decay(ell: float, m: float) -> float:
-    """exp(-ell^2 / (4 m^2)), homogeneous of degree 0 in (ell, m)."""
-    return math.exp(-ell * ell / (4.0 * m * m))
+    """exp(-ell^2 / (4 m^2)), of degree 0 in (ell, m)."""
+    return _at_unit_scale(lambda l, m: math.exp(-l * l / (4.0 * m * m)), 0, ell, m)
 
 
 def adjugate_bound(J: SymMatrix, ell: float | None = None,
@@ -429,8 +430,7 @@ def adjugate_bound(J: SymMatrix, ell: float | None = None,
     _, ratio = block_det_ratio(J)
     n = J.n
     lhs = abs(ratio) * J.inv_inf_norm
-    rhs = _at_unit_scale(lambda l, m: (3 * n - 4) / (2.0 * l * (n - 2) * (n - 1))
-                         * _balanced_decay(l, m), -1, ell, m)
+    rhs = _sharp_rhs(n, ell) * _balanced_decay(ell, m)
     return _report("adjugate", lhs, rhs, n=n, ell=ell, m=m)
 
 

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .matcore import (SymMatrix, _adopt, _at_unit_scale, _fill_upper, _inverse_cholesky,
+from .matcore import (SymMatrix, _adopt, _fill_upper, _inverse_cholesky,
                       _numbered_lines, _read_count)
-from .sform import SForm, sform_dense, sform_inverse
+from .sform import SForm, _rank_one, sform_dense, sform_inverse
 
 __all__ = [
     "LoopGraph",
@@ -278,12 +278,6 @@ def _side_vectors(B: BipartitionSummary):
     return y, Y
 
 
-def _rank_one_coefficient(S: SForm, B: BipartitionSummary) -> float:
-    """ell/(alpha(alpha + ell*gamma)), the coefficient of y y' in the limit."""
-    return _at_unit_scale(lambda alpha, ell: ell / (alpha * (alpha + ell * B.gamma)),
-                          -1, S.alpha, S.ell)
-
-
 def limit_closed_form(S: SForm, B: BipartitionSummary) -> SymMatrix:
     """N = (1/alpha) Y - ell/(alpha(alpha + ell*gamma)) y y'.
 
@@ -293,7 +287,7 @@ def limit_closed_form(S: SForm, B: BipartitionSummary) -> SymMatrix:
     """
     _require_compatible(S, B)
     y, Y = _side_vectors(B)
-    N = Y / S.alpha - _rank_one_coefficient(S, B) * np.outer(y, y)
+    N = Y / S.alpha - _rank_one(S, B.gamma) * np.outer(y, y)
     return _adopt(N)
 
 
@@ -408,7 +402,7 @@ def limit_inf_norm(S: SForm, B: BipartitionSummary) -> float:
     if not bip:
         return 0.0
     best = max((c.p - c.q) * (B.d - 2 * (c.p - c.q)) / (c.p + c.q) for c in bip)
-    return 1.0 / S.alpha + _rank_one_coefficient(S, B) * best
+    return 1.0 / S.alpha + _rank_one(S, B.gamma) * best
 
 
 # Edge-list text format: first line "n", then one edge per line "i j"

@@ -15,9 +15,8 @@ too takes stacks).  Every bound and CLI command reads these members.
 
 One rule keeps the kernels inside the float range: a matrix whose largest
 |entry| lies outside [2^-960, 2^960] is scaled into [0.5, 1) by a power of
-two (:func:`_prescaled`), and any other matrix is used as it is.  Every
-closed form, homogeneous in its parameters, is evaluated at unit scale by
-one helper, :func:`_at_unit_scale`.
+two (:func:`_prescaled`), any other matrix is used as it is, and every
+closed form is evaluated at unit scale by :func:`_at_unit_scale`.
 
 All operations are pure functions of their inputs.  Matrix values are
 immutable after construction and safe to share across threads.
@@ -25,6 +24,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -257,12 +257,10 @@ def _classify_stack(a: np.ndarray) -> list[DominanceReport]:
     of a stack of one.
 
     The margins 2|J_ii| - sum_j |J_ij| are formed on |J| prescaled
-    (:func:`_prescaled`), so its row sums neither overflow nor lose bits as
-    subnormal numbers, and scaled back, to +-inf where they are past the
-    float range.
+    (:func:`_prescaled`) and scaled back, to +-inf past the float range.
     """
     k, n = a.shape[:2]
-    w, e = _prescaled(np.abs(a))
+    w, e = _prescaled(np.abs(a), copy=False)
     rows = w.sum(axis=2)
     d = 2.0 * w.diagonal(axis1=1, axis2=2) - rows
     tol = (1e-12 * rows.max(axis=1))[:, None]
@@ -296,14 +294,20 @@ _TINY = float(np.finfo(float).tiny)
 
 def _at_unit_scale(form, degree: int, *params: float) -> float:
     """``form(*params)`` for a closed form homogeneous of degree ``degree``
-    in its non-negative ``params``: evaluated on the params times 2^-e, e
-    the exponent (``frexp``'s) of the largest, and multiplied by 2^(degree
-    e) once, to inf where that is past the largest float.  The scaling is
-    exact, so the value has the bits of the unscaled form wherever that
-    neither over- nor underflows, and with its largest parameter in
-    [0.5, 1) a closed form here does neither before it is scaled back."""
+    in its non-negative ``params``, evaluated on them times 2^-e, e the
+    exponent (``frexp``'s) of the largest, and multiplied by 2^(degree e)
+    once, to inf past the largest float: exact, so the value keeps the
+    unscaled bits wherever those neither over- nor underflow.  A nonzero
+    parameter over 2^1022 times below the largest would lose bits or be
+    flushed to zero at that scale, so with one the form as it stands is
+    kept where it is a normal float."""
     e = math.frexp(max(params))[1]
-    value = form(*(math.ldexp(p, -e) for p in params))
+    scaled = [math.ldexp(p, -e) for p in params]
+    if any(p and s < _TINY for p, s in zip(params, scaled)):
+        with contextlib.suppress(ZeroDivisionError):
+            if _TINY <= abs(value := form(*params)) < math.inf:
+                return value
+    value = form(*scaled)
     try:
         return math.ldexp(value, degree * e)
     except OverflowError:
@@ -333,9 +337,7 @@ def inverse_dense(J: SymMatrix) -> SymMatrix:
     """Invert via pivoted LU and re-symmetrize the result.
 
     Pivoted LU (rather than Cholesky) so the same oracle inverts indefinite
-    matrices.  J is prescaled (:func:`_prescaled`) and the inverse scaled
-    back, so a J of subnormal or near-overflow entries factors in normal
-    numbers.
+    matrices.  J is prescaled (:func:`_prescaled`), the inverse scaled back.
     Raises :class:`SingularMatrixError` carrying the smallest pivot
     magnitude, in J's units, when J is singular to working precision, or
     when an entry of its inverse is past the float range.
@@ -437,24 +439,27 @@ def _pivot_floors(a: np.ndarray) -> np.ndarray:
     return _floor(n - np.arange(n), _trailing_block_norms(a))
 
 
-def _prescaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _prescaled(a: np.ndarray, copy: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Each matrix of the stack ``a``, or the one matrix ``a``, times 2^-e,
-    in a new array, and e.
+    and e: in a new array, or with ``copy`` false in ``a``, which the
+    caller hands over.
 
     The float-range rule of every matrix kernel: e is the exponent
     (``frexp``'s) of the matrix's largest |a_ij| where that lies outside
-    [2^-960, 2^960], which scales the matrix into [0.5, 1), and 0 for any
-    other matrix, which keeps its bits.  A power of two scales every
-    product, quotient and sum of an elimination or LU, and its floors,
-    exactly while they stay normal, so a scaled matrix's pivots' ratios to
-    the diagonal keep their bits, and the updates of entries near either
-    end of the float range neither overflow nor lose bits as subnormal
-    numbers.  Inside the range a matrix is not scaled, so a small block
-    beside large entries is not pushed into the subnormal range.
+    [2^-960, 2^960], which scales it into [0.5, 1), and 0 for any other
+    matrix, which keeps its bits, so a small block beside large entries is
+    not pushed into the subnormal range.  A power of two scales every step
+    of an elimination or LU, and its floors, exactly while they stay
+    normal, so a scaled matrix's pivot ratios keep their bits, and entries
+    near either end of the float range neither overflow nor lose bits.
     """
     largest = np.abs(a).max(axis=(-2, -1))
-    e = np.where((largest < 2.0 ** -960) | (largest > 2.0 ** 960), np.frexp(largest)[1], 0)
-    return np.ldexp(a, -e[..., None, None]), e
+    far = (largest < 2.0 ** -960) | (largest > 2.0 ** 960)
+    e = np.where(far, np.frexp(largest)[1], 0)
+    w = a.copy(order="K") if copy else a
+    if far.any():
+        w[far] = np.ldexp(w[far], -e[far, None, None])
+    return w, e
 
 
 def _singular_block(k: int, pivot: float) -> SingularBlockError:
@@ -514,9 +519,8 @@ def _eliminate_stack(a: np.ndarray) -> list:
     (factors, ratio) with ``factors`` read-only, or the
     :class:`SingularBlockError` of its first singular pivot, in the
     matrix's own units.  The whole stack, prescaled (:func:`_prescaled`),
-    so an entry near either end of the float range neither overflows nor
-    loses bits, runs through :func:`_pivots`, which spreads numpy's fixed
-    cost per step over the stack.
+    runs through :func:`_pivots`, which spreads numpy's fixed cost per step
+    over the stack.
     """
     scaled, e = _prescaled(a)
     diag = np.diagonal(scaled, axis1=1, axis2=2).copy()
@@ -569,7 +573,7 @@ def _eigen_stack(a: np.ndarray) -> tuple[np.ndarray, list]:
     _, e = np.frexp(norms)
     over = np.isinf(norms)
     if over.any():
-        w, s = _prescaled(np.abs(a[over]))
+        w, s = _prescaled(np.abs(a[over]), copy=False)
         e[over] = np.frexp(w.sum(axis=2).max(axis=1))[1] + s
     resid_cols = a @ vecs - vecs * lams[:, None, :]
     np.ldexp(resid_cols, -e[:, None, None], out=resid_cols)

@@ -67,11 +67,16 @@ def sform_dense(S: SForm) -> SymMatrix:
 
 def sform_inverse(S: SForm) -> SymMatrix:
     """Closed-form inverse (1/alpha) I - ell/(alpha(alpha + ell n)) ones."""
-    a = 1.0 / S.alpha
-    b = _at_unit_scale(lambda alpha, ell: ell / (alpha * (alpha + ell * S.n)), -1, S.alpha, S.ell)
+    b = _rank_one(S, S.n)
     inv = np.full((S.n, S.n), -b)
-    np.fill_diagonal(inv, a - b)
+    np.fill_diagonal(inv, 1.0 / S.alpha - b)
     return _adopt(inv)
+
+
+def _rank_one(S: SForm, size: float) -> float:
+    """ell/(alpha(alpha + ell*size)): in S's inverse size = n, in the limit gamma."""
+    return _at_unit_scale(lambda alpha, ell: ell / (alpha * (alpha + ell * size)),
+                          -1, S.alpha, S.ell)
 
 
 def sform_inf_norm_inverse(S: SForm) -> float:

@@ -50,6 +50,16 @@ MIXED_SCALES = SymMatrix(np.block([[np.array([[1e280]]), np.zeros((1, 2))],
                                    [np.zeros((2, 1)), 1e-290 * np.array([[3.0, 1], [1, 3]])]]))
 
 
+def k4_with_one_small_edge(small: float) -> SymMatrix:
+    """The balanced 4 x 4 matrix of off-diagonal entries 1e30 but J_12 =
+    J_21 = ``small``: its ell = small is far below its m = 1e30."""
+    a = np.full((4, 4), 1e30)
+    a[0, 1] = a[1, 0] = small
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, a.sum(axis=1))
+    return SymMatrix(a)
+
+
 # Single seeded instances: one randmat.draw_sdd draw, assembled by
 # randmat.assemble_sdd as a stack of one, as the trial engine builds them.
 

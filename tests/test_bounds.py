@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (J4_BALANCED, MIXED_SCALES, bits, block_det_ratio_by_inverses,
                      block_det_ratio_unblocked, chain_cycle, conjecture_search_ledger,
-                     random_balanced, random_dominant, singular_trailing_block,
+                     k4_with_one_small_edge, random_balanced, random_dominant, singular_trailing_block,
                      tiny_strictly_dominant, trials_one_by_one)
 from sddkit import (
     EigenConvergenceError,
@@ -919,6 +919,18 @@ class TestAdjugateBound:
         r = adjugate_bound(SymMatrix(FAR_BALANCED))
         assert r.rhs == pytest.approx(5 / 2.4 * 1e-308 * math.exp(-0.25), rel=1e-14, abs=0)
         assert 0 < r.lhs < r.rhs and r.holds
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("explicit", [False, True])
+    @pytest.mark.parametrize("small", [1e-300, 1e-290])
+    def test_least_off_diagonal_far_below_the_largest(self, small, explicit):
+        # ell/m is 1e-330, below the least subnormal, or 1e-320, subnormal:
+        # scaled by m's exponent, ell was flushed to zero (a
+        # ZeroDivisionError) or lost bits.  exp(-ell^2/4m^2) is 1.
+        J = k4_with_one_small_edge(small)
+        r = adjugate_bound(J, small, 1e30) if explicit else adjugate_bound(J)
+        assert bits([r.rhs]) == bits([8 / (2.0 * small * 2 * 3)])
+        assert r.holds
 
 
 class TestXiFunctional:

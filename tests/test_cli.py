@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (J4_BALANCED, MIXED_SCALES, bits, format_matrix_by_entries, jt_matrix,
-                     limit_test_graph, print_matrix_by_blocks, random_balanced,
+                     k4_with_one_small_edge, limit_test_graph, print_matrix_by_blocks, random_balanced,
                      random_dominant)
 from sddkit import (SForm, analyze_bipartition, limit_closed_form,
                     limit_numeric, limit_u_route, save_graph, save_matrix,
@@ -333,6 +333,16 @@ class TestDetbounds:
         assert main(["detbounds", "--matrix", str(path)]) == 0
         out = capsys.readouterr().out
         assert "det_ratio=0.888888888889\n" in out and "det_ratio_lu=0.888888888889\n" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--ell", "1e-300", "--m", "1e30"]])
+    def test_least_off_diagonal_far_below_the_largest(self, tmp_path, capsys, flags):
+        # ell/m = 1e-330: scaled by m's exponent, ell was flushed to zero, a
+        # ZeroDivisionError traceback
+        path = tmp_path / "k4.txt"
+        save_matrix(k4_with_one_small_edge(1e-300), path)
+        assert main(["detbounds", "--matrix", str(path), *flags]) == 0
+        assert ("adjugate: lhs=6.66666666667e-31 rhs=6.66666666667e+299 "
+                "slack=6.66666666667e+299 holds\n") in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("k", [-1000, 1000])

@@ -353,6 +353,10 @@ class TestPrescaled:
         largest = np.abs(scaled).max(axis=(1, 2))
         assert ((0.5 <= largest) & (largest < 1.0)).tolist() == outside
         np.testing.assert_array_equal(bits(scaled[2]), bits(np.ldexp(unit, 961 - e[2])))
+        own = a.copy()
+        in_place, e_own = matcore._prescaled(own, copy=False)
+        assert in_place is own and e_own.tolist() == e.tolist()
+        np.testing.assert_array_equal(bits(in_place), bits(scaled))
 
     def test_one_matrix_is_a_stack_of_one(self):
         for a in self.near() + [1e-310 * np.ones((3, 3))]:
@@ -360,6 +364,18 @@ class TestPrescaled:
             one, e1 = matcore._prescaled(a[None])
             assert int(e) == int(e1[0])
             np.testing.assert_array_equal(bits(scaled), bits(one[0]))
+
+
+class TestAtUnitScale:
+    def test_a_parameter_flushed_at_unit_scale(self):
+        # 1e-300 * 2^-997 is zero; as they stand, the form is 1e300
+        assert matcore._at_unit_scale(lambda a, b: b / (a * b), -1, 1e-300, 1e300) == 1e300
+
+    def test_past_the_float_range_as_they_stand(self):
+        # 4 * 2^1023 overflows as they stand; at unit scale 2^-60 is flushed
+        # to zero beside 2, and the value 2^-1025 is subnormal
+        value = matcore._at_unit_scale(lambda m, d: 1.0 / (4.0 * m + d), -1, 2.0 ** 1023, 2.0 ** -60)
+        assert value == 2.0 ** -1025
 
 
 def member_outcomes(J):

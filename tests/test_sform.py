@@ -143,6 +143,18 @@ class TestPastTheFloatRange:
         off = sform_inverse(SForm(3, 1e200, 1e200)).entries[0, 1]
         assert off == pytest.approx(-2.5e-201, rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha,ell", [(1e-300, 1e300), (1e-290, 1e30), (1e30, 1e-290)])
+    def test_parameters_far_apart(self, alpha, ell):
+        # at the larger one's scale the smaller is flushed to zero (a
+        # ZeroDivisionError) or subnormal; as they stand, nothing over- or
+        # underflows
+        S = SForm(3, alpha, ell)
+        b = ell / (alpha * (alpha + ell * 3))
+        assert bits([sform_inverse(S).entries[0, 1]]) == bits([-b])
+        norm = (alpha + 2.0 * ell * 2) / (alpha * (alpha + ell * 3))
+        assert bits([sform_inf_norm_inverse(S)]) == bits([norm])
+
 
 class TestEigenvalues:
     @pytest.mark.parametrize("n,alpha,ell,expect", [
