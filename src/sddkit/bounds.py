@@ -22,7 +22,8 @@ matrix suites call the public bounds on the stack's matrices
 (:func:`sddkit.matcore._stack_of`), and the eig suite gates the raw
 stack's reports and solves the matrices that pass in one stacked check,
 which :func:`eig_interval_check` runs as a stack of one.  Every bound has
-one implementation, and one gate (``_gate``) serves them all.
+one implementation, and one gate (``_gate``) serves the interval-type
+bounds: spectral, cond, eig, det_lower, det_upper and adjugate.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .matcore import (
     eigen_sym,
     inf_norm,
 )
-from .sform import SForm, sform_dense, sform_inf_norm_inverse, sform_inverse
+from .sform import SForm, _rank_one, sform_dense, sform_inf_norm_inverse, sform_inverse
 from .graphlimit import signless_laplacian
 from . import randmat
 
@@ -481,8 +482,12 @@ def xi_functional(S: SForm, P: SymMatrix) -> XiResult:
               + (2(rho+n-1)(n-3)+rho) P_ii
               + (rho+2) sum_{j,k != i} P_jk ].
 
-    The two evaluations must agree to 1e-10 relative; disagreement raises,
-    since it can only come from a coding error.
+    b comes from the closed form of S^{-1} at unit scale, and b^2 enters
+    the bracket as (b 2^-e)^2, the result scaled by 2^(2e) once, so the
+    closed route stays finite wherever b^2 alone would over- or underflow.
+    A direct route past the float range raises OverflowError.  The two
+    evaluations must agree to 1e-10 relative; disagreement raises
+    ArithmeticError, since it can only come from a coding error.
     """
     if P.n != S.n:
         raise ValueError(f"dimension mismatch: sform n={S.n}, P n={P.n}")
@@ -498,19 +503,23 @@ def xi_functional(S: SForm, P: SymMatrix) -> XiResult:
         return XiResult(xi=0.0, per_row=zeros, per_row_closed=zeros.copy(),
                         zero_input=True)
     Sinv = sform_inverse(S).entries
-    Q = Sinv @ P.entries @ Sinv
-    direct = 2.0 * Q.diagonal() - Q.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = Sinv @ P.entries @ Sinv
+        direct = 2.0 * Q.diagonal() - Q.sum(axis=1)
+    if not np.isfinite(direct).all():
+        raise OverflowError("S^{-1} P S^{-1} is past the float range; "
+                            "the positivity functional cannot be formed")
     rho = S.alpha / S.ell
-    b = S.ell / (S.alpha * (S.alpha + S.ell * n))
+    b, e = math.frexp(_rank_one(S, n))
     diag = P.entries.diagonal()
     rowsum = P.entries.sum(axis=1)
     total = float(P.entries.sum())
     rest = total - 2.0 * rowsum + diag
-    closed = (b * b) * (
+    closed = np.ldexp((b * b) * (
         ((rho + n - 2) * (rho + 4) + 4) * P.dominance.deltas
         + (2 * (rho + n - 1) * (n - 3) + rho) * diag
         + (rho + 2) * rest
-    )
+    ), 2 * e)
     scale = max(float(np.abs(closed).max()), np.finfo(float).tiny)
     if not np.allclose(direct, closed, rtol=1e-10, atol=1e-10 * scale):
         worst = float(np.abs(direct - closed).max())

@@ -43,8 +43,8 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-# Rows per block: the scratch space is O(_PRINT_ROWS * n) plus one table
-# entry per distinct value of the matrix.  Blocks of 16 to 64 rows print an
+# Rows per block: the scratch space is O(_PRINT_ROWS * n) plus one string
+# per distinct token of the matrix.  Blocks of 16 to 64 rows print an
 # 800 x 800 limit within 10% of the same time; smaller blocks leave less
 # freed memory behind in a long-running process.
 _PRINT_ROWS = 32
@@ -52,23 +52,20 @@ _PRINT_ROWS = 32
 
 def _print_matrix(entries: np.ndarray) -> None:
     """One line per row of ``_fmt`` tokens, formatting each distinct value
-    once and, where the matrix is symmetric, looking up each mirrored pair
-    once.
+    once per block of rows and, where the matrix is symmetric, each mirrored
+    pair once.
 
     Values are keyed on their bit pattern, not compared as floats, so -0.0
     keeps its ``-0`` token.  Rows go in blocks of ``_PRINT_ROWS``.  An entry
     left of its block's diagonal block whose bits equal its mirror's takes
-    the mirror's token, which an earlier block placed.  Each block looks up
-    its other entries, those on and right of its diagonal block and any left
-    of it that differ from their mirror (a -0 facing a +0, say), in a sorted
-    table of the keys formatted so far; it formats only the new keys and
-    inserts them with their tokens.
+    the mirror's token, which an earlier block placed.  Each block formats
+    the distinct keys among its other entries, those on and right of its
+    diagonal block and any left of it that differ from their mirror (a -0
+    facing a +0, say).
     """
     a = np.ascontiguousarray(entries, dtype=np.float64)
     n = a.shape[0]
     bits = a.view(np.int64)
-    seen = np.empty(0, dtype=np.int64)
-    seen_tokens = np.empty(0, dtype=object)
     interned = {}
     # strips[b]: tokens of the printed rows in block b's columns, one piece
     # per block of rows.  A strip is dropped once block b has printed, so at
@@ -81,19 +78,11 @@ def _print_matrix(entries: np.ndarray) -> None:
         odd = block[:, :start] != bits[:start, start:stop].T
         keys, inverse = np.unique(np.concatenate((right.ravel(), block[:, :start][odd])),
                                   return_inverse=True)
-        pos = np.searchsorted(seen, keys)
-        # A key is new unless the table holds it at its insertion point.
-        new = pos == seen.size
-        new[~new] = seen[pos[~new]] != keys[~new]
-        tokens = np.empty(keys.size, dtype=object)
-        tokens[~new] = seen_tokens[pos[~new]]
         # Values that differ past 12 digits share a token, and then one
         # string: the t=1e8 matrix of perfbench's seed-277 limit pass has
         # 101k keys but 34k tokens.
-        tokens[new] = [interned.setdefault(t, t)
-                       for t in map(_fmt, keys[new].view(np.float64).tolist())]
-        seen = np.insert(seen, pos[new], keys[new])
-        seen_tokens = np.insert(seen_tokens, pos[new], tokens[new])
+        tokens = np.array([interned.setdefault(t, t)
+                           for t in map(_fmt, keys.view(np.float64).tolist())], dtype=object)
         found = tokens[inverse]
         rows = np.empty(block.shape, dtype=object)
         rows[:, start:] = found[:right.size].reshape(right.shape)

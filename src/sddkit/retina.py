@@ -138,19 +138,19 @@ def _first_nonpositive_pair(x: np.ndarray) -> tuple[int, int]:
     return i, int(np.argmax(row <= 0))
 
 
-def _pair_sums(x: np.ndarray, floor: float, out: np.ndarray | None = None) -> np.ndarray:
+def _pair_sums(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x_i + x_j with inf on the diagonal, so 1/z is 0 there; written into
     ``out`` when given.
 
     A NaN or infinite entry of x is rejected first, by index, with
     ValueError.  Raises :class:`DomainError` naming the first pair whose sum
-    is within ``floor`` of zero; floor 0 checks nothing.  The n^2 scan for
-    that pair runs only when an O(n) test fails: rounding is monotone, so every
-    computed pair sum lies between fl(two smallest entries) and fl(two
-    largest entries), and no pair is within ``floor`` of zero when the two
-    smallest sum to at least ``floor`` or the two largest to at most
-    ``-floor``.  The test passes only when the scan would find nothing, so
-    the error, its pair and its message are those of the scan alone.
+    is within ``DOMAIN_FLOOR`` of zero.  The n^2 scan for that pair runs only
+    when an O(n) test fails: rounding is monotone, so every computed pair sum
+    lies between fl(two smallest entries) and fl(two largest entries), and no
+    pair is within the floor of zero when the two smallest sum to at least
+    the floor or the two largest to at most minus the floor.  The test passes
+    only when the scan would find nothing, so the error, its pair and its
+    message are those of the scan alone.
     """
     _require_finite(x, "x")
     n = len(x)
@@ -160,14 +160,14 @@ def _pair_sums(x: np.ndarray, floor: float, out: np.ndarray | None = None) -> np
     np.copyto(z, x)
     np.add(z, x[:, None], out=z)
     np.fill_diagonal(z, np.inf)
-    if n >= 2 and (_low_pair_sum(x) >= floor or _low_pair_sum(-x) >= floor):
+    if n >= 2 and (_low_pair_sum(x) >= DOMAIN_FLOOR or _low_pair_sum(-x) >= DOMAIN_FLOOR):
         return z
-    small = np.abs(z) < floor
+    small = np.abs(z) < DOMAIN_FLOOR
     if small.any():
         i, j = np.argwhere(small)[0]
         raise DomainError(
             f"pairwise sum x[{i}] + x[{j}] = {z[i, j]:.3e} is within "
-            f"{floor:.1e} of zero (indices are 0-based)",
+            f"{DOMAIN_FLOOR:.1e} of zero (indices are 0-based)",
             pair=(int(i), int(j)),
         )
     return z
@@ -194,7 +194,7 @@ def f_map(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     With x = -theta and all theta_i + theta_j > 0 this returns the expected
     degree sequence: d = F(-theta) means d_i = sum_{j != i} 1/(theta_i + theta_j).
     """
-    return -_reciprocal_row_sums(_pair_sums(np.asarray(x, dtype=float), DOMAIN_FLOOR, out))
+    return -_reciprocal_row_sums(_pair_sums(np.asarray(x, dtype=float), out))
 
 
 def _jacobian_from_pair_sums(w: np.ndarray) -> np.ndarray:
@@ -213,7 +213,7 @@ def jacobian(x: np.ndarray) -> SymMatrix:
     pairwise sums are nonzero and n >= 3.
     """
     return SymMatrix(_jacobian_from_pair_sums(
-        _pair_sums(np.asarray(x, dtype=float), DOMAIN_FLOOR)))
+        _pair_sums(np.asarray(x, dtype=float))))
 
 
 def residual(theta: np.ndarray, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

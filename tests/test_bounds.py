@@ -521,6 +521,7 @@ def _reports_at_scale(a: np.ndarray, k: int) -> list:
     return out
 
 
+@pytest.mark.blas_bits
 class TestPowerOfTwoEquivariance:
     """A report on 2^k J is the report on J with each side times
     2^(degree k), bit for bit: J^{-1}'s norm and the closed forms have
@@ -995,6 +996,23 @@ class TestXiFunctional:
             res = xi_functional(S42, SymMatrix(np.ldexp(P, k)))
             assert res.xi == math.ldexp(ref.xi, k)
             assert np.array_equal(bits(res.per_row), bits(np.ldexp(ref.per_row, k)))
+
+    @pytest.mark.parametrize("a", [math.ldexp(1.1, -520), 1e-155, 1.3e-156, 3.3e-160])
+    def test_small_reference_family(self, a):
+        # b = ell/(alpha(alpha + ell n)) is near 1/a^2, so b*b passes the
+        # largest float (or a^2 is subnormal), though Q = S^-1 P S^-1 is
+        # finite.  The functional is homogeneous of degree -2 in (alpha, ell).
+        P = SymMatrix(1e-20 * signless_laplacian(LoopGraph(3, [(1, 2), (2, 3)])).entries)
+        ref = xi_functional(SForm(3, 1.0, 1.0), P)
+        res = xi_functional(SForm(3, a, a), P)
+        assert math.isfinite(res.xi) and res.xi > 0
+        np.testing.assert_allclose(res.per_row, ref.per_row / a / a, rtol=1e-12)
+        np.testing.assert_allclose(res.per_row_closed, ref.per_row / a / a, rtol=1e-12)
+
+    def test_direct_route_past_the_float_range(self):
+        P = SymMatrix(1e-20 * signless_laplacian(LoopGraph(3, [(1, 2), (2, 3)])).entries)
+        with pytest.raises(OverflowError, match="past the float range"):
+            xi_functional(SForm(3, 1e-200, 1e-200), P)
 
 
 class TestConjectureSearch:

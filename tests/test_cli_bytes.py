@@ -19,6 +19,8 @@ from helpers import limit_test_graph, random_balanced, random_dominant
 from sddkit import save_graph, save_matrix
 from sddkit.cli import main
 
+pytestmark = pytest.mark.blas_bits
+
 MATRICES = [f"{kind}{n}.txt" for kind in ("balanced", "dominant") for n in (12, 40)]
 
 

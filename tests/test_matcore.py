@@ -401,6 +401,7 @@ INDEFINITE = {3: [[2.0, 3, 3], [3, 2, 3], [3, 3, 1]],
               4: [[1.0, 2, 0, 1], [2, -1, 3, 0], [0, 3, 2, 1], [1, 0, 1, -3]]}
 
 
+@pytest.mark.blas_bits
 class TestStackOf:
     """Each matrix of a stack against the same matrix as a stack of one."""
 

@@ -480,6 +480,7 @@ def _true_theta(n, seed, lo=0.5, hi=2.0):
     return np.random.default_rng([seed, n]).uniform(lo, hi, size=n)
 
 
+@pytest.mark.blas_bits
 class TestBitwiseOracles:
     """solve_retina and sample_degrees equal, bit for bit, the oracles that
     scan every pair sum, wrap each step's Jacobian in a SymMatrix and read
@@ -549,6 +550,7 @@ def _uniform_start(d):
     return np.full(len(d), max((len(d) - 1) / (2.0 * float(d.mean())), DOMAIN_FLOOR))
 
 
+@pytest.mark.blas_bits
 class TestStart:
     """solve_retina starts at the mean-field point h_i = g_i - mean(g)/2,
     g_i = (n-1)/d_i, blended toward the uniform point u until its pair sums
@@ -606,6 +608,7 @@ class TestStart:
                 solve_retina(RetinaProblem(d))
 
 
+@pytest.mark.blas_bits
 class TestNewtonDirection:
     """From n = _CG_MIN_N on, each Newton direction is found by conjugate
     gradients preconditioned by the Jacobian's diagonal, and the solve ends

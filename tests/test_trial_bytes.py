@@ -15,6 +15,8 @@ import pytest
 from sddkit.bounds import SUITES
 from sddkit.cli import main
 
+pytestmark = pytest.mark.blas_bits
+
 SEEDS = (0, 7, 71)
 CONJECTURES = ("lower-norm", "det-upper")
 
