@@ -593,12 +593,12 @@ def residual_by_scan(theta: np.ndarray, d: np.ndarray) -> np.ndarray:
     return f_map_by_scan(-np.asarray(theta, dtype=float)) - np.asarray(d, dtype=float)
 
 
-def retina_start_by_scan(d: np.ndarray) -> np.ndarray:
-    """The start of ``solve_retina``: u + s (h - u) for the first s of 1,
-    1/2, ..., 1/32 whose pair sums, all n^2 of them scanned, are at least
-    DOMAIN_FLOOR, where u is the uniform point and h_i = g_i - mean(g)/2
-    with g_i = (n-1)/d_i the mean-field point; u when none is, when h is
-    not finite, or when every target is the same."""
+def mean_field_start_by_scan(d: np.ndarray) -> np.ndarray:
+    """The mean-field start of ``solve_retina``: u + s (h - u) for the first
+    s of 1, 1/2, ..., 1/32 whose pair sums, all n^2 of them scanned, are at
+    least DOMAIN_FLOOR, where u is the uniform point and h_i = g_i -
+    mean(g)/2 with g_i = (n-1)/d_i the mean-field point; u when none is,
+    when h is not finite, or when every target is the same."""
     n = len(d)
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.full(n, max((n - 1) / (2.0 * float(d.mean())), DOMAIN_FLOOR))
@@ -613,6 +613,36 @@ def retina_start_by_scan(d: np.ndarray) -> np.ndarray:
         if pair_sums_by_scan(theta, 0.0).min() >= DOMAIN_FLOOR:
             return theta
     return u
+
+
+def retina_start_by_scan(d: np.ndarray) -> np.ndarray:
+    """The start of ``solve_retina``: below n = ``_CG_MIN_N``, for equal
+    targets, or where it has an entry <= 0, the mean-field start; otherwise
+    that start after ``_FIELD_SWEEPS`` half Newton steps in log theta, each
+    theta_i on its own equation against the means of ``_FIELD_BINS``
+    equal-count bins of the sorted theta, with its self pair taken out.  A
+    sweep is kept while it is finite and its pair sums, all n^2 of them
+    scanned, are at least DOMAIN_FLOOR."""
+    theta = mean_field_start_by_scan(d)
+    n = len(d)
+    if n < retina._CG_MIN_N or len(set(d.tolist())) == 1 or (theta <= 0).any():
+        return theta
+    m = retina._FIELD_BINS
+    edges = [q * n // m for q in range(m + 1)]
+    counts = np.array([b - a for a, b in zip(edges, edges[1:])], dtype=float)
+    w = counts[:, None]
+    with np.errstate(all="ignore"):
+        for _ in range(retina._FIELD_SWEEPS):
+            c = np.add.reduceat(np.sort(theta), edges[:-1]) / counts
+            z = np.add.outer(c, theta)
+            g = (w / z).sum(axis=0) - 0.5 / theta - d
+            slope = 0.5 / theta - theta * (w / z / z).sum(axis=0)
+            cand = theta * np.exp(0.5 * np.clip(-g / slope, -2.0, 2.0))
+            if not (np.isfinite(cand).all()
+                    and pair_sums_by_scan(cand, 0.0).min() >= DOMAIN_FLOOR):
+                break
+            theta = cand
+    return theta
 
 
 def solve_retina_by_scan(prob: RetinaProblem, tol: float = 1e-10,

@@ -8,7 +8,8 @@ import pytest
 import scipy.linalg
 
 from helpers import (bits, f_map_by_scan, jacobian_by_scan, loewner_geq, residual_by_scan,
-                     retina_start_by_scan, sample_degrees_by_scan, solve_retina_by_scan)
+                     mean_field_start_by_scan, retina_start_by_scan, sample_degrees_by_scan,
+                     solve_retina_by_scan)
 from sddkit import (
     DomainError,
     RetinaProblem,
@@ -226,6 +227,22 @@ class TestSolve:
         assert RetinaProblem(many).n == 20
         with pytest.raises(ValueError, match=r"margin -1\.7e\+308"):
             RetinaProblem(np.append(np.full(19, 2.0 ** -1074), 1.7e308))
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9], ids=["inf", "nan", "negative"])
+    def test_rejects_tol_before_any_work(self, tol, monkeypatch):
+        # Unchecked, tol = inf certified this start (residual 2.4) as
+        # converged, and tol = nan ran 5 steps to a residual of 7.1e-15 and
+        # reported it unconverged.
+        prob = RetinaProblem(sample_degrees(_true_theta(50, 0), 100))
+        monkeypatch.setattr(retina, "_start", lambda d: pytest.fail("solve started"))
+        with pytest.raises(ValueError, match=rf"^tol must be finite and >= 0, got {tol}$"):
+            solve_retina(prob, tol=tol)
+
+    def test_zero_tol_stops_at_the_rounding_floor(self):
+        prob = RetinaProblem(sample_degrees(_true_theta(50, 0), 100))
+        sol = solve_retina(prob, tol=0.0)
+        assert sol.converged
+        assert sol.residual_inf <= 50 * np.finfo(float).eps * prob.d.max()
 
     def test_feasible_target_near_the_bound_converges(self):
         sol = solve_retina(RetinaProblem(np.array([1.0, 2.0, 2.99])))
@@ -554,7 +571,8 @@ def _uniform_start(d):
 class TestStart:
     """solve_retina starts at the mean-field point h_i = g_i - mean(g)/2,
     g_i = (n-1)/d_i, blended toward the uniform point u until its pair sums
-    clear the domain floor."""
+    clear the domain floor; from n = _CG_MIN_N on, refined by sweeps of a
+    quantized self-consistent field."""
 
     @pytest.mark.parametrize("n", [3, 4, 7, 8, 9, 30, 400])
     def test_constant_targets_start_at_the_uniform_point(self, n):
@@ -580,21 +598,55 @@ class TestStart:
         np.testing.assert_array_equal(bits(start), bits(retina_start_by_scan(d)))
         TestBitwiseOracles.assert_same_solution(RetinaProblem(d))
 
+    @pytest.mark.parametrize("n", [3, 30, 100, retina._CG_MIN_N - 1])
+    @pytest.mark.parametrize("targets", ["sampled", "exact"])
+    def test_below_the_crossover_the_start_is_the_mean_field_point(self, n, targets):
+        for d in (p.d for p in _cell_problems(n, (0.1, 10.0), targets, seeds=3)):
+            np.testing.assert_array_equal(bits(retina._start(d)),
+                                          bits(mean_field_start_by_scan(d)))
+
     # (n, theta range, targets): sampled degrees, or the exact f_map(-theta)
     STEP_CELLS = [(400, (0.5, 2.0), "sampled"), (400, (0.5, 2.0), "exact"),
                   (400, (0.1, 10.0), "sampled"), (400, (0.01, 100.0), "sampled"),
-                  (400, (5.0, 50.0), "sampled"), (30, (0.5, 2.0), "sampled")]
+                  (400, (5.0, 50.0), "sampled"), (30, (0.5, 2.0), "sampled"),
+                  (1000, (0.5, 2.0), "exact")]
+
+    @pytest.mark.parametrize("theta_range, targets",
+                             [(r, t) for n, r, t in STEP_CELLS if n == 400])
+    def test_refined_start_is_closer_and_in_the_domain(self, theta_range, targets):
+        refined = 0
+        for d in (p.d for p in _cell_problems(400, theta_range, targets)):
+            start, mean_field = retina._start(d), mean_field_start_by_scan(d)
+            if not (mean_field > 0).all():
+                # no logarithm: the start stays at the mean-field point
+                np.testing.assert_array_equal(bits(start), bits(mean_field))
+                continue
+            refined += 1
+            assert np.isfinite(start).all() and (start > 0).all()
+            assert retina._low_pair_sum(start) >= DOMAIN_FLOOR
+            assert np.abs(residual(start, d)).max() < np.abs(residual(mean_field, d)).max()
+        # one problem of the [5, 50] cell has a mean-field entry <= 0
+        assert refined >= 5
 
     @pytest.mark.parametrize("n, theta_range, targets", STEP_CELLS)
     def test_fewer_steps_than_the_uniform_start(self, n, theta_range, targets, monkeypatch):
-        # Six trials a cell: a single trial may take a step more than from
-        # u (one at theta in [5, 50] does), but every cell's total is smaller.
-        problems = _cell_problems(n, theta_range, targets)
-        blended = [solve_retina(p, tol=1e-9) for p in problems]
-        monkeypatch.setattr(retina, "_start", _uniform_start)
-        uniform = [solve_retina(p, tol=1e-9) for p in problems]
-        assert all(sol.converged for sol in blended + uniform)
-        assert sum(s.iterations for s in blended) < sum(s.iterations for s in uniform)
+        # Six trials a cell (three at n = 1000): a single trial may take a
+        # step more than from u (one at theta in [5, 50] does), but every
+        # cell's total is smaller.  No cell takes more steps than from the
+        # mean-field point, and the cells above the crossover at theta in
+        # [0.5, 2] take strictly fewer: 2 a trial, against 4.
+        problems = _cell_problems(n, theta_range, targets, seeds=6 if n <= 400 else 3)
+        steps = {}
+        for name, start in [("refined", retina._start), ("mean_field", mean_field_start_by_scan),
+                            ("uniform", _uniform_start)]:
+            monkeypatch.setattr(retina, "_start", start)
+            sols = [solve_retina(p, tol=1e-9) for p in problems]
+            assert all(sol.converged for sol in sols)
+            steps[name] = [sol.iterations for sol in sols]
+        assert sum(steps["refined"]) < sum(steps["uniform"])
+        assert sum(steps["refined"]) <= sum(steps["mean_field"])
+        if n >= retina._CG_MIN_N and theta_range == (0.5, 2.0):
+            assert max(steps["refined"]) <= 2 < min(steps["mean_field"])
 
     @pytest.mark.parametrize("d", [5e-324 * np.ones(3), 1e-310 * np.array([1.0, 1.1, 0.9])],
                              ids=["smallest_subnormal", "subnormal"])
@@ -638,7 +690,9 @@ class TestNewtonDirection:
 
         monkeypatch.setattr(retina, "_cg_direction", checked_cg)
         cg = [solve_retina(p, tol=1e-9) for p in problems]
-        monkeypatch.setattr(retina, "_CG_MIN_N", n + 1)
+        # CG giving no direction leaves every direction to Cholesky, and the
+        # start as it is
+        monkeypatch.setattr(retina, "_cg_direction", lambda jac, r: None)
         cholesky = [solve_retina(p, tol=1e-9) for p in problems]
         assert len(errors) == sum(sol.iterations for sol in cg)
         assert max(errors) <= 1e-12
@@ -659,16 +713,16 @@ class TestNewtonDirection:
     @pytest.mark.filterwarnings("error")
     def test_direction_cut_off_by_the_cap_is_found_by_cholesky(self, monkeypatch):
         # One CG iteration never meets the tolerance, so every direction is
-        # found by Cholesky: the solve is the one below the crossover.  (Fed
-        # to the line search, these one-iteration directions stall it at
-        # step 4 with the residual norm at 0.24.)
+        # found by Cholesky: the solve is the one in which CG gives no
+        # direction.  (Fed to the line search, these one-iteration
+        # directions take 15 steps, against 2; from the mean-field start
+        # they stall it at step 4 with the residual norm at 0.24.)
         prob = RetinaProblem(sample_degrees(_true_theta(400, 0), 100))
-        monkeypatch.setattr(retina, "_CG_MIN_N", 401)
+        real_cg = retina._cg_direction
+        monkeypatch.setattr(retina, "_cg_direction", lambda jac, r: None)
         cholesky = solve_retina(prob, tol=1e-9)
-        monkeypatch.setattr(retina, "_CG_MIN_N", 400)
         monkeypatch.setattr(retina, "_CG_MAX_ITER", 1)
         calls = []
-        real_cg = retina._cg_direction
         monkeypatch.setattr(retina, "_cg_direction", lambda *a: calls.append(1) or real_cg(*a))
         capped = TestBitwiseOracles.assert_same_solution(prob, tol=1e-9)
         # CG ran at every step, in the solver and in its oracle
