@@ -30,7 +30,10 @@ on by conjugate gradients preconditioned by its diagonal, some ten O(n^2)
 products, and below that by one O(n^3) Cholesky factorization (see
 ``solve_retina``).
 
-The solver keeps every theta_i + theta_j at or above ``DOMAIN_FLOOR``; f_map,
+The equations are homogeneous: theta solves d exactly when theta 2^-k solves
+d 2^k.  So the solver runs at unit scale, on d 2^-k with its largest target
+in [0.5, 1), and scales the solution back once; that is its one scale rule.
+There it keeps every theta_i + theta_j at or above ``DOMAIN_FLOOR``; f_map,
 jacobian and residual raise DomainError for a pair sum within it of zero, and
 ValueError, before any pair sum is formed, for a NaN or infinite entry.
 
@@ -255,20 +258,18 @@ class RetinaProblem:
         if not (d > 0).all():
             raise ValueError("all target degrees must be positive")
         # Only the largest target can reach the sum of the others.  Its
-        # margin sum_{j != i} d_j - d_i is rounded once, from the targets
-        # scaled by 2^-s, with s > 0 only where n targets this large could
-        # sum past the largest float.  s is at most 65, so the scaling is
-        # exact for every target of at least 2^-957, and the margin has the
-        # bits of the unscaled one wherever that is finite.  This is a rule
-        # of its own, not matcore's unit scale for closed forms: a sum of n
-        # targets is scaled only where it could overflow.
+        # margin sum_{j != i} d_j - d_i is rounded once, by fsum from -d_i
+        # up: the others are positive, so the exact running sum only grows,
+        # and it passes the largest float only where the margin is positive.
         i = int(np.argmax(d))
-        s = max(0, math.frexp(d[i])[1] + len(d).bit_length() - 1023)
-        margin = math.fsum(np.ldexp(np.append(np.delete(d, i), -d[i]), -s))
+        try:
+            margin = math.fsum(np.append(-d[i], np.delete(d, i)))
+        except OverflowError:
+            margin = math.inf
         if margin <= 0:
             raise ValueError(
                 f"infeasible target degrees: d[{i}] = {d[i]:g} is not below the "
-                f"sum of the others (margin {math.ldexp(margin, s):g})")
+                f"sum of the others (margin {margin:g})")
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
 
@@ -289,8 +290,10 @@ class RetinaSolution:
     Each of the three is computed at unit scale and scaled back once, so it
     is inf or 0 only where its value is past the float range: at theta
     near 1e160 the constant is inf while the certificate is finite.
-    ``converged`` is True when ``residual_inf`` met the solver's stopping
-    test, max(tol * min(1, max(d)), n * eps * max(d)).
+    ``theta`` and ``residual_inf`` are in the units of the targets, scaled
+    back from the solver's unit-scale solve.  ``converged`` is True when
+    ``residual_inf`` met the solver's stopping test, max(tol * min(1,
+    max(d)), n * eps * max(d)).
     """
 
     theta: np.ndarray
@@ -409,12 +412,13 @@ def _mean_field_start(d: np.ndarray) -> np.ndarray:
     """The mean-field point h for targets d, blended toward the uniform
     point u until it is in the domain.
 
-    u_i = (n-1)/(2 mean(d)) (at least ``DOMAIN_FLOOR``) solves the
-    equations exactly when every target is the same.  The mean-field point
-    keeps each theta_i but replaces every other theta_j by one value t:
-    then d_i = (n-1)/(theta_i + t), so theta_i = g_i - t with g_i =
-    (n-1)/d_i, and the self-consistent t = mean(theta) = mean(g) - t gives
-    t = mean(g)/2 and
+    u_i = (n-1)/(2 mean(d)) solves the equations exactly when every
+    target is the same; the solver passes d at unit scale, with mean(d) in
+    [0.5/n, 1), so u_i lies in ((n-1)/2, n(n-1)], far above the floor.
+    The mean-field point keeps each theta_i but replaces every other
+    theta_j by one value t: then d_i = (n-1)/(theta_i + t), so theta_i =
+    g_i - t with g_i = (n-1)/d_i, and the self-consistent t = mean(theta) =
+    mean(g) - t gives t = mean(g)/2 and
 
         h_i = g_i - mean(g)/2.
 
@@ -430,11 +434,10 @@ def _mean_field_start(d: np.ndarray) -> np.ndarray:
     finite, and the start is u.
     """
     n = len(d)
+    u = np.full(n, (n - 1) / (2.0 * float(d.mean())))
+    if d.min() == d.max():
+        return u
     with np.errstate(over="ignore", invalid="ignore"):
-        # a mean of d past the largest float puts u at the floor
-        u = np.full(n, max((n - 1) / (2.0 * float(d.mean())), DOMAIN_FLOOR))
-        if d.min() == d.max():
-            return u
         g = (n - 1) / d
         h = g - g.mean() / 2
     if not np.isfinite(h).all():
@@ -533,10 +536,26 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10) -> RetinaSolution:
     targets can be met.  A tol that is NaN, infinite or negative is
     rejected with ValueError before any work: an infinite one would certify
     any start, and a NaN one no solution.  A stalled line search, a
-    Jacobian that is not positive definite in floating point (at theta near
-    1e160 the squared pair sums overflow and its entries are 0), or
+    Jacobian that is not positive definite in floating point (its squared
+    pair sums can overflow where the targets span hundreds of decades), or
     ``MAX_ITER`` steps return converged=False rather than raising: a
     solution is only guaranteed to exist almost surely.
+
+    The solve runs at unit scale.  With k the ``frexp`` exponent of max(d),
+    it solves for d 2^-k, whose largest target is in [0.5, 1), and hands
+    theta 2^-k and the residual norm times 2^k to the certificate.  Its
+    stopping threshold is the one above times 2^-k, formed at unit scale so
+    that it does not underflow for tiny targets.  So the domain floor, the
+    line search's floor on lam |step|_inf and the start's blend act on a
+    problem of one scale, and the solution for d 2^j is the one for d times
+    2^-j, bit for bit.  Nothing else moves: each operation of the solve is
+    a sum, product, quotient or square root, or takes a ratio, and these
+    commute with a power of two while the values stay normal floats.  Where
+    no floor acts on the unscaled targets, as on sampled ones, the solution
+    has the bits it has unscaled.  Scaling d loses bits only in targets
+    below 2^(k-1022), far under the stopping floor n eps max(d).  A
+    solution past the float range (for subnormal targets) is rejected with
+    ValueError.
 
     The Newton direction needs no factorization.  J has off-diagonal
     entries J_ij = 1/(theta_i + theta_j)^2 > 0 and diagonal D = diag(J) with
@@ -573,24 +592,37 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10) -> RetinaSolution:
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    d = prob.d
     n = prob.n
+    k = math.frexp(float(prob.d.max()))[1]
+    d = np.ldexp(prob.d, -k)
+    dmax = float(d.max())
+    # max(tol min(1, max d), n eps max d) 2^-k: min(1, max d) 2^-k is dmax
+    # for k <= 0 and 2^-k for k > 0, which alone forms 2^-k (it may overflow
+    # for k < 0)
+    stop = max(tol * min(dmax, math.ldexp(1.0, -max(k, 0))), n * _EPS * dmax)
+
+    def finish(theta, r_inf, iters, converged):
+        with np.errstate(over="ignore"):
+            out, r_inf = np.ldexp(theta, -k), float(np.ldexp(r_inf, k))
+        if not np.isfinite(out).all():
+            raise ValueError(f"the solution is past the float range: theta["
+                             f"{np.argmax(theta)}] = {theta.max():.6g} * 2^{-k}")
+        return _finish(out, r_inf, iters, converged, n)
+
     theta = _start(d)
     w = np.empty((n, n))
     r = residual(theta, d, w)
     r_inf = float(np.abs(r).max())
-    dmax = float(d.max())
-    stop = max(tol * min(1.0, dmax), n * _EPS * dmax)
     for it in range(1, MAX_ITER + 1):
         if r_inf <= stop:
-            return _finish(theta, r_inf, it - 1, True, n)
+            return finish(theta, r_inf, it - 1, True)
         # w holds the pair sums of -theta, left there by theta's residual; a
         # square past the largest float gives an entry of 0
         with np.errstate(over="ignore"):
             jac = _jacobian_from_pair_sums(w)
         step = _newton_direction(jac, r)
         if step is None:  # not positive definite in floating point
-            return _finish(theta, r_inf, it - 1, False, n)
+            return finish(theta, r_inf, it - 1, False)
         lam = 1.0
         step_inf = float(np.abs(step).max())
         while True:
@@ -603,8 +635,8 @@ def solve_retina(prob: RetinaProblem, tol: float = 1e-10) -> RetinaSolution:
                     break
             lam *= 0.5
             if lam * step_inf < 1e-14:
-                return _finish(theta, r_inf, it, False, n)
-    return _finish(theta, r_inf, MAX_ITER, r_inf <= stop, n)
+                return finish(theta, r_inf, it, False)
+    return finish(theta, r_inf, MAX_ITER, r_inf <= stop)
 
 
 def sample_degrees(theta: np.ndarray, seed: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from sddkit import (AsymmetricMatrixError, BipartiteComponent, DomainError,
 from sddkit import bounds, retina
 from sddkit.bounds import SuiteRecord
 from sddkit.graphlimit import _require_compatible
-from sddkit.matcore import DominanceReport, _check_pivot, _mean_with_transpose
+from sddkit.matcore import _EPS, DominanceReport, _check_pivot, _mean_with_transpose
 from sddkit.retina import DOMAIN_FLOOR, _finish
 
 # Two balanced 4x4 matrices; H differs from J in the (1,2) entry (rebalanced).
@@ -651,13 +651,16 @@ def solve_retina_by_scan(prob: RetinaProblem, tol: float = 1e-10,
     Jacobian per step, read from n = ``_CG_MIN_N`` on by the solver's own
     ``_cg_direction`` (so that the match is a bitwise test of the scans and
     of the solver's in-place buffer), and factored from a copy below that
-    and where CG gives no direction."""
+    and where CG gives no direction.  It runs on the targets as given, not
+    at unit scale, and stops at the solver's test, max(tol * min(1, max(d)),
+    n * eps * max(d))."""
     d = prob.d
     n = prob.n
     theta = retina_start_by_scan(d)
     r = residual_by_scan(theta, d)
     r_inf = float(np.abs(r).max())
-    stop = tol * min(1.0, float(d.max()))
+    dmax = float(d.max())
+    stop = max(tol * min(1.0, dmax), n * _EPS * dmax)
     for it in range(1, max_iter + 1):
         if r_inf <= stop:
             return _finish(theta, r_inf, it - 1, True, n)

@@ -482,6 +482,14 @@ class TestMle:
         assert lines[0] == "trial,n,err_inf,bound,within_bound,residual_inf,iterations,converged"
         assert len(lines) == 5
 
+    def test_tiny_theta_range(self, capsys):
+        # The degrees are near 1e21; the solve is homogeneous in the scale
+        # of its targets, so every trial converges.
+        assert main(["mle", "--n", "30", "--trials", "3", "--seed", "0",
+                     "--theta-range", "1e-20,2e-20"]) == 0
+        out = capsys.readouterr().out
+        assert "converged=3 " in out and "result: ok" in out
+
     def test_target_past_float_range(self, capsys):
         assert main(["mle", "--n", "10", "--trials", "1", "--k", "400"]) == 0
         captured = capsys.readouterr()

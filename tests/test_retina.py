@@ -157,17 +157,18 @@ class TestSolve:
 
     @pytest.mark.filterwarnings("error")
     def test_certificate_at_extreme_scale(self):
-        # theta near 1.4e160: ell = 1/z^2 is subnormal, and the constant,
-        # (2/3) z^2, is past the largest float, but their product with the
-        # residual norm is not.  (The solve ends at the start, where the
-        # Jacobian is 0 and so not positive definite.)
-        sol = solve_retina(RetinaProblem(1e-160 * np.array([1.0, 1.1, 0.9, 1.2])))
-        th = sol.theta
-        zmax = Fraction(max(th[i] + th[j] for i in range(4) for j in range(i + 1, 4)))
+        # theta near 1e160 at n = 400: ell = 1/z^2 is subnormal, and the
+        # constant, about (3/(2n)) z^2, is past the largest float, but their
+        # product with the residual norm is not.
+        n = 400
+        sol = solve_retina(RetinaProblem(1e-160 * sample_degrees(_true_theta(n, 0), 100)))
+        assert sol.converged
+        top = np.sort(sol.theta)[-2:]
+        zmax = Fraction(top[0] + top[1])
         ell = 1 / zmax ** 2
         assert abs(Fraction(sol.ell_used) - ell) <= ell * Fraction(2) ** -50 + Fraction(2) ** -1074
         assert sol.lipschitz_const == math.inf
-        cert = Fraction(2, 3) * zmax ** 2 * Fraction(sol.residual_inf)
+        cert = Fraction(3 * n - 4, 2 * (n - 1) * (n - 2)) * zmax ** 2 * Fraction(sol.residual_inf)
         assert 0 < sol.error_certificate < math.inf
         assert abs(Fraction(sol.error_certificate) - cert) <= cert * Fraction(2) ** -50
 
@@ -199,14 +200,35 @@ class TestSolve:
         np.testing.assert_allclose(1e6 * sol.theta, theta, rtol=1e-14)
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_jacobian_ends_unconverged(self):
-        # At theta near 1.4e160 every squared pair sum overflows, so each
-        # Jacobian entry is 0 and its Cholesky factorization fails at the
-        # start: converged=False, and no warning.
+    def test_tiny_targets_solve_at_unit_scale(self):
+        # At theta near 1.4e160 every squared pair sum would overflow, but
+        # the solve runs at unit scale and converges as at d near 1.
+        sol = solve_retina(RetinaProblem(1e-160 * np.array([1.0, 1.1, 0.9, 1.2])))
+        assert (sol.converged, sol.iterations) == (True, 4)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_jacobian_ends_unconverged(self, monkeypatch):
+        # A Jacobian that is 0 (its squared pair sums can overflow where the
+        # targets span hundreds of decades) fails its Cholesky factorization
+        # at the start: converged=False, and no warning.
+        monkeypatch.setattr(retina, "_jacobian_from_pair_sums", lambda w: np.zeros_like(w))
         d = 1e-160 * np.array([1.0, 1.1, 0.9, 1.2])
         sol = solve_retina(RetinaProblem(d))
         assert (sol.converged, sol.iterations) == (False, 0)
         assert sol.residual_inf > 1e-10 * d.max()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [1e11, 1e300, 1e-300])
+    def test_targets_far_from_one_are_met_to_their_rounding(self, s):
+        # At s = 1e11 the solution's pair sums, near 3e-11, lie under the
+        # absolute DOMAIN_FLOOR, which held the solve off them; at 1e300 and
+        # 1e-300 it ended after one step or at the start.  (f_map checks
+        # the solution at theta s, whose pair sums are near 1.)
+        d = s * np.array([1.0, 1.1, 0.9, 1.2])
+        sol = solve_retina(RetinaProblem(d))
+        assert (sol.converged, sol.iterations) == (True, 4)
+        assert sol.residual_inf <= 4 * np.finfo(float).eps * d.max()
+        np.testing.assert_allclose(f_map(-s * sol.theta), d / s, rtol=1e-14)
 
     @pytest.mark.filterwarnings("error")
     def test_certificate_at_tiny_scale(self):
@@ -550,6 +572,32 @@ class TestBitwiseOracles:
         sol = self.assert_same_solution(RetinaProblem(np.array([1000.0, 999.99, 0.02])))
         assert not sol.converged
 
+    @pytest.mark.parametrize("tol", [1e-10, 0.0])
+    def test_targets_met_to_their_rounding(self, tol):
+        # No residual row sum gets below about n * eps * max(d), past tol
+        # here: both stop at that floor, in 4 steps.
+        d = 1e6 * f_map(-trial_rng(251).uniform(0.5, 2.0, size=50))
+        sol = self.assert_same_solution(RetinaProblem(d), tol=tol)
+        assert (sol.converged, sol.iterations) == (True, 4)
+
+
+@pytest.mark.blas_bits
+class TestPowerOfTwoEquivariance:
+    """The equations are homogeneous: theta solves d exactly when theta
+    2^-j solves d 2^j.  The solve runs at unit scale, so the solution for
+    d 2^j is the one for d times 2^-j, bit for bit, with the same steps."""
+
+    @pytest.mark.parametrize("n, seed", [(n, s) for n in (30, 400) for s in range(3)])
+    def test_solution_scales_by_a_power_of_two(self, n, seed):
+        d = sample_degrees(_true_theta(n, seed), 100 + seed)
+        unit = solve_retina(RetinaProblem(d), tol=0.0)
+        assert unit.converged
+        for j in (-1000, -500, -1, 1, 500, 1000):
+            sol = solve_retina(RetinaProblem(np.ldexp(d, j)), tol=0.0)
+            np.testing.assert_array_equal(bits(sol.theta), bits(np.ldexp(unit.theta, -j)))
+            assert bits([math.ldexp(sol.residual_inf, -j)]) == bits([unit.residual_inf])
+            assert (sol.iterations, sol.converged) == (unit.iterations, unit.converged)
+
 
 def _cell_problems(n, theta_range, targets, seeds=6):
     """One problem per seed: theta uniform in the range, and its sampled
@@ -648,15 +696,17 @@ class TestStart:
         if n >= retina._CG_MIN_N and theta_range == (0.5, 2.0):
             assert max(steps["refined"]) <= 2 < min(steps["mean_field"])
 
-    @pytest.mark.parametrize("d", [5e-324 * np.ones(3), 1e-310 * np.array([1.0, 1.1, 0.9])],
-                             ids=["smallest_subnormal", "subnormal"])
-    def test_targets_past_the_float_range_end_as_from_u(self, d):
-        # (n-1)/d overflows, so h is not finite and the start is u, which is
-        # inf here too: the first residual rejects it, with no warning
+    @pytest.mark.parametrize("d, message", [
+        (5e-324 * np.ones(3), r"theta\[0\] = 2 \* 2\^1073"),
+        (1e-310 * np.array([1.0, 1.1, 0.9]), r"theta\[2\] = 2\.46265 \* 2\^1029"),
+    ], ids=["smallest_subnormal", "subnormal"])
+    def test_solution_past_the_float_range_is_rejected(self, d, message):
+        # At unit scale the solve converges, but its solution, near 1e310
+        # and past, is past the largest float: one ValueError, no warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not np.isfinite(_uniform_start(d)).any()
-            with pytest.raises(ValueError, match=r"^x\[0\] = -inf is not finite$"):
+            with pytest.raises(ValueError, match=r"^the solution is past the float range: "
+                                                 + message + "$"):
                 solve_retina(RetinaProblem(d))
 
 
@@ -701,10 +751,19 @@ class TestNewtonDirection:
             assert np.abs(new.theta - old.theta).max() <= 1e-13 * np.abs(old.theta).max()
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_jacobian_ends_unconverged(self):
-        # theta near 1e160: the Jacobian is 0, so CG meets a diagonal that
-        # is not positive, Cholesky's first pivot fails, and the solve ends
-        # at the start, with no warning.
+    def test_tiny_targets_solve_at_unit_scale(self):
+        # theta near 1e160, where the squared pair sums would overflow: at
+        # unit scale the solve takes the 2 steps of the unscaled target.
+        d = sample_degrees(_true_theta(400, 0), 100)
+        steps = solve_retina(RetinaProblem(d)).iterations
+        sol = solve_retina(RetinaProblem(1e-160 * d))
+        assert (sol.converged, sol.iterations) == (True, steps) == (True, 2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_jacobian_ends_unconverged(self, monkeypatch):
+        # CG meets a diagonal that is not positive, Cholesky's first pivot
+        # fails, and the solve ends at the start, with no warning.
+        monkeypatch.setattr(retina, "_jacobian_from_pair_sums", lambda w: np.zeros_like(w))
         d = 1e-160 * sample_degrees(_true_theta(400, 0), 100)
         sol = solve_retina(RetinaProblem(d))
         assert (sol.converged, sol.iterations) == (False, 0)
