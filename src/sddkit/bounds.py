@@ -9,8 +9,9 @@ information) is flagged rather than dropped.
 
 Comparisons use tol = 1e-9 * max(1, |rhs|), recorded in the report context.
 The hypotheses are checked with margins relative to the entries (1e-12
-times the largest off-diagonal entry or the infinity norm), so a report
-on 2^k J keeps the verdict of the report on J.
+times the largest off-diagonal entry or the infinity norm, the norm taken
+at J's unit scale), so a report on 2^k J keeps the verdict of the report
+on J, also where inf_norm(J) is past the largest float.
 
 One seeded-trial engine runs both the verification suites
 (:func:`verify_suite`) and the searches over the paper's two conjectured
@@ -40,13 +41,14 @@ from .matcore import (
     SymMatrix,
     _at_unit_scale,
     _classify_stack,
+    _cond_inf,
     _eigen_stack,
     _eliminate_stack,
     _floor,
     _prescaled,
     _stack_of,
+    _unit_inf_norm,
     eigen_sym,
-    inf_norm,
 )
 from .sform import SForm, _rank_one, sform_dense, sform_inf_norm_inverse, sform_inverse
 from .graphlimit import signless_laplacian
@@ -178,7 +180,8 @@ def main_bound(J: SymMatrix, S: SForm) -> BoundReport:
 
     Requires J symmetric diagonally dominant with J >= dense(S) entrywise,
     up to 1e-12 inf_norm(J), and S dominant; equality holds exactly when J
-    equals dense(S).
+    equals dense(S).  The tolerance is formed at J's unit scale
+    (:func:`~sddkit.matcore._unit_inf_norm`), where the norm is finite.
     """
     if J.n != S.n:
         return _inapplicable("main", f"dimension mismatch {J.n} vs {S.n}")
@@ -193,7 +196,11 @@ def main_bound(J: SymMatrix, S: SForm) -> BoundReport:
     # least entry minus that constant, bitwise the least entry of J - dense(S).
     gap = min(rep.min_offdiag - S.ell,
               float(J.entries.diagonal().min()) - (S.alpha + S.ell))
-    if gap < -1e-12 * inf_norm(J):
+    # The tolerance is formed at J's unit scale and scaled back, so it is
+    # finite where inf_norm(J) is not: the unit-scale norm is at most n, and
+    # 1e-12 n 2^1024 is below the largest float.
+    norm, e = _unit_inf_norm(J.entries)
+    if gap < -math.ldexp(1e-12 * norm, e):
         return _inapplicable("main", "J not entrywise >= reference matrix",
                              n=J.n, worst_gap=gap)
     lhs = J.inv_inf_norm
@@ -246,7 +253,9 @@ def _sharp_rhs(n: int, ell: float) -> float:
 def condition_bound(J: SymMatrix, ell: float | None = None) -> BoundReport:
     """cond_inf(J) <= (2 m (n-1) + delta_max)(3n-4) / (2 ell (n-2)(n-1)).
 
-    For large n the right side approaches 3 m / ell.
+    For large n the right side approaches 3 m / ell.  Both sides have
+    degree 0 in J and are formed at unit scale, so they stay finite where
+    inf_norm(J) or 2 m (n-1) is past the float range.
     """
     rep = J.dominance
     ell, _, bad = _gate("cond", rep, J.entries.diagonal(), ell, None)
@@ -255,8 +264,9 @@ def condition_bound(J: SymMatrix, ell: float | None = None) -> BoundReport:
     n = J.n
     m_hat = rep.max_offdiag
     d_hat = max(rep.max_delta, 0.0)
-    lhs = inf_norm(J) * J.inv_inf_norm
-    rhs = (2.0 * m_hat * (n - 1) + d_hat) * (3 * n - 4) / (2.0 * ell * (n - 2) * (n - 1))
+    lhs = _cond_inf(J)
+    rhs = _at_unit_scale(lambda m, d, l: (2.0 * m * (n - 1) + d) * (3 * n - 4)
+                         / (2.0 * l * (n - 2) * (n - 1)), 0, m_hat, d_hat, ell)
     return _report("cond", lhs, rhs, n=n, ell=ell, m=m_hat, delta=d_hat)
 
 
@@ -441,16 +451,19 @@ def hadamard_sanity(J: SymMatrix) -> BoundReport:
     Inapplicable unless every J_ii > 0 and J is PSD, which holds exactly
     when every elimination pivot (factor times J_ii) is >= 0: J is congruent
     to its pivots.  The zero pivot of a singular PSD J may round either way,
-    so a pivot within n * eps * inf_norm(J) of zero counts as zero.
+    so a pivot within n * eps * inf_norm(J) of zero counts as zero; both
+    are taken at J's unit scale (:func:`~sddkit.matcore._unit_inf_norm`),
+    where neither is past the float range.
     """
     diag = J.entries.diagonal()
     if not (diag > 0).all():
         return _inapplicable("hadamard", "needs a positive diagonal", n=J.n)
     factors, ratio = block_det_ratio(J)
+    norm, e = _unit_inf_norm(J.entries)
     # A pivot past the largest float is an infinite one of the same sign.
     with np.errstate(over="ignore"):
-        pivots = factors * diag[:-1]
-    if (pivots < -_floor(J.n, inf_norm(J))).any():
+        pivots = factors * np.ldexp(diag[:-1], -e)
+    if (pivots < -_floor(J.n, norm)).any():
         return _inapplicable("hadamard", "J not positive semidefinite", n=J.n)
     return _report("hadamard", ratio, 1.0, n=J.n)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import retina as ret
-from .matcore import EigenConvergenceError, SingularMatrixError, inf_norm, load_matrix
+from .matcore import EigenConvergenceError, SingularMatrixError, _cond_inf, inf_norm, load_matrix
 from .sform import SForm, sform_inf_norm_inverse
 from .graphlimit import (
     BipartiteComponent,
@@ -181,7 +181,7 @@ def cmd_inspect(args) -> int:
         print(f"inverse: FAILED ({exc})")
         return 1
     print(f"inv_inf_norm={_fmt(inv_norm)}")
-    print(f"cond_inf={_fmt(inf_norm(J) * inv_norm)}")
+    print(f"cond_inf={_fmt(_cond_inf(J))}")
     _print_report(bnd.varah_bound(J))
     return 0
 

@@ -375,8 +375,10 @@ def limit_numeric(S: SForm, G: LoopGraph, t: float) -> SymMatrix:
     itself; entries approach the limit at rate O(1/t).  S + t P is positive
     definite (S is, and P is semidefinite), so it is inverted by Cholesky,
     about n^3 flops, with one triangle copied onto the other: the result is
-    exactly symmetric with no averaging.  A squared pivot at or below
-    n * eps * inf_norm(S + t P), as at t = 1e16 on large graphs, raises
+    exactly symmetric with no averaging.  S + t P is worked at the power-of-
+    two scale of :func:`~sddkit.matcore._prescaled`.  A squared pivot at or
+    below n * eps * inf_norm(S + t P), as at t = 1e16 on large graphs, or
+    an inverse past the float range raises
     :class:`~sddkit.matcore.SingularMatrixError`.
     """
     if not 0 < t < np.inf:

@@ -15,8 +15,9 @@ too takes stacks).  Every bound and CLI command reads these members.
 
 One rule keeps the kernels inside the float range: a matrix whose largest
 |entry| lies outside [2^-960, 2^960] is scaled into [0.5, 1) by a power of
-two (:func:`_prescaled`), any other matrix is used as it is, and every
-closed form is evaluated at unit scale by :func:`_at_unit_scale`.
+two (:func:`_prescaled`), any other matrix is used as it is, every infinity
+norm that a decision reads is taken at that scale (:func:`_unit_inf_norm`),
+and every closed form is evaluated at unit scale by :func:`_at_unit_scale`.
 
 All operations are pure functions of their inputs.  Matrix values are
 immutable after construction and safe to share across threads.
@@ -288,6 +289,23 @@ def inf_norm(M: SymMatrix) -> float:
         return float(np.abs(M.entries).sum(axis=1).max())
 
 
+def _unit_inf_norm(a: np.ndarray) -> tuple[float, int]:
+    """(inf_norm(a 2^-e), e) for the matrix ``a``, with e the exponent of
+    :func:`_prescaled`: the infinity norm every decision reads, finite for
+    any finite ``a``, and inf_norm(a) itself where e = 0."""
+    w, e = _prescaled(np.abs(a), copy=False)
+    return float(w.sum(axis=1).max()), int(e)
+
+
+def _cond_inf(J: SymMatrix) -> float:
+    """inf_norm(J) * inf_norm(J^{-1}), of degree 0 in J, formed at J's unit
+    scale (:func:`_unit_inf_norm`), so it is finite where inf_norm(J) alone
+    is past the float range."""
+    norm, e = _unit_inf_norm(J.entries)
+    with np.errstate(over="ignore"):
+        return norm * float(np.ldexp(J.inv_inf_norm, e))
+
+
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
@@ -372,16 +390,19 @@ def _inverse(a: np.ndarray, as_norm: bool = False):
     del lu, scaled
     with np.errstate(over="ignore"):
         np.ldexp(inv, -e, out=inv)
-    if np.isfinite(inv).all():
-        inv = _mean_with_transpose(inv)
-        if not as_norm:
-            return inv
-        with np.errstate(over="ignore"):
-            inv_norm = inf_norm(inv)
-        if inv_norm < math.inf:
-            return inv_norm
-    pivot = math.ldexp(smallest, e)
-    raise SingularMatrixError(f"inverse past the float range (pivot {pivot:.3e})", pivot=pivot)
+    inv = _mean_with_transpose(_in_range(inv, smallest, e))
+    return _in_range(inf_norm(inv), smallest, e) if as_norm else inv
+
+
+def _in_range(x, smallest: float, e: int):
+    """``x``, the inverse of a matrix prescaled by 2^-e (:func:`_prescaled`)
+    or that inverse's inf_norm, in the matrix's own units; past the float
+    range, the range rule of both inverses raises :class:`SingularMatrixError`
+    carrying the smallest pivot ``smallest`` times 2^e."""
+    if not np.isfinite(x).all():
+        pivot = math.ldexp(smallest, e)
+        raise SingularMatrixError(f"inverse past the float range (pivot {pivot:.3e})", pivot=pivot)
+    return x
 
 
 def _inv_norm_stack(a: np.ndarray) -> list:
@@ -403,10 +424,14 @@ def _inverse_cholesky(a: np.ndarray) -> SymMatrix:
     One Cholesky factorization (``potrf``, n^3/3 flops) and the inverse from
     the factor (``potri``, 2n^3/3).  Both work on one triangle, which is then
     copied onto the other, so the result is exactly symmetric with no
-    averaging.  A factorization that breaks down, or a squared pivot at or
-    below :func:`inverse_dense`'s floor, raises :class:`SingularMatrixError`.
+    averaging.  As in :func:`inverse_dense`, ``a`` is prescaled
+    (:func:`_prescaled`) and the inverse scaled back once.  A factorization
+    that breaks down, or a squared pivot at or below :func:`inverse_dense`'s
+    floor, raises :class:`SingularMatrixError`, as does an inverse entry
+    past the float range.
     """
     n = a.shape[0]
+    e = int(_prescaled(a, copy=False)[1])  # a is scaled in place
     norm = float(np.abs(a).sum(axis=1).max())
     # a is symmetric, so its transpose is the same matrix in Fortran order,
     # which LAPACK works on in place; its upper triangle is a's lower one.
@@ -415,10 +440,12 @@ def _inverse_cholesky(a: np.ndarray) -> SymMatrix:
     # potrf stops at the first squared pivot that is not positive and leaves
     # it in place.
     smallest = float(pivots[info - 1]) if info else float((pivots * pivots).min())
-    _check_pivot(smallest, n, norm, failed=info > 0)
+    _check_pivot(smallest, n, norm, failed=info > 0, e=e)
     # Every pivot is positive, so potri cannot fail.
     scipy.linalg.lapack.dpotri(f, lower=0, overwrite_c=1)
-    return _adopt(_fill_upper(a))
+    with np.errstate(over="ignore"):
+        np.ldexp(_fill_upper(a), -e, out=a)
+    return _adopt(_in_range(a, smallest, e))
 
 
 def _trailing_block_norms(a: np.ndarray) -> np.ndarray:
@@ -555,26 +582,22 @@ def _eigen_stack(a: np.ndarray) -> tuple[np.ndarray, list]:
     element-wise or per matrix, so each matrix's eigenvalues and residual
     are bitwise those of its own call.  A LAPACK failure raises for the
     whole stack.
+
+    Each matrix's residual is formed at unit scale: its residual columns
+    are scaled by 2^-e, e the exponent of its largest |entry| (which, unlike
+    its norm, is never past the float range), before they are squared, and
+    the residual by 2^e after.  That is exact, so the residual keeps its
+    bits, and the squares stay finite.
     """
     try:
         lams, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"LAPACK eigensolver failed: {exc}",
                                     residual=math.inf) from exc
+    w = np.abs(a)
     with np.errstate(over="ignore"):
-        norms = np.abs(a).sum(axis=2).max(axis=1)
-    # Each matrix's residual columns are scaled by 2^-e, e the exponent of
-    # its infinity norm, before they are squared, and the residual by 2^e
-    # after: exact, so the residual keeps its bits at unit scale, and the
-    # squares of entries near the largest float stay finite.  A norm past
-    # the largest float is inf; its exponent is read from |a| scaled into
-    # [0.5, 1) by 2^-s (:func:`_prescaled`, whose range test such a matrix
-    # passes: n entries sum past 2^1024 only if one is past 2^960).
-    _, e = np.frexp(norms)
-    over = np.isinf(norms)
-    if over.any():
-        w, s = _prescaled(np.abs(a[over]), copy=False)
-        e[over] = np.frexp(w.sum(axis=2).max(axis=1))[1] + s
+        norms = w.sum(axis=2).max(axis=1)
+    e = np.frexp(w.max(axis=(1, 2)))[1]
     resid_cols = a @ vecs - vecs * lams[:, None, :]
     np.ldexp(resid_cols, -e[:, None, None], out=resid_cols)
     residuals = np.ldexp(np.sqrt((resid_cols * resid_cols).sum(axis=1)).max(axis=1), e)

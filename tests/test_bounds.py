@@ -109,6 +109,16 @@ class TestMainBound:
         r = main_bound(below, S42)
         assert not r.applicable and "reason" in r.context
 
+    @pytest.mark.filterwarnings("error")
+    def test_entrywise_violation_past_the_float_range_is_inapplicable(self):
+        # inf_norm(J) = 2.2e308 is past the largest float, so a tolerance
+        # 1e-12 inf_norm(J) would forgive any gap; at unit scale the gap of
+        # -4e307 is found, as at scale 1
+        J = SymMatrix(1e307 * (np.full((3, 3), 5.0) + 7.0 * np.eye(3)))
+        r = main_bound(J, SForm(3, 8e307, 8e307))
+        assert not r.applicable and r.context["reason"] == "J not entrywise >= reference matrix"
+        assert r.context["worst_gap"] == pytest.approx(-4e307, rel=1e-15, abs=0)
+
     def test_not_dominant_is_inapplicable(self):
         a = sform_dense(S42).entries.copy()
         a = a - 2.0 * np.eye(4)  # kill the diagonal margin
@@ -236,12 +246,17 @@ class TestConditionBound:
         assert r2.lhs == pytest.approx(r1.lhs, rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
-    def test_a_nan_side_past_the_float_range_is_inapplicable(self):
-        # Balanced at 6e307: the right side is (2 m (n-1)) (3n-4) /
-        # (2 ell (n-2)(n-1)) = inf / inf, and the report says so instead of
-        # comparing a NaN.
-        r = condition_bound(SymMatrix(6e307 * (np.eye(3) + np.ones((3, 3)))))
-        assert not r.applicable and r.context["reason"] == "rhs is NaN (past the float range)"
+    @pytest.mark.parametrize("diagonal, lhs, rhs", [(2.0, 5.0, 5.0), (2.5, 11 / 3, 5.625)],
+                             ids=["balanced", "dominant"])
+    def test_sides_past_the_float_range_are_formed_at_unit_scale(self, diagonal, lhs, rhs):
+        # Off-diagonal 6e307: inf_norm(J) and 2 m (n-1) are past the largest
+        # float, but both sides have degree 0 in J and are formed at unit
+        # scale, so the report is the one at off-diagonal 1: 5 <= 5 at the
+        # balanced reference.
+        r = condition_bound(SymMatrix(6e307 * (np.eye(3) * (diagonal - 1) + np.ones((3, 3)))))
+        assert r.applicable and r.holds
+        assert r.lhs == pytest.approx(lhs, rel=1e-15, abs=0)
+        assert r.rhs == rhs
 
 
 class TestReport:
@@ -545,6 +560,37 @@ class TestPowerOfTwoEquivariance:
                 expect = math.ldexp(at_unit, degree * k)
                 assert 2.0 ** -1022 <= expect < math.inf  # a normal float
                 assert bits([at_k]) == bits([expect]), (u.name, at_unit, at_k)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", ["dominant", "balanced", "indefinite", "below_reference"])
+    def test_verdicts_where_the_row_sums_overflow(self, case):
+        # 2^k J with its largest entry in [2^1023, 2^1024): inf_norm(2^k J)
+        # is past the largest float, and the hadamard, main and cond reports
+        # keep the verdicts, and reasons, of the reports on J.  main compares
+        # with the balanced reference of ell = J's least off-diagonal, or
+        # with a given reference, which J does not dominate entrywise.
+        rng = trial_rng(631)
+        a, S = {
+            "dominant": (random_dominant(rng, 6).entries, None),
+            "balanced": (random_balanced(rng, 6).entries, None),
+            "indefinite": (np.array([[1.0, 1.5, 0], [1.5, 1, 0], [0, 0, 1]]), SForm(3, 1.0, 0.5)),
+            "below_reference": (np.full((3, 3), 5.0) + 7.0 * np.eye(3), SForm(3, 6.0, 6.0)),
+        }[case]
+        S = S or SForm.balanced(len(a), float(a[~np.eye(len(a), dtype=bool)].min()))
+
+        def verdicts(k):
+            J = SymMatrix(np.ldexp(a, k))
+            Sk = SForm(S.n, math.ldexp(S.alpha, k), math.ldexp(S.ell, k))
+            return [(r.name, r.applicable, r.holds, r.context.get("reason"))
+                    for r in (hadamard_sanity(J), main_bound(J, Sk), condition_bound(J))]
+
+        k = 1024 - math.frexp(float(np.abs(a).max()))[1]
+        assert inf_norm(SymMatrix(np.ldexp(a, k))) == math.inf
+        unit = verdicts(0)
+        assert verdicts(k) == unit
+        expect = {"dominant": [True] * 3, "balanced": [True] * 3,
+                  "indefinite": [False] * 3, "below_reference": [True, False, True]}[case]
+        assert [applicable for _, applicable, _, _ in unit] == expect
 
 
 class TestPanelElimination:
@@ -855,6 +901,15 @@ class TestHadamard:
         assert J.elimination[1] == pytest.approx(3.25)
         r = hadamard_sanity(J)
         assert not r.applicable
+        assert r.context == {"n": 3, "reason": "J not positive semidefinite"}
+
+    @pytest.mark.filterwarnings("error")
+    def test_indefinite_past_the_float_range_is_inapplicable(self):
+        # Row sums of 2.5e308 are past the largest float, so a floor
+        # n eps inf_norm(J) would forgive the pivot -1.25e308; at unit scale
+        # it is found, as at scale 1
+        J = SymMatrix(1e308 * np.array([[1.0, 1.5, 0], [1.5, 1, 0], [0, 0, 1]]))
+        r = hadamard_sanity(J)
         assert r.context == {"n": 3, "reason": "J not positive semidefinite"}
 
     def test_non_positive_diagonal_is_inapplicable(self):

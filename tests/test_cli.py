@@ -97,21 +97,24 @@ class TestInspect:
         assert captured.err == ""
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("diagonal, kind, varah", [
-        (2.5, "strictly dominant", "varah: lhs=1.35802469136e-308 rhs=3.33333333333e-308 "
-                                   "slack=1.97530864198e-308 holds"),
-        (2.0, "balanced, dominant", "varah: inapplicable (not strictly diagonally dominant)")],
+    @pytest.mark.parametrize("diagonal, kind, cond, varah", [
+        (2.5, "strictly dominant", "3.66666666667",
+         "varah: lhs=1.35802469136e-308 rhs=3.33333333333e-308 slack=1.97530864198e-308 holds"),
+        (2.0, "balanced, dominant", "5",
+         "varah: inapplicable (not strictly diagonally dominant)")],
         ids=["dominant", "balanced"])
-    def test_row_sums_past_the_float_range(self, diagonal, kind, varah, tmp_path, capsys):
+    def test_row_sums_past_the_float_range(self, diagonal, kind, cond, varah, tmp_path, capsys):
         # Each row of |J| sums to 2.7e308 or 2.4e308; the margins of 3e307
         # and 0 are not past the range, and the classification finds them.
+        # The norm is printed as inf, the condition number, of degree 0 in
+        # J, is not past the range, and is formed at unit scale.
         path = tmp_path / "large.txt"
         save_matrix(SymMatrix(6e307 * (np.eye(3) * (diagonal - 1) + np.ones((3, 3)))), path)
         assert main(["inspect", "--matrix", str(path)]) == 0
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
         assert lines[1] == f"classification: {kind}"
-        assert lines[4:] == ["inf_norm=inf", lines[5], "cond_inf=inf", varah]
+        assert lines[4:] == ["inf_norm=inf", lines[5], f"cond_inf={cond}", varah]
         assert not re.search(r"\bnan\b|VIOLATED", captured.out)
         assert captured.err == ""
 
@@ -172,6 +175,31 @@ class TestLimit:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-4] == last_row
         assert lines[-1] == f"sform_inv_inf_norm={norm}"
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_t_with_row_sums_past_the_float_range(self, tmp_path, capsys):
+        # Each row of S + P on a 30-vertex path sums to about 1.9e308, past
+        # the largest float; t P is below S's rounding, so the inverse's
+        # norm is S^{-1}'s
+        path = tmp_path / "path.edges"
+        path.write_text("30\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 30)))
+        assert main(["limit", "--sform", "30,1e308,3e306", "--graph", str(path), "--t", "1"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[-3] == "inf_norm=1.44210526316e-308"
+        assert lines[-1] == "sform_inv_inf_norm=1.44210526316e-308"
+        assert captured.err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_t_inverse_past_the_float_range_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "path.edges"
+        path.write_text("3\n1 2\n2 3\n")
+        assert main(["limit", "--sform", "3,1e-309,1e-310", "--graph", str(path),
+                     "--t", "1e-309"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: solver failed: inverse past the float range "
+                                "(pivot 1.660e-309)\n")
 
 
 def _print_cases():

@@ -420,6 +420,31 @@ class TestNumericLimit:
         N = limit_closed_form(S4, analyze_bipartition(g)).entries
         np.testing.assert_allclose(limit_numeric(S4, g, 1e8).entries, N, atol=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [1021, 1022])
+    def test_power_of_two_scales_the_inverse(self, k):
+        # Each row of S + t P at 2^k sums past the largest float, and its
+        # inverse is 2^-k times the one at unit scale.  Cholesky's square
+        # roots do not scale bitwise by an odd power of two, so the match
+        # is to 1e-14 of the largest entry, which also covers the inverse's
+        # entries that are subnormal at 2^-k.
+        G = LoopGraph(30, [(i, i + 1) for i in range(1, 30)])
+        S = SForm(30, 1.0, 0.5)
+        a = sform_dense(S).entries + signless_laplacian(G).entries
+        with np.errstate(over="ignore"):
+            assert np.abs(np.ldexp(a, k)).sum(axis=1).min() == np.inf
+        unit = limit_numeric(S, G, 1.0).entries
+        scaled = limit_numeric(SForm(30, 2.0 ** k, 2.0 ** (k - 1)), G, 2.0 ** k).entries
+        np.testing.assert_allclose(np.ldexp(scaled, k), unit, rtol=0,
+                                   atol=1e-14 * np.abs(unit).max())
+
+    @pytest.mark.filterwarnings("error")
+    def test_inverse_past_the_float_range_raises(self):
+        # S + t P has subnormal entries, and its inverse entries near 1e309
+        with pytest.raises(SingularMatrixError,
+                           match=r"^inverse past the float range \(pivot 1\.660e-309\)$"):
+            limit_numeric(SForm(3, 1e-309, 1e-310), LoopGraph(3, [(1, 2), (2, 3)]), 1e-309)
+
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
             limit_numeric(S4, chain_cycle(4), 0.0)
